@@ -108,7 +108,11 @@ def compute_center(f: NAryForm) -> CenterBasis:
 
 
 def binary_center_system(form: BinaryForm):
-    """(d-1) x 3 coefficient matrix in the unknowns (c12, c22 - c11, c21)."""
+    """(d-1) x 3 coefficient matrix in the unknowns (c12, c22 - c11, c21).
+
+    Up to the sign of its last column this is the Hankel matrix with rows
+    (a_i, a_{i+1}, a_{i+2}), so both have the same rank.
+    """
     a = form.norm
     d = form.degree
     return [[a[i], a[i + 1], -a[i + 2]] for i in range(d - 1)]
@@ -123,6 +127,37 @@ def d_invariants(form: BinaryForm):
     return d1, d2, d3
 
 
+@dataclass(frozen=True)
+class BinaryInvariants:
+    """Everything the classification and the two-power completion read.
+
+    The eigenvalues are set only when the Hankel rank is 2, the one case in
+    which the center is spanned by I and Lambda; otherwise they are None.
+    """
+
+    hankel_rank: int
+    D1: Fraction
+    D2: Fraction
+    D3: Fraction
+    discriminant: Fraction  # D2^2 - 4*D1*D3
+    lambda1: object = None  # (D2 + sqrt(disc)) / 2, exact
+    lambda2: object = None  # (D2 - sqrt(disc)) / 2, exact
+
+
+def binary_invariants(form: BinaryForm) -> BinaryInvariants:
+    """Hankel rank, pivot minors, discriminant and (rank 2) the spectrum."""
+    if form.degree < 3:
+        raise DegreeError("center invariants need degree >= 3")
+    system_rank = rank(binary_center_system(form))
+    d1, d2, d3 = d_invariants(form)
+    disc = d2 * d2 - 4 * d1 * d3
+    if system_rank != 2:
+        return BinaryInvariants(system_rank, d1, d2, d3, disc)
+    root = exact_sqrt(disc)
+    lam1, lam2 = (d2 + root) / 2, (d2 - root) / 2
+    return BinaryInvariants(system_rank, d1, d2, d3, disc, lam1, lam2)
+
+
 def center_generator(form: BinaryForm) -> CenterGenerator:
     """Distinguished generator Lambda with exact eigenvalues.
 
@@ -131,24 +166,19 @@ def center_generator(form: BinaryForm) -> CenterGenerator:
     """
     if form.degree < 3:
         raise DegreeError("center generator needs degree >= 3")
-    system_rank = rank(binary_center_system(form))
-    if system_rank != 2:
-        raise CenterRankError(system_rank)
-    d1, d2, d3 = d_invariants(form)
-    if d1 == 0:
-        raise PivotError("D1 = 0; apply a reversal or shift first")
-    disc = d2 * d2 - 4 * d1 * d3
-    root = exact_sqrt(disc)
-    lam1 = (d2 + root) / 2
-    lam2 = (d2 - root) / 2
+    inv = binary_invariants(form)
+    if inv.hankel_rank != 2:
+        raise CenterRankError(inv.hankel_rank)
+    if inv.D1 == 0:
+        raise PivotError("D1 = 0: Lambda is not defined; swapping x and y may help")
     return CenterGenerator(
-        D1=d1,
-        D2=d2,
-        D3=d3,
-        matrix=((Fraction(0), -d3), (d1, d2)),
-        discriminant=disc,
-        lambda1=lam1,
-        lambda2=lam2,
+        D1=inv.D1,
+        D2=inv.D2,
+        D3=inv.D3,
+        matrix=((Fraction(0), -inv.D3), (inv.D1, inv.D2)),
+        discriminant=inv.discriminant,
+        lambda1=inv.lambda1,
+        lambda2=inv.lambda2,
     )
 
 

@@ -7,7 +7,9 @@ carry exact values as p/q strings (never floats) next to decimal
 approximations.
 
 Exit codes: 0 success, 1 usage error, 2 parse error, 3 method not
-applicable, 4 verification failure.
+applicable (any library error), 4 verification failure (radical and oracle
+roots differ, the oracle does not converge, or a two-power decomposition
+does not expand back).
 """
 
 from __future__ import annotations
@@ -17,25 +19,26 @@ import json
 import sys
 from fractions import Fraction
 
-from .center import compute_center, center_generator, d_invariants
+from .center import binary_invariants, compute_center
 from .diagonalize import diagonalize_form
 from .errors import (
     CenterSolveError,
     DegreeError,
     IrrationalSpectrumError,
     NoRadicalMethodError,
+    NonConvergenceError,
 )
-from .forms import UnivariateEquation, from_plain_coeffs
+from .forms import BinaryForm, UnivariateEquation, from_plain_coeffs
 from .oracle import check_decomposition, compare_root_sets, numeric_roots
 from .parser import ParsedInput, PolyParseError, parse_polynomial
 from .scalars import DEFAULT_PREC, is_exact, scalar_str
 from .solver import (
     RootSet,
+    _complete_powers,
+    _solve_classified,
     classify,
     complete_powers,
-    hankel,
     max_scaled_residual,
-    solve_by_radicals,
     solve_quartic_by_two_squares,
 )
 
@@ -164,17 +167,22 @@ def _decomposition_json(dec, variables):
     }
 
 
-def _fill_invariants(doc, eq: UnivariateEquation):
-    if eq.degree < 3:
-        return
-    d1, d2, d3 = d_invariants(eq.homogenize())
+def _fill_invariants(doc, inv):
     doc["invariants"] = {
-        "D1": str(d1),
-        "D2": str(d2),
-        "D3": str(d3),
-        "discriminant": str(d2 * d2 - 4 * d1 * d3),
-        "hankel_rank": hankel(eq).rank,
+        "D1": str(inv.D1),
+        "D2": str(inv.D2),
+        "D3": str(inv.D3),
+        "discriminant": str(inv.discriminant),
+        "hankel_rank": inv.hankel_rank,
     }
+
+
+def _classify_into(doc, eq: UnivariateEquation):
+    """Classify eq once (degree >= 3) and copy its class and invariants to doc."""
+    cls = classify(eq)
+    doc["class"] = cls.tag
+    _fill_invariants(doc, cls.invariants)
+    return cls
 
 
 # ---------------------------------------------------------------------------
@@ -226,12 +234,10 @@ def _cmd_solve(args, text, out, err) -> tuple[dict, int]:
     eq = _require_equation(parsed)
     doc = _empty_document(text)
     doc["degree"] = eq.degree
-    _fill_invariants(doc, eq)
+    cls = _classify_into(doc, eq) if eq.degree >= 3 else None
     prec = args.precision
-    if eq.degree >= 3:
-        doc["class"] = classify(eq).tag
     try:
-        root_set = solve_by_radicals(eq, prec=prec)
+        root_set = _solve_classified(eq, cls, prec)
     except NoRadicalMethodError:
         if eq.degree == 4:
             root_set = solve_quartic_by_two_squares(eq, prec=prec).root_set
@@ -239,7 +245,7 @@ def _cmd_solve(args, text, out, err) -> tuple[dict, int]:
             raise
     doc["roots"] = _roots_json(root_set)
     if doc["class"] == "SumOfTwoPowers":
-        dec = complete_powers(eq.homogenize())
+        dec = _complete_powers(eq.homogenize(), cls.invariants)
         doc["decomposition"] = _decomposition_json(dec, ("x", "y"))
     residual = max_scaled_residual(root_set, prec + 64)
     verification = {
@@ -247,17 +253,22 @@ def _cmd_solve(args, text, out, err) -> tuple[dict, int]:
         "oracle_max_distance": None,
         "passed": residual <= _VERIFY_TOL,
     }
-    code = EXIT_OK
-    if not args.no_verify:
-        oracle_set = numeric_roots(eq, tol=1e-12, prec=prec)
-        report = compare_root_sets(root_set, oracle_set, tol=_VERIFY_TOL)
-        verification["oracle_max_distance"] = report.max_distance
-        verification["passed"] = verification["passed"] and report.passed
-        if not report.passed:
-            code = EXIT_VERIFY
-            print("verification failed: radical and oracle roots differ", file=err)
     doc["verification"] = verification
-    return doc, code
+    if args.no_verify:
+        return doc, EXIT_OK
+    try:
+        oracle_set = numeric_roots(eq, tol=1e-12, prec=prec)
+    except NonConvergenceError as exc:
+        verification["passed"] = False
+        print(f"verification failed: the oracle did not converge: {exc}", file=err)
+        return doc, EXIT_VERIFY
+    report = compare_root_sets(root_set, oracle_set, tol=_VERIFY_TOL)
+    verification["oracle_max_distance"] = report.max_distance
+    verification["passed"] = verification["passed"] and report.passed
+    if not report.passed:
+        print("verification failed: radical and oracle roots differ", file=err)
+        return doc, EXIT_VERIFY
+    return doc, EXIT_OK
 
 
 def _cmd_classify(args, text, out, err) -> tuple[dict, int]:
@@ -265,8 +276,7 @@ def _cmd_classify(args, text, out, err) -> tuple[dict, int]:
     eq = _require_equation(parsed)
     doc = _empty_document(text)
     doc["degree"] = eq.degree
-    _fill_invariants(doc, eq)
-    doc["class"] = classify(eq).tag
+    _classify_into(doc, eq)
     return doc, EXIT_OK
 
 
@@ -314,19 +324,12 @@ def _cmd_center(args, text, out, err) -> tuple[dict, int]:
         "lambda2": None,
     }
     if form.nvars == 2:
-        binary = (
-            parsed.binary
-            if parsed.binary is not None
-            else parsed.equation.homogenize()
-        )
+        inv = binary_invariants(BinaryForm.from_nary(form))
         if parsed.equation is not None:
-            _fill_invariants(doc, parsed.equation)
-        try:
-            gen = center_generator(binary)
-            center_info["lambda1"] = scalar_str(gen.lambda1)
-            center_info["lambda2"] = scalar_str(gen.lambda2)
-        except CenterSolveError:
-            pass
+            _fill_invariants(doc, inv)
+        if inv.lambda1 is not None and inv.D1 != 0:  # center_generator's domain
+            center_info["lambda1"] = scalar_str(inv.lambda1)
+            center_info["lambda2"] = scalar_str(inv.lambda2)
     doc["center"] = center_info
     return doc, EXIT_OK
 
@@ -345,23 +348,21 @@ def _cmd_decompose(args, text, out, err) -> tuple[dict, int]:
             )
         dec = result.as_power_sum
         doc["decomposition"] = _decomposition_json(dec, parsed.variables)
-        ok = check_decomposition(form, dec)
+        # diagonalize_form has already expanded the result back to the form
         doc["verification"] = {
             "max_residual": None,
             "oracle_max_distance": None,
-            "passed": ok,
+            "passed": True,
         }
         return doc, EXIT_OK
-    binary = (
-        parsed.binary
-        if parsed.binary is not None
-        else parsed.equation.homogenize()
-    )
-    doc["degree"] = binary.degree
     if parsed.equation is not None:
-        doc["class"] = classify(parsed.equation).tag
-        _fill_invariants(doc, parsed.equation)
-    dec = complete_powers(binary)
+        binary = parsed.equation.homogenize()
+        cls = _classify_into(doc, parsed.equation)
+        dec = _complete_powers(binary, cls.invariants)
+    else:
+        binary = parsed.binary
+        dec = complete_powers(binary)
+    doc["degree"] = binary.degree
     doc["decomposition"] = _decomposition_json(dec, ("x", "y"))
     ok = check_decomposition(binary.to_nary(), dec)
     doc["verification"] = {
@@ -369,6 +370,9 @@ def _cmd_decompose(args, text, out, err) -> tuple[dict, int]:
         "oracle_max_distance": None,
         "passed": ok,
     }
+    if not ok:
+        print("verification failed: the decomposition does not expand back", file=err)
+        return doc, EXIT_VERIFY
     return doc, EXIT_OK
 
 
@@ -464,9 +468,6 @@ def _run_single(args, text, out, err) -> int:
     except PolyParseError as exc:
         print(f"parse error: {exc}", file=err)
         return EXIT_PARSE
-    except NoRadicalMethodError as exc:
-        print(f"not applicable: {exc}", file=err)
-        return EXIT_NO_METHOD
     except CenterSolveError as exc:
         print(f"not applicable: {exc}", file=err)
         return EXIT_NO_METHOD

@@ -9,7 +9,9 @@ Lagrange interpolation
     e_i = prod_{j != i} (g - l_j I) / (l_i - l_j),
 
 assemble the change of variables P column-wise from their ranges (so that
-P^-1 e_i P = E_ii), and read the diagonal coefficients off f(Py).
+P^-1 e_i P = E_ii), and read the diagonal coefficient of y_i^d off f(Py) as
+f evaluated at column i of P.  The result is checked once, by expanding it
+back to f.
 
 Exact mode needs the spectrum to split over Q; numeric mode mirrors the same
 pipeline with approximate eigenvalues and tolerances.
@@ -27,7 +29,7 @@ from .center import CenterBasis, compute_center
 from .errors import IrrationalSpectrumError, NotDiagonalizableError
 from .forms import LinearForm, NAryForm, PowerSumDecomposition, from_plain_coeffs
 from .linalg import char_poly, identity, inverse, mat_add, mat_eq, mat_mul, mat_scale
-from .oracle import numeric_roots, rational_roots
+from .oracle import check_decomposition, numeric_roots, rational_roots
 from .scalars import DEFAULT_PREC, to_mpc
 
 _RETRY_SEED = 0x5EED
@@ -196,10 +198,14 @@ def diagonalize_form(
             raise IrrationalSpectrumError(
                 "spectrum does not split over Q; rerun in numeric mode"
             )
-        return _diagonalize_exact(f, prof)
-    if mode == "numeric":
-        return _diagonalize_numeric(f, prof, prec=prec, tol=tol)
-    raise ValueError(f"unknown mode {mode!r}")
+        result = _diagonalize_exact(f, prof)
+    elif mode == "numeric":
+        result = _diagonalize_numeric(f, prof, prec=prec, tol=tol)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    if not check_decomposition(f, result.as_power_sum, tol=tol):
+        raise NotDiagonalizableError("the power sum does not expand back to the form")
+    return result
 
 
 def _diagonalize_exact(f: NAryForm, prof: AlgebraProfile) -> DiagonalDecomposition:
@@ -221,14 +227,7 @@ def _diagonalize_exact(f: NAryForm, prof: AlgebraProfile) -> DiagonalDecompositi
     cols = [_first_nonzero_column(e, lambda x: x == 0) for e in idem]
     p = [[cols[j][i] for j in range(n)] for i in range(n)]
     p_inv = inverse(p)
-    g_form = f.substitute_linear(p)
-    diagonal = []
-    for i in range(n):
-        mono = tuple(f.degree if t == i else 0 for t in range(n))
-        diagonal.append(g_form.terms.get(mono, Fraction(0)))
-    off = {m: c for m, c in g_form.terms.items() if max(m) != f.degree}
-    if off:
-        raise NotDiagonalizableError(f"substitution left cross terms: {off}")
+    diagonal = [f.evaluate_exact(col) for col in cols]
     summands = tuple(
         (diagonal[i], LinearForm(tuple(p_inv[i])))
         for i in range(n)
@@ -288,19 +287,13 @@ def _diagonalize_numeric(
         cols = [_first_nonzero_column(e, zero) for e in idem]
         p = [[cols[j][i] for j in range(n)] for i in range(n)]
         p_inv = _numeric_inverse(p, wprec)
-        g_form = f.substitute_linear(p)
-        diagonal = []
-        for i in range(n):
-            mono = tuple(f.degree if t == i else 0 for t in range(n))
-            diagonal.append(g_form.terms.get(mono, mpc(0)))
-        scale = max((abs(mpc(c)) for c in diagonal), default=mp.mpf(1))
-        for mono, c in g_form.terms.items():
-            if max(mono) != f.degree and abs(mpc(c)) > tol * scale:
-                raise NotDiagonalizableError("substitution left large cross terms")
+        # evaluate_exact is generic in the scalar; here it runs on mpc columns
+        diagonal = [mpc(f.evaluate_exact(col)) for col in cols]
+        scale = max((abs(c) for c in diagonal), default=mp.mpf(1))
         summands = tuple(
             (diagonal[i], LinearForm(tuple(p_inv[i])))
             for i in range(n)
-            if abs(mpc(diagonal[i])) > tol * scale
+            if abs(diagonal[i]) > tol * scale
         )
     return DiagonalDecomposition(
         p=_freeze(p),

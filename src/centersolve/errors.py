@@ -10,7 +10,11 @@ class DegreeError(CenterSolveError):
 
 
 class PivotError(CenterSolveError):
-    """A required pivot invariant vanishes and no transform restores it."""
+    """A required pivot vanishes: D1, or the constant term of a reversal.
+
+    D1 vanishes only for binary forms: an equation outside the ratio
+    classes always has D1 != 0.
+    """
 
 
 class CenterRankError(CenterSolveError):

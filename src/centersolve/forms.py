@@ -176,6 +176,12 @@ class BinaryForm:
             raise DegreeError("a0 = 0: dehomogenization would drop degree")
         return from_norm_coeffs(self.norm)
 
+    @classmethod
+    def from_nary(cls, f: "NAryForm") -> "BinaryForm":
+        """The inverse of to_nary, for a form in two variables."""
+        d = f.degree
+        return cls(tuple(f.coefficient((d - i, i)) / comb(d, i) for i in range(d + 1)))
+
     def to_nary(self) -> "NAryForm":
         d = self.degree
         terms = {}

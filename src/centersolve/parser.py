@@ -282,16 +282,11 @@ def _as_binary(text, poly, seen) -> ParsedInput:
     for mono, c in poly.items():
         terms[(mono[0], mono[_MAX_VARS])] = c
     nary = NAryForm(2, d, terms)
-    from math import comb
-
-    norm = tuple(
-        nary.coefficient((d - i, i)) / comb(d, i) for i in range(d + 1)
-    )
     return ParsedInput(
         source=text,
         equation=None,
         form=nary,
-        binary=BinaryForm(norm),
+        binary=BinaryForm.from_nary(nary),
         variables=("x", "y"),
     )
 

@@ -103,14 +103,19 @@ def exact_sqrt(x):
 
 
 def _int_nth_root(n: int, k: int) -> int | None:
-    """Exact k-th root of a nonnegative integer, or None."""
-    if n == 0:
-        return 0
-    r = round(n ** (1.0 / k))
-    for c in (r - 1, r, r + 1):
-        if c >= 0 and c**k == n:
-            return c
-    return None
+    """Exact k-th root of a nonnegative integer, or None.
+
+    Integer Newton iteration from an upper bound; it descends to the floor
+    of the real root, so no float ever decides the answer.
+    """
+    if n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // k)  # 2^ceil(bits/k) > n^(1/k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x if x**k == n else None
+        x = y
 
 
 def rational_nth_root(x: Fraction, k: int) -> Fraction | None:

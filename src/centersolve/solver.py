@@ -22,11 +22,10 @@ from fractions import Fraction
 
 from mpmath import mp, mpc
 
-from .center import d_invariants
+from .center import BinaryInvariants, binary_center_system, binary_invariants
 from .errors import (
     CenterRankError,
     DegreeError,
-    EffectiveDegreeError,
     NoRadicalMethodError,
     PivotError,
     RepeatedEigenvalueError,
@@ -64,17 +63,12 @@ class HankelMatrix:
     rank: int
 
 
-def _hankel_rows(norm):
-    d = len(norm) - 1
-    return [[norm[i], norm[i + 1], norm[i + 2]] for i in range(d - 1)]
-
-
 def hankel(eq: UnivariateEquation) -> HankelMatrix:
     """The (d-1) x 3 coefficient Hankel matrix with its exact rank."""
     if eq.degree < 3:
         raise DegreeError("hankel matrix needs degree >= 3")
-    rows = _hankel_rows(eq.norm)
-    return HankelMatrix(rows=tuple(tuple(r) for r in rows), rank=rank(rows))
+    rows = tuple((a, b, -c) for a, b, c in binary_center_system(eq.homogenize()))
+    return HankelMatrix(rows=rows, rank=rank(rows))
 
 
 @dataclass(frozen=True)
@@ -82,7 +76,11 @@ class EquationClass:
     tag: str  # PerfectPower | PowerPlusConstant | ConstantTimesPowerPlusPower
     #         | SumOfTwoPowers | LinearTimesPowerD1 | NoNontrivialCenter
     witness: dict
-    hankel_rank: int
+    invariants: BinaryInvariants  # of the homogenization
+
+    @property
+    def hankel_rank(self) -> int:
+        return self.invariants.hankel_rank
 
 
 def _geometric(seq) -> bool:
@@ -95,105 +93,43 @@ def _geometric(seq) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class TwoPowerData:
-    """Invariants of a rank-2 center: pivot minors, spectrum, completion."""
-
-    D1: Fraction
-    D2: Fraction
-    D3: Fraction
-    discriminant: Fraction
-    lambda1: object
-    lambda2: object
-
-
-def _two_power_data(norm) -> TwoPowerData:
-    d1, d2, d3 = d_invariants(BinaryForm(norm))
-    disc = d2 * d2 - 4 * d1 * d3
-    root = exact_sqrt(disc)
-    return TwoPowerData(
-        D1=d1,
-        D2=d2,
-        D3=d3,
-        discriminant=disc,
-        lambda1=(d2 + root) / 2,
-        lambda2=(d2 - root) / 2,
-    )
-
-
 def classify(eq: UnivariateEquation) -> EquationClass:
-    """Total classification by ratio tests and center structure."""
+    """Total classification by ratio tests and center structure.
+
+    Outside the three ratio classes, Hankel rank <= 2 forces the pivot
+    D1 = a0*a2 - a1^2 to be nonzero (a0 != 0 for an equation), so the two
+    center classes need no pivot-restoring transform.
+    """
     if eq.degree < 3:
         raise DegreeError("classification needs degree >= 3")
     a = eq.norm
     d = eq.degree
-    hk = hankel(eq)
+    inv = binary_invariants(eq.homogenize())
     if _geometric(a):
-        return EquationClass(
-            tag="PerfectPower",
-            witness={"scale": a[0], "shift": a[1] / a[0]},
-            hankel_rank=hk.rank,
-        )
-    if _geometric(a[:-1]):
+        tag, witness = "PerfectPower", {"scale": a[0], "shift": a[1] / a[0]}
+    elif _geometric(a[:-1]):
         t = a[1] / a[0]
-        return EquationClass(
-            tag="PowerPlusConstant",
-            witness={
-                "scale": a[0],
-                "shift": t,
-                "constant": a[d] - a[0] * t**d,
-            },
-            hankel_rank=hk.rank,
-        )
-    if a[d] != 0 and _geometric(a[1:]):
+        tag = "PowerPlusConstant"
+        witness = {"scale": a[0], "shift": t, "constant": a[d] - a[0] * t**d}
+    elif a[d] != 0 and _geometric(a[1:]):
         u = a[d - 1] / a[d]
-        return EquationClass(
-            tag="ConstantTimesPowerPlusPower",
-            witness={
-                "scale": a[d],
-                "reciprocal_shift": u,
-                "constant": a[0] - a[d] * u**d,
-            },
-            hankel_rank=hk.rank,
-        )
-    if hk.rank == 3:
-        return EquationClass(tag="NoNontrivialCenter", witness={}, hankel_rank=3)
-    data = _two_power_data(a)
-    shift_back = Fraction(0)
-    shifted_eq = eq
-    if data.D1 == 0:
-        # Unreachable for genuine rank-2 inputs once the ratio classes are
-        # excluded; the discriminant's vanishing is shift-invariant, so a
-        # small shift restores the pivot if it ever happens.
-        data, shift_back, shifted_eq = _shifted_two_power_data(eq)
-    if data.discriminant != 0:
-        return EquationClass(
-            tag="SumOfTwoPowers",
-            witness={"invariants": data, "shift": shift_back},
-            hankel_rank=hk.rank,
-        )
-    sa = shifted_eq.norm
-    return EquationClass(
-        tag="LinearTimesPowerD1",
-        witness={
-            "invariants": data,
-            "shift": shift_back,
-            "repeated_root": -data.D2 / (2 * data.D1) + shift_back,
-            "simple_root": (d - 1) * data.D2 / (2 * data.D1)
-            - d * sa[1] / sa[0]
-            + shift_back,
-        },
-        hankel_rank=hk.rank,
-    )
-
-
-def _shifted_two_power_data(eq: UnivariateEquation):
-    for c in (1, -1, 2, -2, 3, -3, 4, -4):
-        shifted = shift_equation(eq, Fraction(c))
-        data = _two_power_data(shifted.norm)
-        if data.D1 != 0:
-            return data, Fraction(c), shifted
-    raise PivotError("no shift restored the D1 pivot")
+        tag = "ConstantTimesPowerPlusPower"
+        witness = {
+            "scale": a[d],
+            "reciprocal_shift": u,
+            "constant": a[0] - a[d] * u**d,
+        }
+    elif inv.hankel_rank == 3:
+        tag, witness = "NoNontrivialCenter", {}
+    elif inv.discriminant != 0:
+        tag, witness = "SumOfTwoPowers", {}
+    else:
+        tag = "LinearTimesPowerD1"
+        witness = {
+            "repeated_root": -inv.D2 / (2 * inv.D1),
+            "simple_root": (d - 1) * inv.D2 / (2 * inv.D1) - d * a[1] / a[0],
+        }
+    return EquationClass(tag=tag, witness=witness, invariants=inv)
 
 
 # ---------------------------------------------------------------------------
@@ -201,14 +137,16 @@ def _shifted_two_power_data(eq: UnivariateEquation):
 # ---------------------------------------------------------------------------
 
 
-def _two_power_completion(norm, data: TwoPowerData) -> PowerSumDecomposition:
+def _two_power_completion(norm, inv: BinaryInvariants) -> PowerSumDecomposition:
     """c1*(x + (l1/D1) y)^d + c2*(x + (l2/D1) y)^d for a pivoted rank-2 form."""
+    if inv.discriminant == 0:
+        raise RepeatedEigenvalueError("repeated generator eigenvalue")
     a0, a1 = norm[0], norm[1]
-    l1, l2 = data.lambda1, data.lambda2
-    c1 = (l2 * a0 - data.D1 * a1) / (l2 - l1)
-    c2 = (l1 * a0 - data.D1 * a1) / (l1 - l2)
-    form1 = LinearForm((Fraction(1), l1 / data.D1))
-    form2 = LinearForm((Fraction(1), l2 / data.D1))
+    l1, l2 = inv.lambda1, inv.lambda2
+    c1 = (l2 * a0 - inv.D1 * a1) / (l2 - l1)
+    c2 = (l1 * a0 - inv.D1 * a1) / (l1 - l2)
+    form1 = LinearForm((Fraction(1), l1 / inv.D1))
+    form2 = LinearForm((Fraction(1), l2 / inv.D1))
     d = len(norm) - 1
     summands = [(c, f) for c, f in ((c1, form1), (c2, form2)) if c != 0]
     return PowerSumDecomposition(tuple(summands), d)
@@ -222,12 +160,10 @@ def complete_cube(form: BinaryForm) -> PowerSumDecomposition:
     """
     if form.degree != 3:
         raise DegreeError("complete_cube expects degree 3")
-    data = _two_power_data(form.norm)
-    if data.D1 == 0:
+    inv = binary_invariants(form)
+    if inv.D1 == 0:  # for a cubic this includes every rank below 2
         raise PivotError("D1 = 0")
-    if data.discriminant == 0:
-        raise RepeatedEigenvalueError("repeated generator eigenvalue")
-    return _two_power_completion(form.norm, data)
+    return _two_power_completion(form.norm, inv)
 
 
 def _swap_decomposition(dec: PowerSumDecomposition) -> PowerSumDecomposition:
@@ -240,27 +176,26 @@ def _swap_decomposition(dec: PowerSumDecomposition) -> PowerSumDecomposition:
 def complete_powers(form: BinaryForm) -> PowerSumDecomposition:
     """Two-power completion for degree >= 3, restoring the pivot if needed.
 
-    When D1 = 0 the same completion is run on the x/y-swapped form, and the
-    pure diagonal a0*x^d + ad*y^d splits directly; genuinely repeated
-    eigenvalues or the wrong Hankel rank are errors.
+    When D1 = 0 (possible for a binary form, never for an equation outside
+    the ratio classes) the same completion is run on the x/y-swapped form,
+    and the pure diagonal a0*x^d + ad*y^d splits directly; genuinely
+    repeated eigenvalues or the wrong Hankel rank are errors.
     """
-    d = form.degree
-    if d < 3:
+    if form.degree < 3:
         raise DegreeError("complete_powers expects degree >= 3")
-    hankel_rank = rank(_hankel_rows(form.norm))
-    if hankel_rank != 2:
-        raise CenterRankError(hankel_rank)
-    data = _two_power_data(form.norm)
-    if data.D1 != 0:
-        if data.discriminant == 0:
-            raise RepeatedEigenvalueError("repeated generator eigenvalue")
-        return _two_power_completion(form.norm, data)
+    return _complete_powers(form, binary_invariants(form))
+
+
+def _complete_powers(form: BinaryForm, inv: BinaryInvariants) -> PowerSumDecomposition:
+    """complete_powers with the form's invariants already computed."""
+    if inv.hankel_rank != 2:
+        raise CenterRankError(inv.hankel_rank)
+    if inv.D1 != 0:
+        return _two_power_completion(form.norm, inv)
     swapped = form.reversed()
-    sdata = _two_power_data(swapped.norm)
-    if sdata.D1 != 0:
-        if sdata.discriminant == 0:
-            raise RepeatedEigenvalueError("repeated generator eigenvalue")
-        return _swap_decomposition(_two_power_completion(swapped.norm, sdata))
+    swapped_inv = binary_invariants(swapped)
+    if swapped_inv.D1 != 0:
+        return _swap_decomposition(_two_power_completion(swapped.norm, swapped_inv))
     if all(c == 0 for c in form.norm[1:-1]):
         a0, ad = form.norm[0], form.norm[-1]
         if a0 != 0 and ad != 0:
@@ -269,7 +204,7 @@ def complete_powers(form: BinaryForm) -> PowerSumDecomposition:
                     (a0, LinearForm((Fraction(1), Fraction(0)))),
                     (ad, LinearForm((Fraction(0), Fraction(1)))),
                 ),
-                d,
+                form.degree,
             )
     raise PivotError("no pivot available for the two-power completion")
 
@@ -313,7 +248,7 @@ def _prefix(x) -> str:
     return str(x)
 
 
-def _root_expr(radicand, d, i, data: TwoPowerData) -> str:
+def _root_expr(radicand, d, i, data: BinaryInvariants) -> str:
     delta = f"root({_prefix(radicand)},{d})"
     w = delta if i == 0 else f"mul({delta},zeta({d},{i}))"
     return (
@@ -357,9 +292,11 @@ def max_scaled_residual(root_set: "RootSet", prec: int) -> float:
     return worst
 
 
-def _escalate(solve_once, prec: int):
-    """Re-solve at doubled precision until the residual contract is met.
+def _escalate(evaluate, prec: int):
+    """Re-evaluate the roots at doubled precision until the residual contract holds.
 
+    Callers analyze the equation once, before this loop; each round only
+    evaluates the radical expressions at the working precision.
     Near-degenerate inputs (delta numerically close to a root of unity)
     cancel catastrophically in the root denominators; the radical
     expressions are exact, so raising the evaluation precision always
@@ -369,7 +306,7 @@ def _escalate(solve_once, prec: int):
     result = None
     for _ in range(_MAX_ESCALATIONS):
         with mp.workprec(working):
-            result = solve_once(working)
+            result = evaluate(working)
         root_set = result if isinstance(result, RootSet) else result.root_set
         if max_scaled_residual(root_set, working + 64) <= _RESIDUAL_TARGET:
             break
@@ -406,69 +343,78 @@ def solve_by_radicals(
     NoRadicalMethodError when the Hankel rank is 3 (for quartics, the
     sum-of-two-squares route still applies).
     """
-    return _escalate(lambda working: _solve_by_radicals(eq, working, branch), prec)
+    return _solve_classified(eq, None, prec, branch)
 
 
-def _solve_by_radicals(eq: UnivariateEquation, prec: int, branch: int) -> RootSet:
-    d = eq.degree
-    if d == 1:
-        root = -eq.plain[1] / eq.plain[0]
-        return RootSet(
-            roots=(_mk_root(_exact_root_value(root, prec), 1, exact=root),),
-            method="linear",
-            pre_transform=(),
-            equation=eq,
-        )
-    if d == 2:
-        return _solve_quadratic(eq, prec)
-    pre = []
-    zeros_mult = 0
-    work = eq
-    while len(work.plain) > 2 and work.plain[-1] == 0:
-        zeros_mult += 1
-        work = from_plain_coeffs(work.plain[:-1])
-    if zeros_mult:
-        pre.append(f"factored out x^{zeros_mult}")
-    if work.degree <= 2:
-        inner = solve_by_radicals(work, prec=prec) if work.degree >= 1 else None
-        roots = list(inner.roots) if inner else []
-        roots.append(_mk_root(mpc(0), zeros_mult, exact=Fraction(0)))
-        return RootSet(
-            roots=tuple(roots),
-            method=inner.method if inner else "trivial",
-            pre_transform=tuple(pre),
-            equation=eq,
-        )
-    cls = classify(work)
-    if cls.tag == "PerfectPower":
-        root = -work.norm[1] / work.norm[0]
-        roots = [_mk_root(_exact_root_value(root, prec), work.degree, exact=root)]
-        method = "perfect-power"
-    elif cls.tag == "PowerPlusConstant":
-        roots = _power_plus_constant_roots(cls.witness, work.degree, prec, branch)
-        method = "power-plus-constant"
-    elif cls.tag == "ConstantTimesPowerPlusPower":
-        reversed_eq = reversal_transform(work)
-        inner = solve_by_radicals(reversed_eq, prec=prec, branch=branch)
-        roots = [_invert_root(r, prec) for r in inner.roots]
-        pre.append("reversal (roots inverted)")
-        method = "reversed-power-plus-constant"
-    elif cls.tag == "SumOfTwoPowers":
-        roots, notes = _two_power_roots(work, prec, branch)
-        pre.extend(notes)
-        method = "two-power-sum"
-    elif cls.tag == "LinearTimesPowerD1":
-        roots = _repeated_factor_roots(cls.witness, work, prec)
-        method = "repeated-linear-factor"
-    else:
+def _solve_classified(
+    eq: UnivariateEquation, cls, prec: int, branch: int = 0
+) -> RootSet:
+    """solve_by_radicals, reusing ``cls = classify(eq)`` when the caller has it.
+
+    A factor x^k is split off first; the rest is classified once, here, and
+    only the root evaluation is repeated by the escalation loop.
+    """
+    work, zeros = eq, 0
+    if eq.degree >= 3:
+        while work.degree > 1 and work.plain[-1] == 0:
+            zeros += 1
+            work = from_plain_coeffs(work.plain[:-1])
+    if work.degree >= 3 and (cls is None or zeros):
+        cls = classify(work)
+    if work.degree >= 3 and cls.tag == "NoNontrivialCenter":
         hint = (
             " (quartic: use solve_quartic_by_two_squares)" if work.degree == 4 else ""
         )
         raise NoRadicalMethodError(
             f"Hankel rank 3: the center is trivial, no radical formula here{hint}"
         )
-    if zeros_mult:
-        roots = list(roots) + [_mk_root(mpc(0), zeros_mult, exact=Fraction(0))]
+    return _escalate(
+        lambda working: _radical_roots(eq, work, zeros, cls, working, branch), prec
+    )
+
+
+def _radical_roots(eq, work, zeros, cls, prec, branch) -> RootSet:
+    """One evaluation of the roots of eq = x^zeros * work at precision prec."""
+    pre = [f"factored out x^{zeros}"] if zeros else []
+    d = work.degree
+    if d == 1:
+        root = -work.plain[1] / work.plain[0]
+        roots = [_mk_root(_exact_root_value(root, prec), 1, exact=root)]
+        method = "linear"
+    elif d == 2:
+        roots = _quadratic_roots(work, prec)
+        method = "quadratic"
+    elif cls.tag == "PerfectPower":
+        root = -work.norm[1] / work.norm[0]
+        roots = [_mk_root(_exact_root_value(root, prec), d, exact=root)]
+        method = "perfect-power"
+    elif cls.tag == "PowerPlusConstant":
+        w = cls.witness
+        roots = _power_plus_constant_roots(
+            w["scale"], w["shift"], w["constant"], d, prec, branch
+        )
+        method = "power-plus-constant"
+    elif cls.tag == "ConstantTimesPowerPlusPower":
+        # the reversed equation is a power plus constant with this witness
+        w = cls.witness
+        roots = _power_plus_constant_roots(
+            w["scale"], w["reciprocal_shift"], w["constant"], d, prec, branch
+        )
+        roots = [_invert_root(r, prec) for r in roots]
+        pre.append("reversal (roots inverted)")
+        method = "reversed-power-plus-constant"
+    elif cls.tag == "SumOfTwoPowers":
+        roots = _two_power_roots(work, cls.invariants, prec, branch)
+        method = "two-power-sum"
+    else:  # LinearTimesPowerD1
+        repeated, simple = cls.witness["repeated_root"], cls.witness["simple_root"]
+        roots = [
+            _mk_root(_exact_root_value(repeated, prec), d - 1, exact=repeated),
+            _mk_root(_exact_root_value(simple, prec), 1, exact=simple),
+        ]
+        method = "repeated-linear-factor"
+    if zeros:
+        roots.append(_mk_root(mpc(0), zeros, exact=Fraction(0)))
     return RootSet(
         roots=tuple(roots),
         method=method,
@@ -477,26 +423,20 @@ def _solve_by_radicals(eq: UnivariateEquation, prec: int, branch: int) -> RootSe
     )
 
 
-def _solve_quadratic(eq: UnivariateEquation, prec) -> RootSet:
+def _quadratic_roots(eq: UnivariateEquation, prec):
     b0, b1, b2 = eq.plain
     disc = b1 * b1 - 4 * b0 * b2
     if disc == 0:
         root = -b1 / (2 * b0)
-        roots = (_mk_root(_exact_root_value(root, prec), 2, exact=root),)
-    else:
-        s = exact_sqrt(disc)
-        r1 = (-b1 + s) / (2 * b0)
-        r2 = (-b1 - s) / (2 * b0)
-        roots = tuple(
-            _mk_root(_exact_root_value(r, prec), 1, exact=r) for r in (r1, r2)
-        )
-    return RootSet(roots=roots, method="quadratic", pre_transform=(), equation=eq)
+        return [_mk_root(_exact_root_value(root, prec), 2, exact=root)]
+    s = exact_sqrt(disc)
+    r1 = (-b1 + s) / (2 * b0)
+    r2 = (-b1 - s) / (2 * b0)
+    return [_mk_root(_exact_root_value(r, prec), 1, exact=r) for r in (r1, r2)]
 
 
-def _power_plus_constant_roots(witness, d, prec, branch):
-    scale = witness["scale"]
-    t = witness["shift"]
-    gamma = witness["constant"]
+def _power_plus_constant_roots(scale, t, gamma, d, prec, branch):
+    """Roots of scale*(x + t)^d + gamma."""
     radicand = -gamma / scale
     base_exact = rational_nth_root(radicand, d)
     base = nth_root(radicand, d, prec)
@@ -540,41 +480,13 @@ def _invert_root(r: RadicalRoot, prec) -> RadicalRoot:
     )
 
 
-def _two_power_roots(eq: UnivariateEquation, prec, branch):
-    notes = []
-    work = eq
-    invert = False
-    shift = Fraction(0)
-    data = _two_power_data(work.norm)
-    if data.D1 == 0:
-        # Provably unreachable once the ratio classes are excluded; kept as
-        # the documented restoration ladder.
-        reversed_eq = reversal_transform(work)
-        rdata = _two_power_data(reversed_eq.norm)
-        if rdata.D1 != 0:
-            work, data, invert = reversed_eq, rdata, True
-            notes.append("reversal (roots inverted)")
-        else:
-            for c in (1, -1, 2, -2, 3, -3, 4, -4):
-                shifted = shift_equation(work, Fraction(c))
-                sdata = _two_power_data(shifted.norm)
-                if sdata.D1 != 0:
-                    work, data, shift = shifted, sdata, Fraction(c)
-                    notes.append(f"shift x -> x + {c} (roots shifted back)")
-                    break
-            else:
-                raise PivotError("no transform restored the D1 pivot")
-    d = work.degree
-    a0, a1 = work.norm[0], work.norm[1]
+def _two_power_roots(eq: UnivariateEquation, data: BinaryInvariants, prec, branch):
+    d = eq.degree
+    a0, a1 = eq.norm[0], eq.norm[1]
+    # num - den = (l2 - l1)*a0 and den = (l1 - l2)*c2 are nonzero: the
+    # eigenvalues are distinct, a0 != 0, and c2 = 0 would be a perfect power
     num = data.lambda2 * a0 - data.D1 * a1
     den = data.lambda1 * a0 - data.D1 * a1
-    if den == 0:
-        raise PivotError("degenerate completion: one summand vanishes")
-    if num == den:
-        raise EffectiveDegreeError(
-            "the two power summands cancel at the top degree; "
-            "one root escapes to infinity and the effective degree drops"
-        )
     ratio = num / den
     delta_exact = (
         rational_nth_root(ratio, d) if isinstance(ratio, Fraction) else None
@@ -617,37 +529,8 @@ def _two_power_roots(eq: UnivariateEquation, prec, branch):
                     "D1": data.D1,
                 },
             )
-            if invert:
-                root = _invert_root(root, prec)
-            elif shift:
-                root = _shift_root(root, shift, prec)
             roots.append(root)
-    return roots, notes
-
-
-def _shift_root(r: RadicalRoot, c: Fraction, prec) -> RadicalRoot:
-    exact = None if r.exact is None else r.exact + c
-    value = (
-        _exact_root_value(exact, prec) if exact is not None else r.value + to_mpc(c, prec)
-    )
-    return RadicalRoot(
-        value=mpc(value),
-        multiplicity=r.multiplicity,
-        exact=exact,
-        expr=f"add({r.expr},{c})",
-        pretty=f"({r.pretty}) + {c}",
-        params=None if r.params is None else {**r.params, "shifted_by": c},
-    )
-
-
-def _repeated_factor_roots(witness, eq: UnivariateEquation, prec):
-    d = eq.degree
-    repeated = witness["repeated_root"]
-    simple = witness["simple_root"]
-    return [
-        _mk_root(_exact_root_value(repeated, prec), d - 1, exact=repeated),
-        _mk_root(_exact_root_value(simple, prec), 1, exact=simple),
-    ]
+    return roots
 
 
 # ---------------------------------------------------------------------------
@@ -772,7 +655,7 @@ def _resolvent_alpha(p, q, r, prec):
     s = b[1] / 3
     shifted = shift_equation(from_plain_coeffs(b), -s)
     _, _, pc, qc = shifted.plain
-    candidates = [root.value - to_mpc(s, prec) for root in cardano(pc, qc, prec).roots]
+    candidates = [root.value - to_mpc(s, prec) for root in _cardano(pc, qc, prec).roots]
     best = max(candidates, key=lambda z: (z.real, z.imag))
     return best
 

@@ -310,3 +310,90 @@ def _split_json_stream(text):
             if depth == 0:
                 chunks.append(text[start : i + 1])
     return chunks
+
+
+class TestExitCodeTable:
+    """Exit codes of failures raised inside a command."""
+
+    @pytest.mark.parametrize(
+        "text", ["31*x^5 + 235*x^4 + 710*x^3 + 1070*x^2 + 805*x + 242", "x^3 + 2*y^3"]
+    )
+    def test_decompose_check_failure_exits_verify(self, monkeypatch, text):
+        import centersolve.cli as cli
+
+        monkeypatch.setattr(cli, "check_decomposition", lambda f, dec, tol=1e-9: False)
+        code, out, err = run(["decompose", text, "--format", "json"])
+        assert code == EXIT_VERIFY
+        assert "verification failed" in err
+        assert json.loads(out)["verification"]["passed"] is False
+
+    def test_oracle_nonconvergence_exits_verify(self, monkeypatch):
+        import centersolve.cli as cli
+        from centersolve.errors import NonConvergenceError
+
+        def fail(*args, **kwargs):
+            raise NonConvergenceError("no convergence after 500 iterations")
+
+        monkeypatch.setattr(cli, "numeric_roots", fail)
+        code, out, err = run(["solve", "x^3 - 2", "--format", "json"])
+        assert code == EXIT_VERIFY
+        assert "verification failed" in err
+        assert json.loads(out)["verification"]["passed"] is False
+
+    def test_every_library_error_is_not_applicable(self, monkeypatch):
+        import centersolve.cli as cli
+        from centersolve import errors
+
+        kinds = [
+            k for k in vars(errors).values()
+            if isinstance(k, type) and issubclass(k, errors.CenterSolveError)
+        ]
+        for kind in kinds:
+            def fail(eq, kind=kind):
+                raise kind(2) if kind is errors.CenterRankError else kind("boom")
+
+            monkeypatch.setattr(cli, "classify", fail)
+            code, _, err = run(["classify", "x^3 - 2"])
+            assert code == EXIT_NO_METHOD, kind
+            assert err.startswith("not applicable:")
+
+    def test_nary_decompose_is_checked_once(self, monkeypatch):
+        import centersolve.cli as cli
+        import centersolve.diagonalize as diagonalize
+
+        calls = []
+        original = diagonalize.check_decomposition
+
+        def counting(f, dec, tol=1e-9):
+            calls.append(f)
+            return original(f, dec, tol=tol)
+
+        monkeypatch.setattr(diagonalize, "check_decomposition", counting)
+        monkeypatch.setattr(cli, "check_decomposition", counting)
+        code, out, _ = run(["decompose", "x1^3 - 2*x2^3 + 3*x3^3", "--format", "json"])
+        assert code == EXIT_OK
+        assert json.loads(out)["verification"]["passed"] is True
+        assert len(calls) == 1
+
+
+class TestRegressions:
+    def test_solve_huge_constant_without_verify(self):
+        # x^3 = 10^400: the exact-root test used to raise OverflowError
+        text = "x^3 - 1" + "0" * 400
+        code, out, err = run(["solve", text, "--no-verify", "--format", "json"])
+        assert code == EXIT_OK, err
+        doc = json.loads(out)
+        got = [complex(r["re"], r["im"]) for r in doc["roots"]]
+        radius = 10 ** (400 / 3)
+        want = [radius * complex(-0.5, s * 3**0.5 / 2) for s in (-1, 1)] + [radius]
+        assert len(got) == 3
+        for w in want:
+            assert min(abs(g - w) for g in got) <= 1e-12 * radius
+        assert doc["verification"]["passed"] is True
+
+    def test_center_of_two_variable_indexed_form(self):
+        code, out, err = run(["center", "x1^3 + 3*x1^2*x2 + x2^3", "--format", "json"])
+        assert code == EXIT_OK, err
+        doc = json.loads(out)
+        assert doc["center"]["dim"] == 2
+        assert doc["center"]["lambda1"] is not None

@@ -131,3 +131,14 @@ def test_unit_root():
 def test_scalar_str():
     assert scalar_str(F(-25, 1764)) == "-25/1764"
     assert scalar_str(QuadExt(F(1, 2), F(-3), F(2))) == "1/2 - 3*sqrt(2)"
+
+
+def test_exact_nth_root_of_large_integers():
+    # a float first guess lost these: None far below 1e308, OverflowError above
+    from centersolve.scalars import _int_nth_root
+
+    assert _int_nth_root((10**20 + 7) ** 3, 3) == 10**20 + 7
+    assert _int_nth_root((10**20 + 7) ** 3 + 1, 3) is None
+    assert _int_nth_root(10**400, 4) == 10**100
+    assert _int_nth_root(10**400, 3) is None
+    assert rational_nth_root(F(-(3**700), 2**35), 5) == F(-(3**140), 2**7)

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from mpmath import mpc
 
 import centersolve as cs
@@ -24,7 +25,7 @@ from centersolve import (
     solve_by_radicals,
     solve_quartic_by_two_squares,
 )
-from centersolve.scalars import exact_sqrt
+from centersolve.scalars import QuadExt, exact_sqrt
 from conftest import rand_fraction, rand_nonzero_fraction
 
 
@@ -548,3 +549,115 @@ def test_shift_equation_round_trip():
         eq = cs.from_plain_coeffs(b)
         c = rand_fraction(rng)
         assert shift_equation(shift_equation(eq, c), -c) == eq
+
+
+# ---------------------------------------------------------------------------
+# one analysis per input
+# ---------------------------------------------------------------------------
+
+_small = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+_RATIO_CLASSES = {"PerfectPower", "PowerPlusConstant", "ConstantTimesPowerPlusPower"}
+
+
+def _conjugate(x):
+    return x.conjugate() if isinstance(x, QuadExt) else x
+
+
+@st.composite
+def _two_power_sums(draw):
+    """a_i = c1*b1^i + c2*b2^i: c1*(x+b1)^d + c2*(x+b2)^d, over Q or Q(sqrt D)."""
+    d = draw(st.integers(3, 12))
+    p, q, r, s = (draw(_small) for _ in range(4))
+    disc = draw(st.sampled_from([None, 2, 3, 5, -1, -3]))
+    if disc is None:
+        c1, c2, b1, b2 = p, r, q, s
+    else:  # conjugate data, so the coefficients are rational
+        c1, b1 = QuadExt(p, r, disc), QuadExt(q, s, disc)
+        c2, b2 = _conjugate(c1), _conjugate(b1)
+    return d, [c1 * b1**i + c2 * b2**i for i in range(d + 1)]
+
+
+@st.composite
+def _linear_times_powers(draw):
+    """(x+b)^(d-1) * (g*x + e), homogenized coefficients by convolution."""
+    d = draw(st.integers(3, 12))
+    b, g, e = (draw(_small) for _ in range(3))
+    plain = [F(1)]
+    for _ in range(d - 1):
+        plain = [x + b * y for x, y in zip(plain + [F(0)], [F(0)] + plain)]
+    plain = [g * x + e * y for x, y in zip(plain + [F(0)], [F(0)] + plain)]
+    return d, plain
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=_two_power_sums())
+def test_pivot_nonzero_for_planted_two_power_sums(data):
+    # the fact that lets classify and the root formulas skip any D1 = 0
+    # restoration: a0 != 0, rank <= 2, no ratio class => D1 != 0
+    d, norm = data
+    assume(norm[0] != 0)
+    cls = classify(cs.from_norm_coeffs(norm))
+    assume(cls.tag not in _RATIO_CLASSES)
+    assert cls.hankel_rank <= 2
+    assert cls.invariants.D1 != 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=_linear_times_powers())
+def test_pivot_nonzero_for_planted_linear_times_powers(data):
+    d, plain = data
+    assume(plain[0] != 0)
+    cls = classify(cs.from_plain_coeffs(plain))
+    assume(cls.tag not in _RATIO_CLASSES)
+    assert cls.hankel_rank <= 2
+    assert cls.invariants.D1 != 0
+
+
+def _count_classify(monkeypatch):
+    import centersolve.cli as cli
+    import centersolve.solver as solver
+
+    calls = []
+    original = solver.classify
+
+    def counting(eq):
+        calls.append(eq)
+        return original(eq)
+
+    monkeypatch.setattr(solver, "classify", counting)
+    monkeypatch.setattr(cli, "classify", counting)
+    return calls
+
+
+_FORCED_ESCALATION = [10**40 + 1, 3 * 10**30, 3 * (10**20 + 7), 999999999999]
+
+
+def test_solve_by_radicals_classifies_once_across_escalation(monkeypatch):
+    calls = _count_classify(monkeypatch)
+    rs = solve_by_radicals(cs.from_plain_coeffs(_FORCED_ESCALATION))
+    assert rs.method == "two-power-sum"
+    assert len(calls) == 1
+
+
+def test_cli_solve_classifies_once(monkeypatch):
+    import io
+
+    from centersolve.cli import run_command
+
+    calls = _count_classify(monkeypatch)
+    text = " ".join(str(c) for c in _FORCED_ESCALATION)
+    out = io.StringIO()
+    code = run_command(["solve", "--input", "coeffs", text, "--no-verify"], stdout=out)
+    assert code == 0
+    assert "class: SumOfTwoPowers" in out.getvalue()
+    assert len(calls) == 1
+
+
+def test_reversal_path_matches_solving_the_reversed_equation():
+    # 2x^3 + (x+1)^3: the reversed equation is a power plus constant
+    eq = cs.from_plain_coeffs([3, 3, 3, 1])
+    rs = solve_by_radicals(eq)
+    assert rs.method == "reversed-power-plus-constant"
+    reversed_roots = solve_by_radicals(reversal_transform(eq)).roots
+    inverted = [complex(1 / r.value) for r in reversed_roots]
+    assert multisets_close(as_multiset(rs), inverted)
