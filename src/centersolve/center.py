@@ -38,21 +38,12 @@ class CenterBasis:
     def dim(self) -> int:
         return len(self.basis)
 
-    def flattened(self):
-        return [[x for row in b for x in row] for b in self.basis]
-
     def is_commutative(self) -> bool:
         for i, a in enumerate(self.basis):
             for b in self.basis[i + 1 :]:
                 if not mat_eq(mat_mul(a, b), mat_mul(b, a)):
                     return False
         return True
-
-    def contains(self, matrix) -> bool:
-        """Exact membership of a matrix in the span of the basis."""
-        flat = [x for row in matrix for x in row]
-        vectors = self.flattened()
-        return rank(vectors) == rank(vectors + [flat])
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,10 @@ carry exact values as p/q strings (never floats) next to decimal
 approximations.
 
 Exit codes: 0 success, 1 usage error, 2 parse error, 3 method not
-applicable (any library error), 4 verification failure (radical and oracle
-roots differ, the oracle does not converge, or a two-power decomposition
-does not expand back).
+applicable (any library error; an unexpected exception is reported as an
+internal error with the same code, so a batch goes on), 4 verification
+failure (radical and oracle roots differ, the oracle does not converge, or a
+two-power decomposition does not expand back).
 """
 
 from __future__ import annotations
@@ -470,6 +471,10 @@ def _run_single(args, text, out, err) -> int:
         return EXIT_PARSE
     except CenterSolveError as exc:
         print(f"not applicable: {exc}", file=err)
+        return EXIT_NO_METHOD
+    except Exception as exc:  # a defect: report it for this input, keep the batch going
+        detail = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
+        print(f"internal error: {detail}", file=err)
         return EXIT_NO_METHOD
     if args.format == "json":
         print(json.dumps(doc, indent=2, sort_keys=True), file=out)

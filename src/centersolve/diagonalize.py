@@ -13,8 +13,13 @@ P^-1 e_i P = E_ii), and read the diagonal coefficient of y_i^d off f(Py) as
 f evaluated at column i of P.  The result is checked once, by expanding it
 back to f.
 
-Exact mode needs the spectrum to split over Q; numeric mode mirrors the same
-pipeline with approximate eigenvalues and tolerances.
+One pipeline (``_split``) does this over two scalar kinds.  Exact mode runs
+it on Fractions with the generic element's rational eigenvalues, which must
+be distinct; since the minimal polynomial is then prod (x - l_i), the
+idempotent relations hold by Cayley-Hamilton and are not rechecked.  Numeric
+mode runs it on mpc at a working precision, with eigenvalues from the
+numeric roots of the characteristic polynomial; it accepts any spectrum
+those separate, and only its zero and negligible-summand tests differ.
 """
 
 from __future__ import annotations
@@ -23,14 +28,14 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import mp, mpc
+from mpmath import mp
 
 from .center import CenterBasis, compute_center
 from .errors import IrrationalSpectrumError, NotDiagonalizableError
 from .forms import LinearForm, NAryForm, PowerSumDecomposition, from_plain_coeffs
-from .linalg import char_poly, identity, inverse, mat_add, mat_eq, mat_mul, mat_scale
+from .linalg import char_poly, inverse, mat_add, mat_mul, mat_scale
 from .oracle import check_decomposition, numeric_roots, rational_roots
-from .scalars import DEFAULT_PREC, to_mpc
+from .scalars import DEFAULT_PREC, as_fraction, to_mpc
 
 _RETRY_SEED = 0x5EED
 
@@ -90,13 +95,11 @@ def profile(f: NAryForm, basis: CenterBasis | None = None, seed: int | None = No
         basis = compute_center(f)
     n = basis.n
     commutative = basis.is_commutative()
-    last = None
     for weights in _weight_draws(basis.dim, seed):
         g = _generic_element(basis, weights)
         cp = char_poly(g)
         roots = rational_roots(cp)
         total = sum(m for _, m in roots)
-        last = (g, cp, roots)
         if not commutative:
             return AlgebraProfile(
                 dim=basis.dim,
@@ -106,43 +109,33 @@ def profile(f: NAryForm, basis: CenterBasis | None = None, seed: int | None = No
                 spectrum_kind="non-commutative",
                 eigenvalues=tuple(roots) if total == n else None,
             )
-        if total < n:
-            # one irrational witness certifies the algebra is not Q^n
+        if all(m == 1 for _, m in roots):
+            # distinct rational eigenvalues, or one irrational witness, which
+            # certifies that the algebra is not Q^n
+            split = total == n
             return AlgebraProfile(
                 dim=basis.dim,
                 commutative=True,
                 generic_element=_freeze(g),
                 char_poly=tuple(cp),
-                spectrum_kind="irrational",
-                eigenvalues=None,
+                spectrum_kind="distinct-rational" if split else "irrational",
+                eigenvalues=tuple(roots) if split else None,
             )
-        if len(roots) == n:
-            return AlgebraProfile(
-                dim=basis.dim,
-                commutative=True,
-                generic_element=_freeze(g),
-                char_poly=tuple(cp),
-                spectrum_kind="distinct-rational",
-                eigenvalues=tuple(roots),
-            )
-        # repeated rational spectrum: retry with a fresh generic element
-    g, cp, roots = last
+        # a repeated rational eigenvalue, whether or not the rest splits:
+        # retry with a fresh generic element
+    # every draw repeated a rational eigenvalue; report the last one
     return AlgebraProfile(
         dim=basis.dim,
         commutative=True,
         generic_element=_freeze(g),
         char_poly=tuple(cp),
         spectrum_kind="repeated",
-        eigenvalues=tuple(roots),
+        eigenvalues=tuple(roots) if total == n else None,
     )
 
 
 def _freeze(m):
     return tuple(tuple(row) for row in m)
-
-
-def _thaw(m):
-    return [list(row) for row in m]
 
 
 def _lagrange_idempotents(g, eigenvalues, ident):
@@ -198,9 +191,24 @@ def diagonalize_form(
             raise IrrationalSpectrumError(
                 "spectrum does not split over Q; rerun in numeric mode"
             )
-        result = _diagonalize_exact(f, prof)
+        eigenvalues = sorted(value for value, _ in prof.eigenvalues)
+        result = _split(
+            f, prof, eigenvalues, as_fraction, lambda x: x == 0, cut=0, exact=True
+        )
     elif mode == "numeric":
-        result = _diagonalize_numeric(f, prof, prec=prec, tol=tol)
+        wprec = max(prec, 96)
+        eigenvalues = _numeric_spectrum(prof.char_poly, wprec, tol)
+        with mp.workprec(wprec):
+            eps = mp.mpf(2) ** (-wprec // 2)
+            result = _split(
+                f,
+                prof,
+                eigenvalues,
+                lambda x: to_mpc(x, wprec),
+                lambda x: abs(x) < eps,
+                cut=tol,
+                exact=False,
+            )
     else:
         raise ValueError(f"unknown mode {mode!r}")
     if not check_decomposition(f, result.as_power_sum, tol=tol):
@@ -208,68 +216,11 @@ def diagonalize_form(
     return result
 
 
-def _diagonalize_exact(f: NAryForm, prof: AlgebraProfile) -> DiagonalDecomposition:
-    n = f.nvars
-    g = _thaw(prof.generic_element)
-    eigenvalues = sorted(value for value, _ in prof.eigenvalues)
-    ident = identity(n)
-    idem = _lagrange_idempotents(g, eigenvalues, ident)
-    total = ident
-    for i, e in enumerate(idem):
-        if not mat_eq(mat_mul(e, e), e):
-            raise NotDiagonalizableError("idempotent relation failed")
-        for e2 in idem[i + 1 :]:
-            if any(x != 0 for row in mat_mul(e, e2) for x in row):
-                raise NotDiagonalizableError("idempotents are not orthogonal")
-        total = mat_add(total, mat_scale(Fraction(-1), e))
-    if any(x != 0 for row in total for x in row):
-        raise NotDiagonalizableError("idempotents do not sum to the identity")
-    cols = [_first_nonzero_column(e, lambda x: x == 0) for e in idem]
-    p = [[cols[j][i] for j in range(n)] for i in range(n)]
-    p_inv = inverse(p)
-    diagonal = [f.evaluate_exact(col) for col in cols]
-    summands = tuple(
-        (diagonal[i], LinearForm(tuple(p_inv[i])))
-        for i in range(n)
-        if diagonal[i] != 0
-    )
-    return DiagonalDecomposition(
-        p=_freeze(p),
-        p_inv=_freeze(p_inv),
-        idempotents=tuple(_freeze(e) for e in idem),
-        diagonal=tuple(diagonal),
-        as_power_sum=PowerSumDecomposition(summands, f.degree),
-        exact=True,
-    )
-
-
-def _numeric_inverse(m, prec):
-    n = len(m)
-    with mp.workprec(prec):
-        aug = [[mpc(x) for x in row] + [mpc(1 if i == j else 0) for j in range(n)]
-               for i, row in enumerate(m)]
-        for c in range(n):
-            pivot = max(range(c, n), key=lambda r: abs(aug[r][c]))
-            if abs(aug[pivot][c]) == 0:
-                raise NotDiagonalizableError("numeric change of variables is singular")
-            aug[c], aug[pivot] = aug[pivot], aug[c]
-            pv = aug[c][c]
-            aug[c] = [x / pv for x in aug[c]]
-            for r in range(n):
-                if r != c and aug[r][c] != 0:
-                    fac = aug[r][c]
-                    aug[r] = [x - fac * y for x, y in zip(aug[r], aug[c])]
-        return [row[n:] for row in aug]
-
-
-def _diagonalize_numeric(
-    f: NAryForm, prof: AlgebraProfile, prec: int, tol: float
-) -> DiagonalDecomposition:
-    n = f.nvars
-    wprec = max(prec, 96)
-    eq = from_plain_coeffs([c for c in prof.char_poly])
-    approx = numeric_roots(eq, tol=1e-20, prec=wprec, cluster_tol=1e-24)
-    eigenvalues = [r.value for r in approx.roots for _ in range(r.multiplicity)]
+def _numeric_spectrum(cp, wprec: int, tol: float) -> list:
+    """All eigenvalues of the generic element, numerically and separated."""
+    n = len(cp) - 1
+    approx = numeric_roots(from_plain_coeffs(cp), tol=1e-20, prec=wprec, cluster_tol=1e-24)
+    eigenvalues = approx.values_with_multiplicity()
     if len(eigenvalues) != n:
         raise NotDiagonalizableError("could not separate the numeric spectrum")
     sep = min(
@@ -279,27 +230,40 @@ def _diagonalize_numeric(
     )
     if sep < tol:
         raise NotDiagonalizableError("numeric spectrum is not separated")
-    with mp.workprec(wprec):
-        g = [[to_mpc(x, wprec) for x in row] for row in prof.generic_element]
-        ident = [[mpc(1 if i == j else 0) for j in range(n)] for i in range(n)]
-        idem = _lagrange_idempotents(g, eigenvalues, ident)
-        zero = lambda x: abs(x) < mp.mpf(2) ** (-wprec // 2)
-        cols = [_first_nonzero_column(e, zero) for e in idem]
-        p = [[cols[j][i] for j in range(n)] for i in range(n)]
-        p_inv = _numeric_inverse(p, wprec)
-        # evaluate_exact is generic in the scalar; here it runs on mpc columns
-        diagonal = [mpc(f.evaluate_exact(col)) for col in cols]
-        scale = max((abs(c) for c in diagonal), default=mp.mpf(1))
-        summands = tuple(
-            (diagonal[i], LinearForm(tuple(p_inv[i])))
-            for i in range(n)
-            if abs(diagonal[i]) > tol * scale
-        )
+    return eigenvalues
+
+
+def _split(f, prof, eigenvalues, scalar, is_zero, cut, exact) -> DiagonalDecomposition:
+    """Idempotents, P, P^-1, diagonal and summands from a split spectrum.
+
+    ``scalar`` maps the exact entries of the generic element into the working
+    scalars (Fraction, or mpc at the caller's precision); ``is_zero`` decides
+    which idempotent columns vanish; summand i is dropped when
+    |diagonal[i]| <= cut * max |diagonal|, so cut = 0 keeps every nonzero one.
+    """
+    n = f.nvars
+    g = [[scalar(x) for x in row] for row in prof.generic_element]
+    ident = [[scalar(int(i == j)) for j in range(n)] for i in range(n)]
+    idem = _lagrange_idempotents(g, eigenvalues, ident)
+    cols = [_first_nonzero_column(e, is_zero) for e in idem]
+    p = [[cols[j][i] for j in range(n)] for i in range(n)]
+    try:
+        p_inv = inverse(p)
+    except ValueError:
+        raise NotDiagonalizableError("the change of variables is singular") from None
+    # evaluate_exact is generic in the scalar; in numeric mode it runs on mpc
+    diagonal = [f.evaluate_exact(col) for col in cols]
+    scale = max(abs(c) for c in diagonal)
+    summands = tuple(
+        (c, LinearForm(tuple(row)))
+        for c, row in zip(diagonal, p_inv)
+        if abs(c) > cut * scale
+    )
     return DiagonalDecomposition(
         p=_freeze(p),
         p_inv=_freeze(p_inv),
         idempotents=tuple(_freeze(e) for e in idem),
         diagonal=tuple(diagonal),
         as_power_sum=PowerSumDecomposition(summands, f.degree),
-        exact=False,
+        exact=exact,
     )

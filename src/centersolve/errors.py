@@ -47,7 +47,3 @@ class ResolventFailureError(CenterSolveError):
 
 class NonConvergenceError(CenterSolveError):
     """The numeric root iteration did not converge within its budget."""
-
-
-class EffectiveDegreeError(CenterSolveError):
-    """A root index degenerated to infinity; the effective degree dropped."""

@@ -308,10 +308,6 @@ class NAryForm:
         return " + ".join(parts)
 
 
-def nary_from_univariate(eq: UnivariateEquation) -> NAryForm:
-    return eq.homogenize().to_nary()
-
-
 # ---------------------------------------------------------------------------
 # linear forms and power sums
 # ---------------------------------------------------------------------------

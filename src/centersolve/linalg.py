@@ -1,15 +1,19 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, and the one matrix inverse.
 
 Matrices are plain lists of lists of ``Fraction``.  Elimination is
 fraction-free (one-step Bareiss) on a denominator-cleared integer copy, with
 a fixed column order and row swaps only, so ranks, nullspaces and the bases
-built from them are fully deterministic.
+built from them are fully deterministic.  ``inverse`` is Gauss-Jordan with
+largest-entry pivoting and also accepts ``mpc`` matrices, which numeric
+diagonalization passes in.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+
+from mpmath import mpc
 
 from .scalars import as_fraction
 
@@ -20,16 +24,8 @@ def identity(n: int):
     return [[Fraction(i == j) for j in range(n)] for i in range(n)]
 
 
-def zeros(rows: int, cols: int):
-    return [[Fraction(0)] * cols for _ in range(rows)]
-
-
 def mat_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_scale(c, a):
@@ -50,14 +46,6 @@ def mat_mul(a, b):
             for j in range(m):
                 row[j] += c * bt[j]
     return out
-
-
-def mat_vec(a, v):
-    return [sum((c * x for c, x in zip(row, v)), Fraction(0)) for row in a]
-
-
-def transpose(a):
-    return [list(col) for col in zip(*a)]
 
 
 def trace(a):
@@ -157,15 +145,20 @@ def nullspace(rows, n_cols: int | None = None):
 
 
 def inverse(a):
-    """Exact inverse via Gauss-Jordan; raises ValueError when singular."""
+    """Gauss-Jordan inverse, pivoting on the largest entry; ValueError if singular.
+
+    Exact entries (int, str, Fraction) give the exact inverse over Q; mpc
+    entries are eliminated at the caller's working precision.
+    """
     n = len(a)
     aug = [
-        [as_fraction(x) for x in row] + [Fraction(i == j) for j in range(n)]
+        [x if isinstance(x, mpc) else as_fraction(x) for x in row]
+        + [Fraction(i == j) for j in range(n)]
         for i, row in enumerate(a)
     ]
     for c in range(n):
-        pivot_row = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if pivot_row is None:
+        pivot_row = max(range(c, n), key=lambda i: abs(aug[i][c]))
+        if aug[pivot_row][c] == 0:
             raise ValueError("matrix is singular")
         aug[c], aug[pivot_row] = aug[pivot_row], aug[c]
         p = aug[c][c]

@@ -293,24 +293,27 @@ def _mpf_to_fraction(x) -> Fraction:
 def rational_roots(coeffs) -> list:
     """All rational roots (with multiplicity) of a rational polynomial.
 
-    Numeric roots seed candidates; each candidate is reconstructed with
-    bounded denominators and verified by exact evaluation, then deflated by
-    exact synthetic division.  Returns [(root, multiplicity), ...] sorted.
+    One numeric root run on the input seeds the candidates, from its cluster
+    means and its single approximations; each candidate is reconstructed
+    with bounded denominators and verified by exact evaluation against the
+    polynomial as it is deflated by exact synthetic division, which also
+    counts its multiplicity.  A linear remainder left after deflation has a
+    rational root.  Returns [(root, multiplicity), ...] sorted.
     """
     work = [as_fraction(c) for c in coeffs]
     if work[0] == 0:
         raise ValueError("leading coefficient must be nonzero")
     found = {}
-    while len(work) > 1:
-        candidates = _rational_candidates(work)
-        hit = next((r for r in candidates if _eval_poly(work, r) == 0), None)
-        if hit is None:
-            break
+    candidates = _rational_candidates(work) if len(work) > 2 else []
+    for r in candidates:
         mult = 0
-        while len(work) > 1 and _eval_poly(work, hit) == 0:
-            work = _deflate(work, hit)
+        while len(work) > 1 and _eval_poly(work, r) == 0:
+            work = _deflate(work, r)
             mult += 1
-        found[hit] = found.get(hit, 0) + mult
+        if mult:
+            found[r] = mult
+    if len(work) == 2:
+        found[-work[1] / work[0]] = 1
     return sorted(found.items())
 
 
@@ -329,17 +332,18 @@ def _deflate(coeffs, r: Fraction):
 
 
 def _rational_candidates(coeffs):
-    d = len(coeffs) - 1
-    if d == 1:
-        return [-coeffs[1] / coeffs[0]]
     eq = from_plain_coeffs(coeffs)
     try:
-        approx = numeric_roots(eq, tol=1e-20, prec=160)
+        approx = numeric_roots(eq, tol=1e-20, prec=160, cluster_tol=0)
     except NonConvergenceError:
         return []
+    values = approx.values_with_multiplicity()
+    with mp.workprec(_working_prec(eq.degree, 1e-20, 160)):
+        # a cluster mean locates a multiple root best; the single values
+        # still separate distinct roots closer than the cluster tolerance
+        seeds = [r.value for r in _cluster(values, 1e-6)] + values
     out = []
-    for root in approx.roots:
-        z = root.value
+    for z in seeds:
         if abs(z.imag) > 1e-10 * (1 + abs(z.real)):
             continue
         re = _mpf_to_fraction(z.real)

@@ -329,10 +329,6 @@ def _mk_root(value, multiplicity=1, exact=None, expr=None, pretty=None, params=N
     )
 
 
-def _exact_root_value(exact, prec):
-    return to_mpc(exact, prec)
-
-
 def solve_by_radicals(
     eq: UnivariateEquation, prec: int = DEFAULT_PREC, branch: int = 0
 ) -> RootSet:
@@ -379,14 +375,14 @@ def _radical_roots(eq, work, zeros, cls, prec, branch) -> RootSet:
     d = work.degree
     if d == 1:
         root = -work.plain[1] / work.plain[0]
-        roots = [_mk_root(_exact_root_value(root, prec), 1, exact=root)]
+        roots = [_mk_root(to_mpc(root, prec), 1, exact=root)]
         method = "linear"
     elif d == 2:
         roots = _quadratic_roots(work, prec)
         method = "quadratic"
     elif cls.tag == "PerfectPower":
         root = -work.norm[1] / work.norm[0]
-        roots = [_mk_root(_exact_root_value(root, prec), d, exact=root)]
+        roots = [_mk_root(to_mpc(root, prec), d, exact=root)]
         method = "perfect-power"
     elif cls.tag == "PowerPlusConstant":
         w = cls.witness
@@ -409,8 +405,8 @@ def _radical_roots(eq, work, zeros, cls, prec, branch) -> RootSet:
     else:  # LinearTimesPowerD1
         repeated, simple = cls.witness["repeated_root"], cls.witness["simple_root"]
         roots = [
-            _mk_root(_exact_root_value(repeated, prec), d - 1, exact=repeated),
-            _mk_root(_exact_root_value(simple, prec), 1, exact=simple),
+            _mk_root(to_mpc(repeated, prec), d - 1, exact=repeated),
+            _mk_root(to_mpc(simple, prec), 1, exact=simple),
         ]
         method = "repeated-linear-factor"
     if zeros:
@@ -428,11 +424,11 @@ def _quadratic_roots(eq: UnivariateEquation, prec):
     disc = b1 * b1 - 4 * b0 * b2
     if disc == 0:
         root = -b1 / (2 * b0)
-        return [_mk_root(_exact_root_value(root, prec), 2, exact=root)]
+        return [_mk_root(to_mpc(root, prec), 2, exact=root)]
     s = exact_sqrt(disc)
     r1 = (-b1 + s) / (2 * b0)
     r2 = (-b1 - s) / (2 * b0)
-    return [_mk_root(_exact_root_value(r, prec), 1, exact=r) for r in (r1, r2)]
+    return [_mk_root(to_mpc(r, prec), 1, exact=r) for r in (r1, r2)]
 
 
 def _power_plus_constant_roots(scale, t, gamma, d, prec, branch):
@@ -449,7 +445,7 @@ def _power_plus_constant_roots(scale, t, gamma, d, prec, branch):
             exact = -t + base_exact
         expr = f"sub(mul(root({_prefix(radicand)},{d}),zeta({d},{k})),{t})"
         pretty = f"({scalar_str(radicand)})^(1/{d}) * zeta_{d}^{k} - {scalar_str(t)}"
-        value = _exact_root_value(exact, prec) if exact is not None else w - to_mpc(t, prec)
+        value = to_mpc(exact, prec) if exact is not None else w - to_mpc(t, prec)
         roots.append(
             _mk_root(
                 value,
@@ -467,7 +463,7 @@ def _invert_root(r: RadicalRoot, prec) -> RadicalRoot:
     exact = None
     if r.exact is not None:
         exact = 1 / r.exact
-        value = _exact_root_value(exact, prec)
+        value = to_mpc(exact, prec)
     else:
         value = 1 / r.value
     return RadicalRoot(
@@ -506,7 +502,7 @@ def _two_power_roots(eq: UnivariateEquation, data: BinaryInvariants, prec, branc
                     data.D1 * (1 - delta_exact)
                 )
             value = (
-                _exact_root_value(exact, prec)
+                to_mpc(exact, prec)
                 if exact is not None
                 else (w * l1 - l2) / (d1 * (1 - w))
             )

@@ -15,6 +15,11 @@ from centersolve.cli import (
 
 GOLDEN = Path(__file__).parent / "golden" / "quintic_solve.json"
 
+QUATERNARY_CUBIC = (
+    "7*x1^3 - 15*x1^2*x2 - 12*x1^2*x3 - 12*x1^2*x4 + 15*x1*x2^2 + 24*x1*x3^2"
+    " + 48*x1*x3*x4 - 6*x1*x4^2 - 5*x2^3 - 19*x3^3 - 57*x3^2*x4 + 3*x3*x4^2 + x4^3"
+)
+
 
 def run(argv, stdin_text=None, monkeypatch=None):
     out, err = io.StringIO(), io.StringIO()
@@ -295,6 +300,31 @@ class TestBatch:
         code, _, err = run(["solve", "--batch", "/nonexistent/file.txt"])
         assert code == EXIT_USAGE
 
+    def test_internal_error_does_not_end_the_batch(self, tmp_path):
+        # the first line's radicand lies within 1e-30 of 1, where the radical
+        # evaluation divides by zero; the second line must still be solved
+        batch = tmp_path / "inputs.txt"
+        batch.write_text(NEAR_ONE_RADICAND + "\n1 0 0 -8\n")
+        code, out, err = run(
+            ["solve", "--input", "coeffs", "--no-verify", "--format", "json",
+             "--batch", str(batch)]
+        )
+        assert code == EXIT_NO_METHOD
+        assert err.startswith("internal error: ZeroDivisionError")
+        assert "Traceback" not in err
+        (doc,) = [json.loads(chunk) for chunk in _split_json_stream(out)]
+        assert doc["input"] == "1 0 0 -8"
+        assert sorted(round(r["re"], 9) for r in doc["roots"]) == [-1, -1, 2]
+
+
+NEAR_ONE_RADICAND = (
+    "1/500000000000000000000000000000 "
+    "250000000000000000000000000003/187500000000000000000000000000 "
+    "1437500000000000000000000000009/187500000000000000000000000000 "
+    "6203125000000000000000000000027/421875000000000000000000000000 "
+    "23808593750000000000000000000081/2531250000000000000000000000000"
+)
+
 
 def _split_json_stream(text):
     chunks = []
@@ -377,6 +407,13 @@ class TestExitCodeTable:
 
 
 class TestRegressions:
+    def test_decompose_repeated_rational_next_to_irrational_pair(self):
+        # the first generic element has char poly (x - 7)^2 (x^2 - 4x + 25/4)
+        code, out, err = run(["decompose", QUATERNARY_CUBIC])
+        assert code == EXIT_OK, err
+        assert "4 summands of degree 3 (numeric)" in out
+        assert "verification: passed" in out
+
     def test_solve_huge_constant_without_verify(self):
         # x^3 = 10^400: the exact-root test used to raise OverflowError
         text = "x^3 - 1" + "0" * 400

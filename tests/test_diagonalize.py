@@ -15,11 +15,41 @@ from centersolve import (
     profile,
 )
 from centersolve.linalg import identity, inverse, mat_mul
-from conftest import TERNARY_CUBIC_DEC, planted_diagonalizable
+from conftest import TERNARY_CUBIC_DEC, planted_diagonalizable, rand_nonzero_fraction
 
 
 def two_var_form(terms, d):
     return NAryForm(2, d, {k: F(v) for k, v in terms.items()})
+
+
+def planted_conjugate_pairs(rng, n, d):
+    """f = sum of d-th powers of n independent forms, n // 2 conjugate pairs
+    over Q(sqrt(D)) among them; small integer entries, zeros included.
+
+    The forms a + b sqrt(D) and a - b sqrt(D) span the same space as a and
+    b, so they are independent when the rational matrix of the a's, b's
+    and the remaining forms is invertible.  Each pair expands to rational
+    coefficients, so f is rational while its center does not split over Q.
+    """
+    while True:
+        rows = [[F(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
+        if any(x == 0 for row in rows for x in row):
+            try:
+                inverse(rows)
+                break
+            except ValueError:
+                pass
+    summands = []
+    for k in range(n // 2):
+        disc = rng.choice([-3, -1, 2, 3, 5, 6, 7])
+        a, b = rows[2 * k], rows[2 * k + 1]
+        c = cs.QuadExt(rand_nonzero_fraction(rng), rand_nonzero_fraction(rng), disc)
+        for sign in (1, -1):
+            form = tuple(cs.QuadExt(x, sign * y, disc) for x, y in zip(a, b))
+            summands.append((c if sign == 1 else c.conjugate(), cs.LinearForm(form)))
+    if n % 2:
+        summands.append((rand_nonzero_fraction(rng), cs.LinearForm(tuple(rows[-1]))))
+    return expand(cs.PowerSumDecomposition(tuple(summands), d), n)
 
 
 class TestProfile:
@@ -155,6 +185,33 @@ class TestDiagonalizeNumeric:
         numeric = diagonalize_form(ternary_cubic, mode="numeric")
         assert cs.check_decomposition(ternary_cubic, numeric.as_power_sum, tol=1e-9)
         assert len(numeric.as_power_sum.summands) == len(exact.as_power_sum.summands)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_planted_conjugate_pairs(self, n, d):
+        f = planted_conjugate_pairs(random.Random(1000 * n + d), n, d)
+        assert all(isinstance(c, F) for c in f.terms.values())
+        with pytest.raises(IrrationalSpectrumError):
+            diagonalize_form(f)
+        result = diagonalize_form(f, mode="numeric")
+        assert not result.exact
+        assert len(result.as_power_sum.summands) == n
+        assert cs.check_decomposition(f, result.as_power_sum, tol=1e-9)
+
+    def test_repeated_rational_next_to_irrational_pair(self):
+        # the primes draw gives (x - 7)^2 (x^2 - 4x + 25/4); profile must
+        # retry it instead of handing a repeated eigenvalue to numeric mode
+        f = cs.parse_polynomial(
+            "7*x1^3 - 15*x1^2*x2 - 12*x1^2*x3 - 12*x1^2*x4 + 15*x1*x2^2"
+            " + 24*x1*x3^2 + 48*x1*x3*x4 - 6*x1*x4^2 - 5*x2^3 - 19*x3^3"
+            " - 57*x3^2*x4 + 3*x3*x4^2 + x4^3"
+        ).form
+        prof = profile(f)
+        assert prof.spectrum_kind == "irrational"
+        assert all(m == 1 for _, m in cs.rational_roots(prof.char_poly))
+        result = diagonalize_form(f, mode="numeric")
+        assert len(result.as_power_sum.summands) == 4
+        assert cs.check_decomposition(f, result.as_power_sum, tol=1e-9)
 
     def test_numeric_rejects_repeated_spectrum(self):
         f = two_var_form({(3, 0): 1, (2, 1): 3, (1, 2): 3, (0, 3): 1}, 3)

@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
+from mpmath import mp, mpc
 
 from centersolve.linalg import (
     char_poly,
@@ -55,6 +56,21 @@ def test_inverse():
     assert mat_mul(m, inv) == identity(2)
     with pytest.raises(ValueError):
         inverse([[F(1), F(2)], [F(2), F(4)]])
+
+
+def test_inverse_of_mpc_matrix_at_working_precision():
+    with mp.workprec(128):
+        tiny = mp.mpf(2) ** -70  # a small leading entry needs the largest pivot
+        m = [
+            [mpc(tiny, tiny / 3), mpc(1, -2), mpc(0)],
+            [mpc(3, 1) / 7, mpc(0), mpc(-5, 2)],
+            [mpc(0, 1), mpc(2, 0) / 3, mpc(1, 1)],
+        ]
+        product = mat_mul(m, inverse(m))
+        worst = max(abs(product[i][j] - (i == j)) for i in range(3) for j in range(3))
+        assert worst < mp.mpf(2) ** -100
+        with pytest.raises(ValueError):
+            inverse([[mpc(1, 1), mpc(2, 2)], [mpc(1), mpc(2)]])
 
 
 def test_char_poly_companion():

@@ -166,3 +166,34 @@ class TestRationalRoots:
 
     def test_linear(self):
         assert rational_roots([F(3), F(-2)]) == [(F(2, 3), 1)]
+
+    def test_one_numeric_seed_per_call(self, monkeypatch):
+        import centersolve.oracle as oracle
+
+        degrees = []
+        original = oracle.numeric_roots
+
+        def counting(eq, *args, **kwargs):
+            degrees.append(eq.degree)
+            return original(eq, *args, **kwargs)
+
+        monkeypatch.setattr(oracle, "numeric_roots", counting)
+        coeffs = [F(1)]
+        for k in range(1, 7):  # multiply by (x - k)
+            coeffs = [a - k * b for a, b in zip(coeffs + [F(0)], [F(0)] + coeffs)]
+        assert rational_roots(coeffs) == [(F(k), 1) for k in range(1, 7)]
+        assert degrees == [6]
+
+    def test_distinct_roots_closer_than_the_cluster_tolerance(self):
+        # (x - 1)(x - 1 - 1e-7)(x^2 - 2): the oracle merges the two rational
+        # roots into one cluster, whose mean is neither of them
+        r = 1 + F(1, 10**7)
+        coeffs = [F(1), -1 - r, r - 2, 2 + 2 * r, -2 * r]
+        assert rational_roots(coeffs) == [(F(1), 1), (r, 1)]
+
+    def test_linear_remainder_after_deflation(self):
+        # (x - 1)^2 (q x - 1): no denominator up to 1e9 reconstructs 1/q, but
+        # once (x - 1)^2 is deflated the linear remainder gives it exactly
+        q = 10**10 + 19
+        coeffs = [F(q), F(-2 * q - 1), F(q + 2), F(-1)]
+        assert rational_roots(coeffs) == [(F(1, q), 1), (F(1), 2)]
