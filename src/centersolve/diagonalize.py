@@ -24,6 +24,7 @@ those separate, and only its zero and negligible-summand tests differ.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -224,9 +225,12 @@ def _numeric_spectrum(cp, wprec: int, tol: float) -> list:
     if len(eigenvalues) != n:
         raise NotDiagonalizableError("could not separate the numeric spectrum")
     sep = min(
-        abs(eigenvalues[i] - eigenvalues[j])
-        for i in range(n)
-        for j in range(i + 1, n)
+        (
+            abs(eigenvalues[i] - eigenvalues[j])
+            for i in range(n)
+            for j in range(i + 1, n)
+        ),
+        default=math.inf,  # a single eigenvalue is always separated
     )
     if sep < tol:
         raise NotDiagonalizableError("numeric spectrum is not separated")

@@ -1,9 +1,20 @@
 """Independent numeric verification: root finding without radicals.
 
-The root finder is a simultaneous Aberth-Ehrlich iteration started from
-deterministic perturbed-circle guesses, followed by Newton polishing and a
-clustering pass that assigns multiplicities.  It never sees the radical
-formulas it is used to check.
+The root finder is a simultaneous Aberth-Ehrlich iteration in two phases,
+followed by Newton polishing and a clustering pass that assigns
+multiplicities.  It never sees the radical formulas it is used to check.
+
+1. Float phase.  Deterministic perturbed-circle guesses on Fujiwara's bound
+   of the root moduli are iterated in hardware ``complex`` on the monic
+   coefficients, each root until |p(z)| is under the double-precision
+   rounding floor, the whole phase until every root is there or the steps
+   stall.  When a monic coefficient or an iterate is not a finite double
+   (inputs beyond ~1e308) or two results coincide, the circle itself seeds
+   the next phase.
+2. Multiprecision phase.  The same update at the working precision, from
+   those seeds, until every root is at the rounding floor or every step is
+   below 256 eps.  A root already at the floor is not updated.
+   ``OracleRootSet.iterations`` counts these rounds only.
 
 Working precision scales with the degree: a root of multiplicity m can only
 be located to about eps^(1/m), so confirming a multiplicity-6 cluster inside
@@ -12,6 +23,7 @@ a 1e-6 window needs far more than double precision.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,6 +44,9 @@ from .scalars import DEFAULT_PREC, as_fraction, is_exact, to_mpc
 #: Fixed irrational angular offset for the initial circle (radians).
 _ANGLE_OFFSET = 0.7071067811865476
 
+#: Rounds without progress that end the float phase (see _float_aberth).
+_FLOAT_STALL = 8
+
 
 class OracleRoot(NamedTuple):
     value: mpc
@@ -41,7 +56,7 @@ class OracleRoot(NamedTuple):
 @dataclass
 class OracleRootSet:
     roots: list  # of OracleRoot, multiplicities summing to the degree
-    iterations: int
+    iterations: int  # multiprecision Aberth rounds
     converged: bool
     max_residual: float  # scaled residual max |f(z)| / (max|b| * max(1,|z|)^d)
 
@@ -58,10 +73,95 @@ def _working_prec(degree: int, tol: float, prec: int) -> int:
 
 
 def _horner(coeffs, z):
-    acc = mpc(0)
-    for c in coeffs:
+    """p(z); stays in mpf for real coefficients at a real point."""
+    acc = coeffs[0]
+    for c in coeffs[1:]:
         acc = acc * z + c
     return acc
+
+
+def _log2(x) -> float:
+    """log2 of a positive mpf from its mantissa and exponent."""
+    _, man, exp, _ = x._mpf_
+    return exp + math.log2(int(man))
+
+
+def _start_circle(abs_b) -> list:
+    """Deterministic perturbed-circle guesses on Fujiwara's root bound.
+
+    Every root modulus is at most 2 max_i |b_i/b_0|^(1/i), with b_d halved.
+    The radius is computed in float logs of the moduli: mpmath's log and
+    power at working precision would grow its caches on every call.
+    """
+    d = len(abs_b) - 1
+    log_lead = _log2(abs_b[0])
+    logs = [
+        (_log2(c) - log_lead - (i == d)) / i
+        for i, c in enumerate(abs_b[1:], 1)
+        if c
+    ]
+    if not logs:  # b0 x^d: every root is 0
+        return [mpc(0)] * d
+    log_radius = 1 + max(logs)
+    e = math.floor(log_radius)
+    radius = mp.ldexp(mpf(2.0 ** (log_radius - e)), e)
+    return [
+        radius * mpc(cmath.rect(1 + k / (997 * d), 2 * math.pi * k / d + _ANGLE_OFFSET))
+        for k in range(d)
+    ]
+
+
+def _float_aberth(coeffs, z):
+    """Aberth-Ehrlich in hardware complex from the guesses z, or None.
+
+    ``coeffs`` are the monic coefficients.  A root stops moving once |p(z)|
+    is under the double-precision rounding floor.  The phase ends when every
+    root has, or when the steps stall: _FLOAT_STALL rounds in a row without
+    the summed log2 of |p(z)| / floor over the moving roots falling by a
+    bit.  None when a coefficient or an iterate is not a finite double, or
+    two results coincide.
+    """
+    d = len(coeffs) - 1
+    if not all(cmath.isfinite(c) for c in coeffs + z):
+        return None
+    abs_c = [abs(c) for c in coeffs]
+    floor_scale = 8 * d * 2.0**-53
+    active = list(range(d))
+    best, stalled = math.inf, 0
+    while active and stalled < _FLOAT_STALL:
+        moving = []
+        excess = 0.0
+        for k in active:
+            zk = z[k]
+            p = dp = 0j
+            for c in coeffs:
+                dp = dp * zk + p
+                p = p * zk + c
+            r = abs(zk)
+            floor = 0.0
+            for c in abs_c:
+                floor = floor * r + c
+            floor *= floor_scale
+            if abs(p) <= floor:
+                continue
+            moving.append(k)
+            try:
+                excess += math.log2(abs(p) / floor)
+                w = p / dp
+                s = sum(1 / (zk - zj) for j, zj in enumerate(z) if j != k)
+                z[k] = zk - w / (1 - w * s)
+            except ZeroDivisionError:
+                return None
+            if not cmath.isfinite(z[k]):
+                return None
+        active = moving
+        if excess < best - 1:
+            best, stalled = excess, 0
+        else:
+            stalled += 1
+    if len(set(z)) < d:
+        return None
+    return z
 
 
 def numeric_roots(
@@ -79,13 +179,12 @@ def numeric_roots(
     with mp.workprec(wprec):
         b = [to_mpc(c, wprec) for c in eq.plain]
         db = [(d - i) * b[i] for i in range(d)]
-        radius = mpf(1) + max(abs(c / b[0]) for c in b[1:]) if d else mpf(1)
-        z = [
-            radius
-            * (1 + mpf(k) / (997 * d))
-            * mp.exp(1j * (2 * mp.pi * k / d + _ANGLE_OFFSET))
-            for k in range(d)
-        ]
+        abs_b = [abs(c) for c in b]
+        circle = _start_circle(abs_b)
+        seeds = _float_aberth(
+            [complex(c / b[0]) for c in b], [complex(zk) for zk in circle]
+        )
+        z = circle if seeds is None else [mpc(zk) for zk in seeds]
         eps = mpf(2) ** (-wprec)
         iterations = 0
         converged = False
@@ -94,11 +193,9 @@ def numeric_roots(
             all_quiet = True
             for k in range(d):
                 p = _horner(b, z[k])
-                floor = 8 * d * eps * _horner([abs(c) for c in b], abs(z[k])).real
-                if abs(p) > floor:
-                    all_quiet = False
-                if p == 0:
-                    continue
+                if abs(p) <= 8 * d * eps * _horner(abs_b, abs(z[k])):
+                    continue  # quiet: at the rounding floor already
+                all_quiet = False
                 dp = _horner(db, z[k])
                 w = p / dp if dp != 0 else p
                 s = mpc(0)
@@ -132,13 +229,14 @@ def numeric_roots(
                     break
         if any(not mp.isfinite(zk) for zk in z):
             raise NonConvergenceError("iteration produced a non-finite value")
-        scale = max(abs(c) for c in b)
+        scale = max(abs_b)
         max_res = max(
             abs(_horner(b, zk)) / (scale * max(mpf(1), abs(zk)) ** d) for zk in z
         )
         if not converged:
             raise NonConvergenceError(
-                f"no convergence after {max_iter} iterations (residual {max_res})"
+                f"no convergence after {max_iter} iterations"
+                f" (residual {float(max_res):.3g})"
             )
         roots = _cluster(z, cluster_tol)
     return OracleRootSet(

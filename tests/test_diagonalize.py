@@ -218,6 +218,13 @@ class TestDiagonalizeNumeric:
         with pytest.raises(NotDiagonalizableError):
             diagonalize_form(f, mode="numeric")
 
+    def test_numeric_mode_on_one_variable(self):
+        # one eigenvalue: nothing to separate
+        f = NAryForm(1, 3, {(3,): F(5)})
+        result = diagonalize_form(f, mode="numeric")
+        assert len(result.as_power_sum.summands) == 1
+        assert cs.check_decomposition(f, result.as_power_sum, tol=1e-9)
+
 
 def test_center_dim_mismatch_raises():
     # x1^3 + x2^3 viewed in three variables is degenerate: dim Z > 3

@@ -1,11 +1,14 @@
+import math
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
-from mpmath import mp, mpc
+from mpmath import mp, mpc, mpf
 
 import centersolve as cs
 from centersolve import (
+    NonConvergenceError,
     check_decomposition,
     compare_root_sets,
     numeric_roots,
@@ -83,6 +86,54 @@ class TestNumericRoots:
                     assert abs(got - to_mpc(want, 160)) <= 1e-7 * max(
                         1, float(scale)
                     )
+
+    def test_planted_two_power_sum_of_degree_40(self):
+        # (x+2)^40 + 3(x-1)^40: the roots are the Moebius images
+        # (w+2)/(w-1) of the 40 roots w of w^40 = -3
+        d = 40
+        coeffs = [
+            math.comb(d, i) * (2**i + 3 * (-1) ** i) for i in range(d + 1)
+        ]
+        result = numeric_roots(cs.from_plain_coeffs(coeffs))
+        assert result.converged
+        assert result.max_residual < 2.0**-512
+        with mp.workprec(256):
+            roots_of_minus_3 = [mp.root(-3, d, k) for k in range(d)]
+            planted = [(w + 2) / (w - 1) for w in roots_of_minus_3]
+        assert compare_root_sets(planted, result, tol=1e-9).passed
+
+    def test_power_plus_constant_above_the_double_range(self):
+        # x^5 + 10^400: roots 10^80 * exp(i*pi*(2k+1)/5)
+        result = numeric_roots(cs.from_plain_coeffs([1, 0, 0, 0, 0, 10**400]))
+        assert result.converged
+        with mp.workprec(128):
+            planted = [mp.expjpi(mpf(2 * k + 1) / 5) for k in range(5)]
+            scaled = [r.value / mpf(10) ** 80 for r in result.roots]
+        assert compare_root_sets(planted, scaled, tol=1e-12).passed
+
+    def test_degree_7_with_a_330_digit_constant(self):
+        c = 7 * 10**329 + 1
+        result = numeric_roots(cs.from_plain_coeffs([1, 0, 0, 0, 0, 3, -2, c]))
+        assert result.converged
+        roots = result.values_with_multiplicity()
+        assert len(roots) == 7
+        with mp.workprec(256):
+            # Vieta: the roots sum to 0 and multiply to -c
+            assert abs(mp.fsum(roots)) < 1e-30 * abs(roots[0])
+            assert abs(mp.fprod(roots) / c + 1) < 1e-30
+
+    def test_nonconvergence_message_prints_a_short_residual(self):
+        # (x-1)^6 cannot settle in one multiprecision round
+        eq = cs.from_plain_coeffs([1, -6, 15, -20, 15, -6, 1])
+        with pytest.raises(NonConvergenceError) as info:
+            numeric_roots(eq, max_iter=1)
+        message = str(info.value)
+        match = re.fullmatch(
+            r"no convergence after 1 iterations \(residual (\S+)\)", message
+        )
+        assert match is not None, message
+        residual = match.group(1)
+        assert residual == f"{float(residual):.3g}"
 
 
 class TestCompareRootSets:
