@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CenterRankError, DegreeError, PivotError
+from .errors import CenterRankError, DegreeError, NonRationalCoefficientError, PivotError
 from .forms import BinaryForm, NAryForm, hessian
 from .linalg import mat_mul, mat_eq, nullspace, rank
 from .scalars import exact_sqrt
@@ -89,6 +89,11 @@ def compute_center(f: NAryForm) -> CenterBasis:
         raise DegreeError("center computation needs degree >= 3")
     if f.nvars < 1:
         raise DegreeError("form must have at least one variable")
+    for c in f.terms.values():
+        if not isinstance(c, (int, Fraction)):
+            raise NonRationalCoefficientError(
+                f"the center is computed over Q; coefficient {c} is not rational"
+            )
     n = f.nvars
     vectors = nullspace(center_system(f), n_cols=n * n)
     basis = tuple(

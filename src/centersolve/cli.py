@@ -16,6 +16,7 @@ two-power decomposition does not expand back).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -108,6 +109,11 @@ def build_parser() -> _ArgumentParser:
             help="process one input per line of FILE",
         )
     return parser
+
+
+#: The parser run_command uses, built on its first call: building one costs
+#: ~25x a parse_args call, and a parser keeps no state between parses.
+_shared_parser = functools.cache(build_parser)
 
 
 # ---------------------------------------------------------------------------
@@ -487,9 +493,8 @@ def run_command(argv, stdout=None, stderr=None) -> int:
     """Run one CLI invocation; returns the exit code."""
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=err)
         return EXIT_USAGE

@@ -37,6 +37,10 @@ class IrrationalSpectrumError(CenterSolveError):
     """The generic center element does not split over Q in exact mode."""
 
 
+class NonRationalCoefficientError(CenterSolveError):
+    """An exact center computation met a coefficient outside Q (QuadExt, mpf)."""
+
+
 class NoRadicalMethodError(CenterSolveError):
     """The equation's center is trivial; no radical formula applies here."""
 

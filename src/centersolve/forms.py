@@ -22,12 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 from mpmath import mp, mpc
 
 from .errors import DegreeError
-from .scalars import DEFAULT_PREC, as_fraction, is_exact, to_mpc
+from .scalars import DEFAULT_PREC, as_fraction, clear_denominators, is_exact, to_mpc
 
 # ---------------------------------------------------------------------------
 # sparse polynomial helpers (exponent tuple -> coefficient)
@@ -379,20 +380,70 @@ class PowerSumDecomposition:
         return PowerSumDecomposition(tuple(sorted(normalized, key=key)), self.degree)
 
 
+@lru_cache(maxsize=None)
+def _multinomial_terms(d: int, k: int) -> tuple:
+    """(alpha, d!/prod alpha_j!) for every alpha in N^k with |alpha| = d."""
+    if k == 1:
+        return (((d,), 1),)
+    return tuple(
+        ((e,) + rest, comb(d, e) * c)
+        for e in range(d, -1, -1)
+        for rest, c in _multinomial_terms(d - e, k - 1)
+    )
+
+
+def _integer_summands(dec: PowerSumDecomposition):
+    """Rational summands as (integer weight, integer form) over one denominator.
+
+    c * (L/m)^d = (w / den) * L^d with L integer; None if any scalar is not
+    rational.
+    """
+    forms = [clear_denominators(form.coeffs) for _, form in dec.summands]
+    coeffs = clear_denominators([c for c, _ in dec.summands])
+    if coeffs is None or None in forms:
+        return None
+    nums, den = coeffs
+    weights, common = clear_denominators(
+        [Fraction(c, den * m**dec.degree) for c, (_, m) in zip(nums, forms)]
+    )
+    return [(w, ints) for w, (ints, _) in zip(weights, forms)], common
+
+
 def expand(dec: PowerSumDecomposition, n: int) -> NAryForm:
-    """Multinomial expansion of a power-sum decomposition into a form."""
+    """Multinomial expansion of a power-sum decomposition into a form.
+
+    Each (l.x)^d is sum over |alpha| = d of d!/prod alpha_j! * prod l_j^alpha_j
+    * x^alpha.  Rational summands are expanded in integers over one common
+    denominator, with one Fraction per monomial; QuadExt or mpc summands use
+    the same formula in their own arithmetic.
+    """
     for _, form in dec.summands:
         if len(form) != n:
             raise ValueError(f"linear form {form} does not have {n} coefficients")
+    d = dec.degree
+    cleared = _integer_summands(dec)
+    summands, den = cleared or ([(c, form.coeffs) for c, form in dec.summands], None)
     total = {}
-    for c, form in dec.summands:
-        lin = {
-            tuple(1 if t == j else 0 for t in range(n)): x
-            for j, x in enumerate(form.coeffs)
-            if x != 0
-        }
-        total = poly_add(total, poly_scale(c, poly_pow(lin, dec.degree, n)))
-    return NAryForm(n, dec.degree, total)
+    for c, coeffs in summands:
+        support = [j for j, x in enumerate(coeffs) if x != 0]
+        powers = []
+        for j in support:
+            row = [1]
+            for _ in range(d):
+                row.append(row[-1] * coeffs[j])
+            powers.append(row)
+        for alpha, multinomial in _multinomial_terms(d, len(support)):
+            t = c * multinomial
+            mono = [0] * n
+            for j, e, row in zip(support, alpha, powers):
+                if e:
+                    t = t * row[e]
+                    mono[j] = e
+            mono = tuple(mono)
+            total[mono] = total.get(mono, 0) + t
+    if den is not None:
+        total = {mono: Fraction(v, den) for mono, v in total.items() if v}
+    return NAryForm(n, d, total)
 
 
 def hessian(f: NAryForm):

@@ -1,21 +1,26 @@
 """Exact linear algebra over the rationals, and the one matrix inverse.
 
-Matrices are plain lists of lists of ``Fraction``.  Elimination is
-fraction-free (one-step Bareiss) on a denominator-cleared integer copy, with
-a fixed column order and row swaps only, so ranks, nullspaces and the bases
-built from them are fully deterministic.  ``inverse`` is Gauss-Jordan with
-largest-entry pivoting and also accepts ``mpc`` matrices, which numeric
-diagonalization passes in.
+Matrices are plain lists of lists of ``Fraction``.  The exact kernels are
+fraction-free: they clear denominators (``scalars.clear_denominators``),
+work in integers and build one ``Fraction`` per output entry.  Elimination
+is one-step Bareiss with a fixed column order and row swaps only, so ranks,
+nullspaces and the bases built from them are fully deterministic;
+nullspace back-substitution and Faddeev-LeVerrier also run in integers.
+``mat_mul`` takes the integer path when both operands are rational and the
+generic scalar loop otherwise (``mpc`` in numeric diagonalization);
+``inverse`` is Gauss-Jordan with largest-entry pivoting over either kind.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from itertools import islice
+from math import gcd
+from operator import mul
 
 from mpmath import mpc
 
-from .scalars import as_fraction
+from .scalars import as_fraction, clear_denominators
 
 Matrix = "list[list[Fraction]]"
 
@@ -32,7 +37,29 @@ def mat_scale(c, a):
     return [[c * x for x in row] for row in a]
 
 
+def _cleared(a):
+    """``(integer matrix, den)`` with ``a == ints / den``, or None if not rational."""
+    flat = clear_denominators([x for row in a for x in row])
+    if flat is None:
+        return None
+    nums = iter(flat[0])
+    return [list(islice(nums, len(row))) for row in a], flat[1]
+
+
+def _rational_matrix(a):
+    """``_cleared`` for kernels that work over Q only: str entries are read as
+    rationals, any other non-rational entry raises TypeError."""
+    return _cleared(a) or _cleared([[as_fraction(x) for x in row] for row in a])
+
+
 def mat_mul(a, b):
+    """Matrix product; fraction-free when both operands are rational."""
+    ca, cb = _cleared(a), _cleared(b)
+    if ca is not None and cb is not None:
+        (ia, da), (ib, db) = ca, cb
+        den = da * db
+        cols = list(zip(*ib))
+        return [[Fraction(sum(map(mul, row, col)), den) for col in cols] for row in ia]
     n, k, m = len(a), len(b), len(b[0])
     out = [[Fraction(0)] * m for _ in range(n)]
     for i in range(n):
@@ -48,22 +75,8 @@ def mat_mul(a, b):
     return out
 
 
-def trace(a):
-    return sum((a[i][i] for i in range(len(a))), Fraction(0))
-
-
 def mat_eq(a, b) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
-def _to_integer_rows(rows):
-    """Scale each row by its denominator lcm; nullspace is unchanged."""
-    out = []
-    for row in rows:
-        row = [as_fraction(x) for x in row]
-        m = lcm(*(x.denominator for x in row)) if row else 1
-        out.append([int(x * m) for x in row])
-    return out
 
 
 def row_echelon(rows):
@@ -73,7 +86,8 @@ def row_echelon(rows):
     row-equivalent to the input and ``pivot_cols`` lists the pivot column of
     each nonzero row in order.
     """
-    m = _to_integer_rows(rows)
+    # each row cleared by its own denominator lcm; the row space is unchanged
+    m = [_rational_matrix([row])[0][0] for row in rows]
     if not m:
         return [], []
     n_rows, n_cols = len(m), len(m[0])
@@ -131,16 +145,21 @@ def nullspace(rows, n_cols: int | None = None):
     free_cols = [c for c in range(n_cols) if c not in pivot_set]
     basis = []
     for f in reversed(free_cols):
-        v = [Fraction(0)] * n_cols
-        v[f] = Fraction(1)
+        # integer back-substitution: v / v[f] is the basis vector; v is scaled
+        # up whenever a pivot does not divide, so v[f] ends as the denominator
+        v = [0] * n_cols
+        v[f] = 1
         for r in reversed(range(len(pivots))):
             c = pivots[r]
-            s = sum(
-                (Fraction(ech[r][j]) * v[j] for j in range(c + 1, n_cols)),
-                Fraction(0),
-            )
-            v[c] = -s / ech[r][c]
-        basis.append(v)
+            row = ech[r]
+            num = -sum(map(mul, row[c + 1 :], v[c + 1 :]))
+            p = row[c]
+            if num % p:
+                s = abs(p) // gcd(num, p)
+                v = [x * s for x in v]
+                num *= s
+            v[c] = num // p
+        basis.append([Fraction(x, v[f]) for x in v])
     return basis
 
 
@@ -173,17 +192,25 @@ def inverse(a):
 def char_poly(a):
     """Characteristic polynomial det(xI - A), monic, descending coefficients.
 
-    Faddeev-LeVerrier recurrence; exact over the rationals.
+    Faddeev-LeVerrier recurrence on the integer matrix B = den * A, whose
+    characteristic polynomial has integer coefficients c_k, so every division
+    by k is exact; the coefficients of A are c_k / den^k.
     """
-    n = len(a)
-    coeffs = [Fraction(1)]
-    m = identity(n)
+    b, den = _rational_matrix(a)
+    n = len(b)
+    coeffs = [1]
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        am = mat_mul(a, m)
-        ck = -trace(am) / k
+        cols = list(zip(*m))
+        bm = [[sum(map(mul, row, col)) for col in cols] for row in b]
+        ck, rem = divmod(-sum(bm[i][i] for i in range(n)), k)
+        if rem:  # c_k is an integer coefficient of B's char poly; guard regressions
+            raise ArithmeticError("inexact Faddeev-LeVerrier division")
         coeffs.append(ck)
-        m = mat_add(am, mat_scale(ck, identity(n)))
-    return coeffs
+        for i in range(n):
+            bm[i][i] += ck
+        m = bm
+    return [Fraction(c, den**k) for k, c in enumerate(coeffs)]
 
 
 def span_equal(vectors_a, vectors_b) -> bool:

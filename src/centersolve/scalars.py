@@ -41,6 +41,28 @@ def as_fraction(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
+def clear_denominators(values):
+    """Integers over one common denominator, or None for non-rational entries.
+
+    Returns ``(nums, den)`` with ``values[k] == nums[k] / den`` and ``den``
+    the lcm of the denominators, when every entry is an int or a Fraction.
+    Any other entry (QuadExt, mpc, mpf) gives None, so the caller keeps its
+    generic scalar path.
+    """
+    den = 1
+    for x in values:
+        if isinstance(x, Fraction):
+            q = x.denominator
+            if den % q:
+                den = math.lcm(den, q)
+        elif not isinstance(x, int):
+            return None
+    return [
+        x.numerator * (den // x.denominator) if isinstance(x, Fraction) else x * den
+        for x in values
+    ], den
+
+
 def _square_part(n: int) -> int:
     """Largest s with s*s dividing n (trial division, n > 0)."""
     s = 1

@@ -286,6 +286,18 @@ class TestExitCodes:
         code, out, _ = run(["--help"])
         assert code == 0
 
+    def test_parser_is_built_once_per_process(self, monkeypatch):
+        import centersolve.cli as cli
+
+        assert run(["classify", "x^3 - 2"])[0] == EXIT_OK
+
+        def rebuilt():
+            raise AssertionError("run_command rebuilt the parser")
+
+        monkeypatch.setattr(cli, "build_parser", rebuilt)
+        assert run(["classify", "x^3 - 2"])[0] == EXIT_OK
+        assert run(["classify", "--precision", "x"])[0] == EXIT_USAGE
+
 
 class TestBatch:
     def test_batch_order_and_worst_code(self, tmp_path):

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from mpmath import mpf
 
 import centersolve as cs
 from centersolve import (
@@ -231,3 +232,12 @@ def test_center_dim_mismatch_raises():
     f = NAryForm(3, 3, {(3, 0, 0): F(1), (0, 3, 0): F(1)})
     with pytest.raises(NotDiagonalizableError):
         diagonalize_form(f)
+
+
+@pytest.mark.parametrize("mode", ["exact", "numeric"])
+@pytest.mark.parametrize("coefficient", [cs.QuadExt(0, 1, 2), mpf("1.5")], ids=["QuadExt", "mpf"])
+def test_non_rational_coefficient_is_a_typed_error(mode, coefficient):
+    # used to escape as a bare TypeError from the nullspace of the center system
+    f = NAryForm(2, 3, {(3, 0): coefficient, (0, 3): F(1)})
+    with pytest.raises(cs.NonRationalCoefficientError, match="not rational"):
+        diagonalize_form(f, mode=mode)

@@ -2,7 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from mpmath import mpc
 
 import centersolve as cs
 from centersolve import (
@@ -10,10 +11,12 @@ from centersolve import (
     LinearForm,
     NAryForm,
     PowerSumDecomposition,
+    QuadExt,
     expand,
     from_plain_coeffs,
     hessian,
 )
+from centersolve.forms import poly_add, poly_pow, poly_scale
 from conftest import TERNARY_CUBIC_DEC, TERNARY_CUBIC_TERMS, rand_fraction
 
 
@@ -79,6 +82,75 @@ class TestExpand:
     def test_wrong_variable_count(self):
         with pytest.raises(ValueError):
             expand(TERNARY_CUBIC_DEC, 2)
+
+
+def convolution_expand(dec, n):
+    """Reference: each (l.x)^d by repeated squaring of the sparse linear form."""
+    total = {}
+    for c, form in dec.summands:
+        lin = {
+            tuple(int(t == j) for t in range(n)): x
+            for j, x in enumerate(form.coeffs)
+            if x != 0
+        }
+        total = poly_add(total, poly_scale(c, poly_pow(lin, dec.degree, n)))
+    return NAryForm(n, dec.degree, total)
+
+
+rationals = st.one_of(
+    st.integers(-5, 5), st.fractions(min_value=-6, max_value=6, max_denominator=7)
+)
+
+
+def quad_ext(disc):
+    return st.builds(lambda a, b: QuadExt(a, b, disc), rationals, rationals)
+
+
+complexes = st.builds(
+    mpc, st.floats(-4, 4, allow_nan=False), st.floats(-4, 4, allow_nan=False)
+)
+
+
+@st.composite
+def decompositions(draw, scalars):
+    n = draw(st.integers(1, 5))
+    d = draw(st.integers(1, 5))
+    entry = st.one_of(scalars, st.just(0))
+    forms = st.lists(entry, min_size=n, max_size=n).filter(
+        lambda xs: any(x != 0 for x in xs)
+    )
+    summands = draw(
+        st.lists(st.tuples(scalars, forms.map(LinearForm)), min_size=1, max_size=4)
+    )
+    return PowerSumDecomposition(tuple(summands), d), n
+
+
+class TestExpandAgainstConvolution:
+    @settings(max_examples=60, deadline=None)
+    @given(decompositions(rationals))
+    def test_rational_summands(self, case):
+        dec, n = case
+        f = expand(dec, n)
+        assert f == convolution_expand(dec, n)
+        assert all(type(c) is F for c in f.terms.values())
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([-3, -1, 2, 5]).flatmap(
+        lambda disc: decompositions(st.one_of(rationals, quad_ext(disc)))
+    ))
+    def test_quadratic_extension_summands(self, case):
+        dec, n = case
+        assert expand(dec, n) == convolution_expand(dec, n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(decompositions(st.one_of(complexes, rationals)))
+    def test_mpc_summands(self, case):
+        dec, n = case
+        f, g = expand(dec, n), convolution_expand(dec, n)
+        scale = max([1.0] + [abs(complex(c)) for c in g.terms.values()])
+        for mono in set(f.terms) | set(g.terms):
+            diff = complex(f.coefficient(mono)) - complex(g.coefficient(mono))
+            assert abs(diff) <= 1e-12 * scale
 
 
 class TestEvaluate:
