@@ -220,7 +220,7 @@ def diagonalize_form(
 def _numeric_spectrum(cp, wprec: int, tol: float) -> list:
     """All eigenvalues of the generic element, numerically and separated."""
     n = len(cp) - 1
-    approx = numeric_roots(from_plain_coeffs(cp), tol=1e-20, prec=wprec, cluster_tol=1e-24)
+    approx = numeric_roots(from_plain_coeffs(cp), tol=1e-20, prec=wprec)
     eigenvalues = approx.values_with_multiplicity()
     if len(eigenvalues) != n:
         raise NotDiagonalizableError("could not separate the numeric spectrum")

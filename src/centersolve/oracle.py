@@ -1,24 +1,29 @@
 """Independent numeric verification: root finding without radicals.
 
-The root finder is a simultaneous Aberth-Ehrlich iteration in two phases,
-followed by Newton polishing and a clustering pass that assigns
-multiplicities.  It never sees the radical formulas it is used to check.
+An exact square-free split, then a simultaneous Aberth-Ehrlich iteration in
+two phases on each factor.  It reads only the coefficients, never the radical
+formulas it is used to check.
 
-1. Float phase.  Deterministic perturbed-circle guesses on Fujiwara's bound
-   of the root moduli are iterated in hardware ``complex`` on the monic
-   coefficients, each root until |p(z)| is under the double-precision
-   rounding floor, the whole phase until every root is there or the steps
-   stall.  When a monic coefficient or an iterate is not a finite double
-   (inputs beyond ~1e308) or two results coincide, the circle itself seeds
-   the next phase.
-2. Multiprecision phase.  The same update at the working precision, from
-   those seeds, until every root is at the rounding floor or every step is
-   below 256 eps.  A root already at the floor is not updated.
-   ``OracleRootSet.iterations`` counts these rounds only.
+0. Square-free split.  The rational coefficients are cleared to a primitive
+   integer polynomial f, and Yun's algorithm (SYMSAC 1976), on gcds from a
+   primitive pseudo-remainder sequence, writes f = c * prod g_m^m with the
+   g_m square-free and coprime.  A root of g_m is simple there, so Aberth
+   converges quadratically, and its multiplicity in f is exactly m.  A linear
+   factor's root is its quotient, rounded once.
+1. Float phase.  Perturbed-circle guesses on Fujiwara's root bound are
+   iterated in hardware ``complex`` on the monic coefficients, each root
+   until |p(z)| is under the double-precision rounding floor, the phase until
+   every root is there or the steps stall.  When a monic coefficient or an
+   iterate is not a finite double (inputs beyond ~1e308) or two results
+   coincide, the circle itself seeds the next phase.
+2. Multiprecision phase.  The same update at the working precision until
+   every root is at the rounding floor (and no longer updated) or every step
+   is below 256 eps.  ``OracleRootSet.iterations`` counts these rounds only,
+   summed over the factors.
 
-Working precision scales with the degree: a root of multiplicity m can only
-be located to about eps^(1/m), so confirming a multiplicity-6 cluster inside
-a 1e-6 window needs far more than double precision.
+Working precision scales with the degree of the factor iterated: its roots
+are simple, but a simple root's condition number can still grow
+exponentially with the degree (Wilkinson's polynomial).
 """
 
 from __future__ import annotations
@@ -27,9 +32,11 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import NamedTuple
 
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import to_rational
 
 from .errors import NonConvergenceError
 from .forms import (
@@ -37,9 +44,8 @@ from .forms import (
     PowerSumDecomposition,
     UnivariateEquation,
     expand,
-    from_plain_coeffs,
 )
-from .scalars import DEFAULT_PREC, as_fraction, is_exact, to_mpc
+from .scalars import DEFAULT_PREC, as_fraction, clear_denominators, is_exact, to_mpc
 
 #: Fixed irrational angular offset for the initial circle (radians).
 _ANGLE_OFFSET = 0.7071067811865476
@@ -56,7 +62,7 @@ class OracleRoot(NamedTuple):
 @dataclass
 class OracleRootSet:
     roots: list  # of OracleRoot, multiplicities summing to the degree
-    iterations: int  # multiprecision Aberth rounds
+    iterations: int  # multiprecision Aberth rounds, summed over the factors
     converged: bool
     max_residual: float  # scaled residual max |f(z)| / (max|b| * max(1,|z|)^d)
 
@@ -169,15 +175,51 @@ def numeric_roots(
     tol: float = 1e-12,
     prec: int = DEFAULT_PREC,
     max_iter: int = 500,
-    cluster_tol: float = 1e-6,
 ) -> OracleRootSet:
-    """All complex roots of the equation by Aberth-Ehrlich iteration."""
+    """All complex roots of a rational equation by Aberth-Ehrlich iteration.
+
+    Each square-free factor gets the working precision of its degree and at
+    most ``max_iter`` rounds; ``iterations`` sums the rounds.  ``max_residual``
+    is measured against the input.
+    """
     d = eq.degree
     if d < 1:
         raise NonConvergenceError("degree must be >= 1")
+    factors = _squarefree(clear_denominators(eq.plain)[0])
+    runs = [(_aberth(g, tol, prec, max_iter), m) for g, m in factors]
+    roots = [OracleRoot(zk, m) for (z, _, _), m in runs for zk in z]
+    iterations = sum(rounds for (_, rounds, _), _ in runs)
+    converged = all(ok for (_, _, ok), _ in runs)
     wprec = _working_prec(d, tol, prec)
     with mp.workprec(wprec):
         b = [to_mpc(c, wprec) for c in eq.plain]
+        scale = max(abs(c) for c in b)
+        max_res = max(
+            abs(_horner(b, r.value)) / (scale * max(mpf(1), abs(r.value)) ** d)
+            for r in roots
+        )
+        if not converged:
+            raise NonConvergenceError(
+                f"no convergence after {max_iter} iterations"
+                f" (residual {float(max_res):.3g})"
+            )
+    roots.sort(key=lambda r: (r.value.real, r.value.imag))
+    return OracleRootSet(
+        roots=roots,
+        iterations=iterations,
+        converged=converged,
+        max_residual=float(max_res),
+    )
+
+
+def _aberth(coeffs, tol, prec, max_iter):
+    """(roots, multiprecision rounds, converged) of one polynomial."""
+    d = len(coeffs) - 1
+    wprec = _working_prec(d, tol, prec)
+    with mp.workprec(wprec):
+        b = [to_mpc(c, wprec) for c in coeffs]
+        if d == 1:
+            return [-b[1] / b[0]], 0, True
         db = [(d - i) * b[i] for i in range(d)]
         abs_b = [abs(c) for c in b]
         circle = _start_circle(abs_b)
@@ -215,64 +257,72 @@ def numeric_roots(
             if all_quiet or max_step < eps * 256:
                 converged = True
                 break
-        # Newton polishing, kept only when it lowers the residual
-        for k in range(d):
-            for _ in range(3):
-                p = _horner(b, z[k])
-                dp = _horner(db, z[k])
-                if dp == 0:
-                    break
-                candidate = z[k] - p / dp
-                if abs(_horner(b, candidate)) < abs(p):
-                    z[k] = candidate
-                else:
-                    break
         if any(not mp.isfinite(zk) for zk in z):
             raise NonConvergenceError("iteration produced a non-finite value")
-        scale = max(abs_b)
-        max_res = max(
-            abs(_horner(b, zk)) / (scale * max(mpf(1), abs(zk)) ** d) for zk in z
-        )
-        if not converged:
-            raise NonConvergenceError(
-                f"no convergence after {max_iter} iterations"
-                f" (residual {float(max_res):.3g})"
-            )
-        roots = _cluster(z, cluster_tol)
-    return OracleRootSet(
-        roots=roots,
-        iterations=iterations,
-        converged=converged,
-        max_residual=float(max_res),
-    )
+    return z, iterations, converged
 
 
-def _cluster(values, cluster_tol):
-    """Group values within cluster_tol (transitively); mean as representative."""
-    order = sorted(range(len(values)), key=lambda i: (values[i].real, values[i].imag))
-    parent = list(range(len(values)))
+# ---------------------------------------------------------------------------
+# exact square-free split (integer coefficients, highest degree first)
+# ---------------------------------------------------------------------------
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
 
-    for a in range(len(values)):
-        for b in range(a + 1, len(values)):
-            if abs(values[a] - values[b]) <= cluster_tol:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[rb] = ra
-    groups = {}
-    for i in order:
-        groups.setdefault(find(i), []).append(values[i])
-    roots = []
-    for members in groups.values():
-        rep = sum(members, mpc(0)) / len(members)
-        roots.append(OracleRoot(value=rep, multiplicity=len(members)))
-    roots.sort(key=lambda r: (r.value.real, r.value.imag))
-    return roots
+def _strip(f):
+    """f without its leading zeros ([] for the zero polynomial)."""
+    return f[next((k for k, c in enumerate(f) if c), len(f)):]
+
+
+def _primitive(f):
+    """f over its content, with a positive leading coefficient."""
+    f = _strip(f)
+    g = math.gcd(*f) if f and f[0] > 0 else -math.gcd(*f)
+    return [c // g for c in f]
+
+
+def _derivative(f):
+    n = len(f) - 1
+    return [(n - i) * c for i, c in enumerate(f[:-1])]
+
+
+def _prem(a, b):
+    """Primitive part of the pseudo-remainder of a by b."""
+    while len(a) >= len(b):
+        a = [b[0] * x - a[0] * y for x, y in zip_longest(a[1:], b[1:], fillvalue=0)]
+    return _primitive(a)
+
+
+def _gcd(a, b):
+    """gcd of a and b (deg a > deg b) by a primitive pseudo-remainder sequence."""
+    while b:
+        a, b = b, _prem(a, b)
+    return _primitive(a)
+
+
+def _quotient(a, b):
+    """a / b for integer polynomials where the primitive b divides a."""
+    q = []
+    while len(a) >= len(b):
+        q.append(a[0] // b[0])
+        a = [x - q[-1] * y for x, y in zip_longest(a[1:], b[1:], fillvalue=0)]
+    return q
+
+
+def _squarefree(f):
+    """[(g_m, m), ...], nonconstant primitive g_m: f = c * prod g_m^m (Yun)."""
+    f = _primitive(f)
+    df = _derivative(f)
+    a = _gcd(f, df)
+    b, c = _quotient(f, a), _quotient(df, a)
+    factors, m = [], 1
+    while len(b) > 1:
+        db = _derivative(b)
+        d = _strip([x - y for x, y in zip([0] * (len(db) - len(c)) + c, db)])
+        a = _gcd(b, d)
+        if len(a) > 1:
+            factors.append((a, m))
+        b, c = _quotient(b, a), _quotient(d, a)
+        m += 1
+    return factors
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +357,7 @@ def compare_root_sets(a, b, tol: float = 1e-9) -> MatchReport:
     A cardinality mismatch is a structural failure, reported rather than
     raised.  The greedy nearest-neighbor matching is followed by a swap
     refinement pass so near-ties cannot manufacture a spurious failure.
+    The pair distances are computed once, at the caller's precision.
     """
     va = _expanded_values(a)
     vb = _expanded_values(b)
@@ -319,16 +370,14 @@ def compare_root_sets(a, b, tol: float = 1e-9) -> MatchReport:
             pairs=[],
         )
     n = len(va)
+    dist = [[abs(x - y) for y in vb] for x in va]
     used = [False] * n
     match = [0] * n
     for i in range(n):
-        best, best_d = None, None
+        best = None
         for j in range(n):
-            if used[j]:
-                continue
-            dist = abs(va[i] - vb[j])
-            if best_d is None or dist < best_d:
-                best, best_d = j, dist
+            if not used[j] and (best is None or dist[i][j] < dist[i][best]):
+                best = j
         match[i] = best
         used[best] = True
     improved = True
@@ -336,12 +385,11 @@ def compare_root_sets(a, b, tol: float = 1e-9) -> MatchReport:
         improved = False
         for i in range(n):
             for j in range(i + 1, n):
-                cur = max(abs(va[i] - vb[match[i]]), abs(va[j] - vb[match[j]]))
-                alt = max(abs(va[i] - vb[match[j]]), abs(va[j] - vb[match[i]]))
-                if alt < cur:
-                    match[i], match[j] = match[j], match[i]
+                mi, mj = match[i], match[j]
+                if max(dist[i][mj], dist[j][mi]) < max(dist[i][mi], dist[j][mj]):
+                    match[i], match[j] = mj, mi
                     improved = True
-    pairs = [(va[i], vb[match[i]], float(abs(va[i] - vb[match[i]]))) for i in range(n)]
+    pairs = [(va[i], vb[match[i]], float(dist[i][match[i]])) for i in range(n)]
     max_distance = max((p[2] for p in pairs), default=0.0)
     worst_index = max(range(n), key=lambda i: pairs[i][2]) if n else None
     return MatchReport(
@@ -378,75 +426,40 @@ def check_decomposition(
 
 
 # ---------------------------------------------------------------------------
-# exact rational roots (numeric seed + exact verification)
+# exact rational roots (square-free split + numeric seed + exact verification)
 # ---------------------------------------------------------------------------
 
 
-def _mpf_to_fraction(x) -> Fraction:
-    sign, man, exp, _ = x._mpf_
-    frac = Fraction(man) * Fraction(2) ** exp
-    return -frac if sign else frac
-
-
 def rational_roots(coeffs) -> list:
-    """All rational roots (with multiplicity) of a rational polynomial.
+    """All rational roots of a rational polynomial: [(root, multiplicity)], sorted.
 
-    One numeric root run on the input seeds the candidates, from its cluster
-    means and its single approximations; each candidate is reconstructed
-    with bounded denominators and verified by exact evaluation against the
-    polynomial as it is deflated by exact synthetic division, which also
-    counts its multiplicity.  A linear remainder left after deflation has a
-    rational root.  Returns [(root, multiplicity), ...] sorted.
+    A root's multiplicity is the index of its square-free factor g.  A root
+    r = u/v of g has v | L, the leading coefficient of the primitive g, so
+    candidates are 1/L^2 apart and limit_denominator(L) recovers r from an
+    iterate z within 1/(2L^2); a candidate counts only if g(r) == 0.  As
+    v^(n-1) g'(r) is a nonzero integer and |g(z)| <= 8 n eps ||g||_1 B^n at
+    the rounding floor (B: Fujiwara's bound), |z - r| ~ |g(z) / g'(r)| is
+    below 1/(2L^2) once eps < 1 / (16 n ||g||_1 B^n L^(n+1)), plus 32 bits.
     """
     work = [as_fraction(c) for c in coeffs]
     if work[0] == 0:
         raise ValueError("leading coefficient must be nonzero")
-    found = {}
-    candidates = _rational_candidates(work) if len(work) > 2 else []
-    for r in candidates:
-        mult = 0
-        while len(work) > 1 and _eval_poly(work, r) == 0:
-            work = _deflate(work, r)
-            mult += 1
-        if mult:
-            found[r] = mult
-    if len(work) == 2:
-        found[-work[1] / work[0]] = 1
-    return sorted(found.items())
-
-
-def _eval_poly(coeffs, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in coeffs:
-        acc = acc * x + c
-    return acc
-
-
-def _deflate(coeffs, r: Fraction):
-    out = [coeffs[0]]
-    for c in coeffs[1:-1]:
-        out.append(out[-1] * r + c)
-    return out
-
-
-def _rational_candidates(coeffs):
-    eq = from_plain_coeffs(coeffs)
-    try:
-        approx = numeric_roots(eq, tol=1e-20, prec=160, cluster_tol=0)
-    except NonConvergenceError:
-        return []
-    values = approx.values_with_multiplicity()
-    with mp.workprec(_working_prec(eq.degree, 1e-20, 160)):
-        # a cluster mean locates a multiple root best; the single values
-        # still separate distinct roots closer than the cluster tolerance
-        seeds = [r.value for r in _cluster(values, 1e-6)] + values
-    out = []
-    for z in seeds:
-        if abs(z.imag) > 1e-10 * (1 + abs(z.real)):
+    found = []
+    for g, m in _squarefree(clear_denominators(work)[0]):
+        n, lead = len(g) - 1, g[0]
+        if n == 1:
+            found.append((Fraction(-g[1], lead), m))
             continue
-        re = _mpf_to_fraction(z.real)
-        for bound in (1, 1000, 10**6, 10**9):
-            cand = re.limit_denominator(bound)
-            if cand not in out:
-                out.append(cand)
-    return out
+        logs = [(math.log2(abs(c)) - math.log2(lead)) / i for i, c in enumerate(g[1:], 1) if c]
+        log_b = 1 + max(0, *logs)
+        bits = math.log2(16 * n * sum(map(abs, g))) + n * log_b + (n + 1) * math.log2(lead)
+        approx, _, converged = _aberth(g, 1e-12, int(bits) + 32, 500)
+        if not converged:
+            raise NonConvergenceError("rational_roots: no convergence after 500 iterations")
+        candidates = {
+            Fraction(*to_rational(z.real._mpf_)).limit_denominator(lead)
+            for z in approx
+            if 2 * abs(z.imag) * lead * lead < 1
+        }
+        found += [(r, m) for r in candidates if _horner(g, r) == 0]
+    return sorted(found)

@@ -81,6 +81,19 @@ def _square_part(n: int) -> int:
     return s
 
 
+def _radicand_scale(n: int, m: int) -> Fraction | None:
+    """t with sqrt(n) == t * sqrt(m) (principal branches), or None.
+
+    sqrt(n) and sqrt(m) generate the same field iff n*m is a square s^2, and
+    then sqrt(n) = (s/|m|) * sqrt(m).  No factoring: radicands the trial
+    division of _square_part gave up on still match.
+    """
+    if n == m:
+        return Fraction(1)
+    s = math.isqrt(n * m) if n * m > 0 else 0
+    return Fraction(s, abs(m)) if s and s * s == n * m else None
+
+
 def _normalize_radicand(disc: Fraction) -> tuple[int, Fraction]:
     """Rewrite sqrt(p/q) as (scale) * sqrt(n) with n a square-reduced integer.
 
@@ -185,11 +198,12 @@ class QuadExt:
     def _match(self, other):
         """Split other into (a, b) parts over this value's radicand."""
         if isinstance(other, QuadExt):
-            if other.disc != self.disc:
+            t = _radicand_scale(other.disc.numerator, self.disc.numerator)
+            if t is None:
                 raise TypeError(
                     f"cannot mix sqrt({self.disc}) with sqrt({other.disc})"
                 )
-            return other.a, other.b
+            return other.a, other.b * t
         if isinstance(other, (int, Fraction)):
             return as_fraction(other), Fraction(0)
         return None
@@ -266,17 +280,15 @@ class QuadExt:
 
     def __eq__(self, other):
         if isinstance(other, QuadExt):
-            return (
-                self.disc == other.disc
-                and self.a == other.a
-                and self.b == other.b
-            )
+            t = _radicand_scale(other.disc.numerator, self.disc.numerator)
+            return t is not None and self.a == other.a and self.b == other.b * t
         if isinstance(other, (int, Fraction)):
             return False  # b != 0 by construction
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.a, self.b, self.disc))
+        # b^2 * disc is the same for every radicand of one field
+        return hash((self.a, self.b * self.b * self.disc))
 
     def __repr__(self):
         return f"QuadExt({self.a!r}, {self.b!r}, {self.disc!r})"
@@ -304,10 +316,15 @@ def to_mpc(x, prec: int = DEFAULT_PREC) -> mpc:
     """Numeric image of an exact scalar (or passthrough of a numeric one).
 
     sqrt uses the principal branch, so negative radicands land on the
-    positive imaginary axis.
+    positive imaginary axis.  When a and b*sqrt(disc) have opposite signs
+    and would cancel, a + b*sqrt(disc) is taken as its exact norm over its
+    conjugate, which does not cancel.
     """
     with mp.workprec(prec):
         if isinstance(x, QuadExt):
+            if x.disc > 0 and x.a * x.b < 0:
+                conj = x.conjugate()
+                return to_mpc(x * conj, prec) / to_mpc(conj, prec)
             root = mp.sqrt(_frac_to_mpf(x.disc))
             return mpc(_frac_to_mpf(x.a)) + _frac_to_mpf(x.b) * root
         if isinstance(x, (int, Fraction)):

@@ -493,18 +493,26 @@ def _two_power_roots(eq: UnivariateEquation, data: BinaryInvariants, prec, branc
         l1 = to_mpc(data.lambda1, prec)
         l2 = to_mpc(data.lambda2, prec)
         d1 = to_mpc(data.D1, prec)
-        for i in range(d):
+        ws = [delta * unit_root(d, i, prec) for i in range(d)]
+        # 1 - w cancels for the w nearest 1; there 1 - w = (1 - ratio) / sum w^j,
+        # since w^d = ratio is exact and the sum is near d
+        near = min(range(d), key=lambda i: abs(1 - ws[i]))
+        for i, w in enumerate(ws):
             k = (i + branch) % d
-            w = delta * unit_root(d, i, prec)
             exact = None
             if delta_exact is not None and k == 0:
                 exact = (delta_exact * data.lambda1 - data.lambda2) / (
                     data.D1 * (1 - delta_exact)
                 )
+            one_minus_w = (
+                to_mpc(1 - ratio, prec) / sum(w**j for j in range(d))
+                if i == near
+                else 1 - w
+            )
             value = (
                 to_mpc(exact, prec)
                 if exact is not None
-                else (w * l1 - l2) / (d1 * (1 - w))
+                else (w * l1 - l2) / (d1 * one_minus_w)
             )
             pretty = (
                 f"(delta*zeta_{d}^{k}*l1 - l2)/(D1*(1 - delta*zeta_{d}^{k})), "

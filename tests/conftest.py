@@ -1,8 +1,10 @@
 """Shared fixtures: worked examples and seeded random generators."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
+from mpmath import mp, mpf
 
 import centersolve as cs
 
@@ -49,6 +51,23 @@ TERNARY_CENTER_BASIS = (
     ((F(0), F(-1), F(2)), (F(0), F(1), F(-2)), (F(0), F(0), F(0))),
     ((F(0), F(0), F(-3)), (F(0), F(0), F(2)), (F(0), F(0), F(1))),
 )
+
+# lambda1*(x + beta1)^4 + lambda2*(x + beta2)^4 with -lambda2/lambda1 = 1 + 10^-30
+NEAR_ONE = (F(-2), F(2) * (1 + F(1, 10**30)), F(11, 6), F(2))
+
+
+def near_one_plain():
+    l1, l2, b1, b2 = NEAR_ONE
+    return [math.comb(4, i) * (l1 * b1**i + l2 * b2**i) for i in range(5)]
+
+
+def near_one_planted_roots():
+    """(s*beta2 - beta1) / (1 - s) over the fourth roots s of the radicand."""
+    with mp.workprec(320):
+        l1, l2, b1, b2 = (mpf(x.numerator) / x.denominator for x in NEAR_ONE)
+        base = mp.root(-l2 / l1, 4)
+        s = [base * mp.expjpi(mpf(k) / 2) for k in range(4)]
+        return [complex((t * b2 - b1) / (1 - t)) for t in s]
 
 
 @pytest.fixture

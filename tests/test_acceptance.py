@@ -184,7 +184,7 @@ def test_criterion_2_degree7_golden():
     got = sorted((r.exact, r.multiplicity) for r in rs.roots)
     assert got == [(F(-1, 3), 1), (F(1, 2), 6)]
     assert all(isinstance(r.exact, F) for r in rs.roots)
-    oracle = numeric_roots(eq, cluster_tol=1e-6)
+    oracle = numeric_roots(eq)
     mults = sorted(r.multiplicity for r in oracle.roots)
     assert mults == [1, 6]
     six = next(r for r in oracle.roots if r.multiplicity == 6)

@@ -12,6 +12,7 @@ from centersolve.cli import (
     EXIT_VERIFY,
     run_command,
 )
+from conftest import near_one_plain, near_one_planted_roots
 
 GOLDEN = Path(__file__).parent / "golden" / "quintic_solve.json"
 
@@ -312,9 +313,19 @@ class TestBatch:
         code, _, err = run(["solve", "--batch", "/nonexistent/file.txt"])
         assert code == EXIT_USAGE
 
-    def test_internal_error_does_not_end_the_batch(self, tmp_path):
-        # the first line's radicand lies within 1e-30 of 1, where the radical
-        # evaluation divides by zero; the second line must still be solved
+    def test_internal_error_does_not_end_the_batch(self, tmp_path, monkeypatch):
+        # a defect raised inside the solver on the first line (injected: no
+        # known input raises one); the second line must still be solved
+        import centersolve.cli as cli
+
+        original = cli._solve_classified
+
+        def failing(eq, cls, prec):
+            if eq.degree == 4:
+                raise ZeroDivisionError
+            return original(eq, cls, prec)
+
+        monkeypatch.setattr(cli, "_solve_classified", failing)
         batch = tmp_path / "inputs.txt"
         batch.write_text(NEAR_ONE_RADICAND + "\n1 0 0 -8\n")
         code, out, err = run(
@@ -438,6 +449,22 @@ class TestRegressions:
         assert len(got) == 3
         for w in want:
             assert min(abs(g - w) for g in got) <= 1e-12 * radius
+        assert doc["verification"]["passed"] is True
+
+    def test_near_one_radicand_is_solved_without_verify(self):
+        # the radicand lies within 1e-30 of 1, so 1 - w rounded to 0 at 64 bits
+        code, out, err = run(
+            ["solve", "--input", "coeffs", "--no-verify", "--format", "json",
+             NEAR_ONE_RADICAND]
+        )
+        assert NEAR_ONE_RADICAND.split() == [str(c) for c in near_one_plain()]
+        assert code == EXIT_OK, err
+        doc = json.loads(out)
+        got = [complex(r["re"], r["im"]) for r in doc["roots"]]
+        want = near_one_planted_roots()
+        assert len(got) == len(want) == 4
+        for w in want:
+            assert min(abs(g - w) for g in got) <= 1e-12 * max(1, abs(w))
         assert doc["verification"]["passed"] is True
 
     def test_center_of_two_variable_indexed_form(self):

@@ -4,6 +4,7 @@ import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpc, mpf
 
 import centersolve as cs
@@ -123,8 +124,11 @@ class TestNumericRoots:
             assert abs(mp.fprod(roots) / c + 1) < 1e-30
 
     def test_nonconvergence_message_prints_a_short_residual(self):
-        # (x-1)^6 cannot settle in one multiprecision round
-        eq = cs.from_plain_coeffs([1, -6, 15, -20, 15, -6, 1])
+        # (x+2)^20 + 3(x-1)^20 cannot settle in one multiprecision round
+        d = 20
+        eq = cs.from_plain_coeffs(
+            [math.comb(d, i) * (2**i + 3 * (-1) ** i) for i in range(d + 1)]
+        )
         with pytest.raises(NonConvergenceError) as info:
             numeric_roots(eq, max_iter=1)
         message = str(info.value)
@@ -222,13 +226,13 @@ class TestRationalRoots:
         import centersolve.oracle as oracle
 
         degrees = []
-        original = oracle.numeric_roots
+        original = oracle._aberth
 
-        def counting(eq, *args, **kwargs):
-            degrees.append(eq.degree)
-            return original(eq, *args, **kwargs)
+        def counting(coeffs, *args, **kwargs):
+            degrees.append(len(coeffs) - 1)
+            return original(coeffs, *args, **kwargs)
 
-        monkeypatch.setattr(oracle, "numeric_roots", counting)
+        monkeypatch.setattr(oracle, "_aberth", counting)
         coeffs = [F(1)]
         for k in range(1, 7):  # multiply by (x - k)
             coeffs = [a - k * b for a, b in zip(coeffs + [F(0)], [F(0)] + coeffs)]
@@ -248,3 +252,143 @@ class TestRationalRoots:
         q = 10**10 + 19
         coeffs = [F(q), F(-2 * q - 1), F(q + 2), F(-1)]
         assert rational_roots(coeffs) == [(F(1, q), 1), (F(1), 2)]
+
+
+def _poly_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _planted(linear, quadratic=None):
+    """Coefficients of prod (v x - u)^m over [(u/v, m)], times a quadratic."""
+    coeffs = [F(1)] if quadratic is None else list(quadratic)
+    for r, m in linear:
+        for _ in range(m):
+            coeffs = _poly_mul(coeffs, [F(r.denominator), F(-r.numerator)])
+    return coeffs
+
+
+_heights = st.integers(1, 10**30)
+_rationals = st.builds(
+    lambda s, u, v: F(s * u, v), st.sampled_from((-1, 1)), _heights, _heights
+)
+
+
+class TestSquareFreeSplit:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        roots=st.lists(_rationals, min_size=1, max_size=3, unique=True),
+        mults=st.lists(st.integers(1, 6), min_size=3, max_size=3),
+        quadratic=st.one_of(
+            st.none(),
+            st.builds(lambda c: (F(1), F(0), c), st.fractions(F(1, 10**6), 10**6)),
+        ),
+    )
+    def test_planted_linear_factors(self, roots, mults, quadratic):
+        # heights to 1e30, multiplicities to 6; x^2 + c (c > 0) has no
+        # rational root
+        planted = sorted(zip(roots, mults))
+        coeffs = _planted(planted, quadratic)
+        assert rational_roots(coeffs) == planted
+        result = numeric_roots(cs.from_plain_coeffs(coeffs))
+        assert result.converged
+        for root, m in planted:
+            want = mpc(root.numerator) / root.denominator
+            assert any(
+                r.multiplicity == m and abs(r.value - want) <= 1e-9 * (1 + abs(want))
+                for r in result.roots
+            ), (root, m, result.roots)
+        assert sum(r.multiplicity for r in result.roots) == len(coeffs) - 1
+
+    def test_square_of_a_linear_factor_with_a_large_denominator(self):
+        # (q x - 1)^2: the 1/1e3/1e6/1e9 denominator ladder never reached 1/q
+        q = 10**10 + 19
+        assert rational_roots([F(q * q), F(-2 * q), F(1)]) == [(F(1, q), 2)]
+
+    @pytest.mark.parametrize(
+        "coeffs, mults",
+        [
+            ([1, -10, 40, -80, 80, -32], [5]),  # PerfectPower (x - 2)^5
+            (_planted([(F(3, 2), 5)]), [5]),
+            (_planted([(F(1), 4), (F(-2, 3), 1)]), [1, 4]),  # LinearTimesPowerD1
+        ],
+    )
+    def test_repeated_root_quintics_take_at_most_three_rounds(self, coeffs, mults):
+        result = numeric_roots(cs.from_plain_coeffs(coeffs))
+        assert result.iterations <= 3
+        assert sorted(r.multiplicity for r in result.roots) == mults
+
+    def test_yun_factors_match_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        from centersolve.oracle import _squarefree
+
+        x = sympy.symbols("x")
+        rng = random.Random(77)
+        pieces = [x - 3, 2 * x + 5, x**2 - 2, x**2 + x + 1, 3 * x**3 - x - 1, x]
+        for _ in range(25):
+            expr = rng.randint(-9, 9) or 1
+            for piece in rng.sample(pieces, rng.randint(1, 4)):
+                expr *= piece ** rng.randint(1, 5)
+            poly = sympy.Poly(expr, x)
+            coeffs = [int(c) for c in poly.all_coeffs()]
+            want = {}
+            for factor, m in sympy.sqf_list(poly)[1]:
+                f = [int(c) for c in factor.all_coeffs()]
+                f = [-c for c in f] if f[0] < 0 else f
+                want.setdefault(m, []).append(sympy.Poly(f, x))
+            want = {m: sympy.prod(fs).all_coeffs() for m, fs in want.items()}
+            got = {m: [int(c) for c in g] for g, m in _squarefree(coeffs)}
+            assert got == {m: [int(c) for c in f] for m, f in want.items()}, expr
+
+
+def _reference_compare(a, b, tol=1e-9):
+    """The matching as it was before the distance matrix: abs() per lookup."""
+    from centersolve.oracle import MatchReport, _expanded_values
+
+    va, vb = _expanded_values(a), _expanded_values(b)
+    if len(va) != len(vb):
+        return MatchReport(False, False, float("inf"), None, [])
+    n = len(va)
+    used = [False] * n
+    match = [0] * n
+    for i in range(n):
+        best, best_d = None, None
+        for j in range(n):
+            if used[j]:
+                continue
+            dist = abs(va[i] - vb[j])
+            if best_d is None or dist < best_d:
+                best, best_d = j, dist
+        match[i] = best
+        used[best] = True
+    improved = True
+    while improved:
+        improved = False
+        for i in range(n):
+            for j in range(i + 1, n):
+                cur = max(abs(va[i] - vb[match[i]]), abs(va[j] - vb[match[j]]))
+                alt = max(abs(va[i] - vb[match[j]]), abs(va[j] - vb[match[i]]))
+                if alt < cur:
+                    match[i], match[j] = match[j], match[i]
+                    improved = True
+    pairs = [(va[i], vb[match[i]], float(abs(va[i] - vb[match[i]]))) for i in range(n)]
+    max_distance = max((p[2] for p in pairs), default=0.0)
+    worst_index = max(range(n), key=lambda i: pairs[i][2]) if n else None
+    return MatchReport(max_distance <= tol, True, max_distance, worst_index, pairs)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_compare_root_sets_matches_the_reference(seed):
+    rng = random.Random(seed)
+    n = rng.randint(0, 12)
+    grid = [mpc(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(n)]
+    a = [z + mpc(rng.gauss(0, 1e-3), rng.gauss(0, 1e-3)) * rng.randint(0, 1) for z in grid]
+    b = [z + mpc(rng.gauss(0, 1e-3), rng.gauss(0, 1e-3)) * rng.randint(0, 1) for z in grid]
+    rng.shuffle(b)
+    if seed % 4 == 3 and n:
+        b = b + [mpc(0)]  # cardinality mismatch
+    tol = rng.choice((1e-9, 1e-2))
+    assert compare_root_sets(a, b, tol) == _reference_compare(a, b, tol)

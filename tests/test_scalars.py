@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, strategies as st
+from mpmath import mp, mpf
 
 from centersolve.scalars import (
     QuadExt,
@@ -142,3 +143,52 @@ def test_exact_nth_root_of_large_integers():
     assert _int_nth_root(10**400, 4) == 10**100
     assert _int_nth_root(10**400, 3) is None
     assert rational_nth_root(F(-(3**700), 2**35), 5) == F(-(3**140), 2**7)
+
+
+# 100003 and 1000003 are primes above the trial-division cap of _square_part
+@pytest.mark.parametrize(
+    "n, s",
+    [(2, 100003), (-2, 100003), (3, 1000003 * 100003), (10**40 + 1, 7), (5, 2 * 10**25 + 3)],
+)
+def test_radicands_with_large_square_factors(n, s):
+    big = QuadExt(F(1, 3), 1, n * s * s)
+    small = QuadExt(F(1, 3), s, n)
+    assert big == small and small == big
+    assert hash(big) == hash(small)
+    assert big + small == QuadExt(F(2, 3), 2 * s, n)
+    assert big - small == 0
+    assert big * small == small * small
+    assert big / small == 1
+    assert big != QuadExt(F(1, 3), -s, n)
+
+
+def test_huge_radicands_of_different_fields_do_not_mix():
+    p = 1000003
+    a, b = QuadExt(0, 1, 2 * p * p), QuadExt(0, 1, 3 * p * p)
+    assert a != b
+    with pytest.raises(TypeError, match="cannot mix"):
+        a + b
+
+
+@given(
+    st.integers(2, 10**6),
+    st.integers(1, 10**30),
+    st.fractions(max_denominator=50),
+    st.fractions(max_denominator=50).filter(bool),
+)
+def test_rescaled_radicand_is_the_same_element(n, s, a, b):
+    x, y = QuadExt(a, b, n * s * s), QuadExt(a, b * s, n)
+    assert x == y and hash(x) == hash(y)
+    assert x - y == 0
+    assert abs(to_mpc(x, 128) - to_mpc(y, 128)) <= 1e-30 * (1 + abs(to_mpc(y, 128)))
+
+
+def test_cancelling_parts_keep_their_relative_accuracy():
+    # a + b*sqrt(2) with a/b the 30th convergent of -sqrt(2): |x| ~ 1e-23
+    p, q = 1, 1
+    for _ in range(30):
+        p, q = p + 2 * q, p + q
+    x = QuadExt(p, -q, 2)
+    with mp.workprec(256):
+        want = mpf(p) - mpf(q) * mp.sqrt(2)
+    assert abs(to_mpc(x) - want) <= 1e-15 * abs(want)

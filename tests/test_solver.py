@@ -26,7 +26,12 @@ from centersolve import (
     solve_quartic_by_two_squares,
 )
 from centersolve.scalars import QuadExt, exact_sqrt
-from conftest import rand_fraction, rand_nonzero_fraction
+from conftest import (
+    near_one_plain,
+    near_one_planted_roots,
+    rand_fraction,
+    rand_nonzero_fraction,
+)
 
 
 def as_multiset(root_set):
@@ -661,3 +666,13 @@ def test_reversal_path_matches_solving_the_reversed_equation():
     reversed_roots = solve_by_radicals(reversal_transform(eq)).roots
     inverted = [complex(1 / r.value) for r in reversed_roots]
     assert multisets_close(as_multiset(rs), inverted)
+
+
+def test_radicand_within_1e_30_of_one():
+    # at 64 bits 1 - w rounds to 0 for the w nearest 1, which raised
+    # ZeroDivisionError; that denominator is now (1 - ratio) / sum w^j
+    rs = solve_by_radicals(cs.from_plain_coeffs(near_one_plain()))
+    assert rs.method == "two-power-sum"
+    got = [complex(r.value) for r in rs.roots]
+    for want in near_one_planted_roots():
+        assert min(abs(g - want) for g in got) <= 1e-12 * max(1, abs(want))
