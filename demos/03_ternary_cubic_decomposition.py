@@ -52,11 +52,9 @@ total = [[sum(e[i][j] for e in idem) for j in range(3)] for i in range(3)]
 assert total == identity(3)
 print("idempotent relations: exact")
 
-# a binary example with an irrational spectrum falls back to numeric mode
+# a binary example with an irrational spectrum: the same call splits it
+# numerically
 g = cs.BinaryForm((F(1), F(0), F(1), F(1))).to_nary()
-try:
-    cs.diagonalize_form(g)
-except cs.IrrationalSpectrumError:
-    numeric = cs.diagonalize_form(g, mode="numeric")
-    ok = cs.check_decomposition(g, numeric.as_power_sum, tol=1e-9)
-    print("\nirrational spectrum: numeric fallback decomposes within 1e-9:", ok)
+numeric = cs.diagonalize_form(g)
+ok = cs.check_decomposition(g, numeric.as_power_sum, tol=1e-9)
+print("\nirrational spectrum: exact =", numeric.exact, "| decomposes within 1e-9:", ok)

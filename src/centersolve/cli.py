@@ -26,7 +26,6 @@ from .diagonalize import diagonalize_form
 from .errors import (
     CenterSolveError,
     DegreeError,
-    IrrationalSpectrumError,
     NoRadicalMethodError,
     NonConvergenceError,
 )
@@ -347,12 +346,7 @@ def _cmd_decompose(args, text, out, err) -> tuple[dict, int]:
     if parsed.form is not None and parsed.binary is None:
         form = parsed.form
         doc["degree"] = form.degree
-        try:
-            result = diagonalize_form(form, mode="exact", seed=args.seed)
-        except IrrationalSpectrumError:
-            result = diagonalize_form(
-                form, mode="numeric", seed=args.seed, prec=args.precision
-            )
+        result = diagonalize_form(form, seed=args.seed, prec=args.precision)
         dec = result.as_power_sum
         doc["decomposition"] = _decomposition_json(dec, parsed.variables)
         # diagonalize_form has already expanded the result back to the form

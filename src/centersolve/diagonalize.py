@@ -13,18 +13,19 @@ P^-1 e_i P = E_ii), and read the diagonal coefficient of y_i^d off f(Py) as
 f evaluated at column i of P.  The result is checked once, by expanding it
 back to f.
 
-One pipeline (``_split``) does this over two scalar kinds.  Exact mode runs
-it on Fractions with the generic element's rational eigenvalues, which must
-be distinct; since the minimal polynomial is then prod (x - l_i), the
-idempotent relations hold by Cayley-Hamilton and are not rechecked.  Numeric
-mode runs it on mpc at a working precision, with eigenvalues from the
-numeric roots of the characteristic polynomial; it accepts any spectrum
-those separate, and only its zero and negligible-summand tests differ.
+One pipeline (``_split``) does this over two scalar kinds, and the spectrum
+of the generic element chooses which.  When its n eigenvalues are distinct
+and rational, the split runs on Fractions; since the minimal polynomial is
+then prod (x - l_i), the idempotent relations hold by Cayley-Hamilton and
+are not rechecked.  When one eigenvalue is irrational, it runs on mpc at a
+working precision, with eigenvalues from the numeric roots of the
+characteristic polynomial; only its zero and negligible-summand tests
+differ.  A non-commutative center, a center of the wrong dimension, or a
+repeated eigenvalue in every draw means f is not such a power sum.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,7 +33,7 @@ from fractions import Fraction
 from mpmath import mp
 
 from .center import CenterBasis, compute_center
-from .errors import IrrationalSpectrumError, NotDiagonalizableError
+from .errors import NotDiagonalizableError
 from .forms import LinearForm, NAryForm, PowerSumDecomposition, from_plain_coeffs
 from .linalg import char_poly, inverse, mat_add, mat_mul, mat_scale
 from .oracle import check_decomposition, numeric_roots, rational_roots
@@ -100,38 +101,28 @@ def profile(f: NAryForm, basis: CenterBasis | None = None, seed: int | None = No
         g = _generic_element(basis, weights)
         cp = char_poly(g)
         roots = rational_roots(cp)
-        total = sum(m for _, m in roots)
-        if not commutative:
-            return AlgebraProfile(
-                dim=basis.dim,
-                commutative=False,
-                generic_element=_freeze(g),
-                char_poly=tuple(cp),
-                spectrum_kind="non-commutative",
-                eigenvalues=tuple(roots) if total == n else None,
-            )
-        if all(m == 1 for _, m in roots):
-            # distinct rational eigenvalues, or one irrational witness, which
-            # certifies that the algebra is not Q^n
-            split = total == n
-            return AlgebraProfile(
-                dim=basis.dim,
-                commutative=True,
-                generic_element=_freeze(g),
-                char_poly=tuple(cp),
-                spectrum_kind="distinct-rational" if split else "irrational",
-                eigenvalues=tuple(roots) if split else None,
-            )
-        # a repeated rational eigenvalue, whether or not the rest splits:
-        # retry with a fresh generic element
-    # every draw repeated a rational eigenvalue; report the last one
+        repeated = any(m > 1 for _, m in roots)
+        # one draw shows a non-commutative center; a commutative one is drawn
+        # again while a rational eigenvalue repeats, whether or not the rest
+        # of the spectrum splits
+        if not commutative or not repeated:
+            break
+    split = sum(m for _, m in roots) == n
+    if not commutative:
+        kind = "non-commutative"
+    elif repeated:
+        kind = "repeated"  # every draw repeated a rational eigenvalue
+    elif split:
+        kind = "distinct-rational"
+    else:
+        kind = "irrational"  # an irrational witness: the algebra is not Q^n
     return AlgebraProfile(
         dim=basis.dim,
-        commutative=True,
+        commutative=commutative,
         generic_element=_freeze(g),
         char_poly=tuple(cp),
-        spectrum_kind="repeated",
-        eigenvalues=tuple(roots) if total == n else None,
+        spectrum_kind=kind,
+        eigenvalues=tuple(roots) if split else None,
     )
 
 
@@ -163,40 +154,34 @@ def _first_nonzero_column(m, zero_test):
 
 def diagonalize_form(
     f: NAryForm,
-    mode: str = "exact",
     seed: int | None = None,
     prec: int = DEFAULT_PREC,
     tol: float = 1e-9,
 ) -> DiagonalDecomposition:
     """Write f as a sum of d-th powers of n independent linear forms.
 
-    Exact mode requires a commutative center of dimension n whose generic
-    element has n distinct rational eigenvalues; numeric mode accepts any
-    split spectrum, working at the given precision.
+    The center must be commutative of dimension n, with a generic element
+    of n distinct eigenvalues.  If they are rational the result is exact;
+    if one is irrational it is numeric, at max(prec, 96) bits.
     """
-    basis = compute_center(f)
-    prof = profile(f, basis, seed=seed)
+    prof = profile(f, seed=seed)
     n = f.nvars
-    if not prof.commutative or prof.spectrum_kind == "non-commutative":
+    if prof.spectrum_kind == "non-commutative":
         raise NotDiagonalizableError("center algebra is not commutative")
     if prof.dim != n:
         raise NotDiagonalizableError(
             f"center has dimension {prof.dim}, expected {n}"
         )
-    if mode == "exact":
-        if prof.spectrum_kind == "repeated":
-            raise NotDiagonalizableError(
-                "generic center element has a repeated spectrum"
-            )
-        if prof.spectrum_kind == "irrational":
-            raise IrrationalSpectrumError(
-                "spectrum does not split over Q; rerun in numeric mode"
-            )
+    if prof.spectrum_kind == "repeated":
+        raise NotDiagonalizableError(
+            "generic center element has a repeated spectrum"
+        )
+    if prof.spectrum_kind == "distinct-rational":
         eigenvalues = sorted(value for value, _ in prof.eigenvalues)
         result = _split(
             f, prof, eigenvalues, as_fraction, lambda x: x == 0, cut=0, exact=True
         )
-    elif mode == "numeric":
+    else:
         wprec = max(prec, 96)
         eigenvalues = _numeric_spectrum(prof.char_poly, wprec, tol)
         with mp.workprec(wprec):
@@ -210,8 +195,6 @@ def diagonalize_form(
                 cut=tol,
                 exact=False,
             )
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     if not check_decomposition(f, result.as_power_sum, tol=tol):
         raise NotDiagonalizableError("the power sum does not expand back to the form")
     return result
@@ -225,12 +208,9 @@ def _numeric_spectrum(cp, wprec: int, tol: float) -> list:
     if len(eigenvalues) != n:
         raise NotDiagonalizableError("could not separate the numeric spectrum")
     sep = min(
-        (
-            abs(eigenvalues[i] - eigenvalues[j])
-            for i in range(n)
-            for j in range(i + 1, n)
-        ),
-        default=math.inf,  # a single eigenvalue is always separated
+        abs(eigenvalues[i] - eigenvalues[j])
+        for i in range(n)
+        for j in range(i + 1, n)
     )
     if sep < tol:
         raise NotDiagonalizableError("numeric spectrum is not separated")
@@ -255,7 +235,8 @@ def _split(f, prof, eigenvalues, scalar, is_zero, cut, exact) -> DiagonalDecompo
         p_inv = inverse(p)
     except ValueError:
         raise NotDiagonalizableError("the change of variables is singular") from None
-    # evaluate_exact is generic in the scalar; in numeric mode it runs on mpc
+    # evaluate_exact is generic in the scalar; on an irrational spectrum it
+    # runs on mpc
     diagonal = [f.evaluate_exact(col) for col in cols]
     scale = max(abs(c) for c in diagonal)
     summands = tuple(

@@ -33,20 +33,12 @@ class NotDiagonalizableError(CenterSolveError):
     """The center algebra is not isomorphic to a product of fields."""
 
 
-class IrrationalSpectrumError(CenterSolveError):
-    """The generic center element does not split over Q in exact mode."""
-
-
 class NonRationalCoefficientError(CenterSolveError):
     """An exact center computation met a coefficient outside Q (QuadExt, mpf)."""
 
 
 class NoRadicalMethodError(CenterSolveError):
     """The equation's center is trivial; no radical formula applies here."""
-
-
-class ResolventFailureError(CenterSolveError):
-    """No admissible root of the quartic resolvent cubic was found."""
 
 
 class NonConvergenceError(CenterSolveError):

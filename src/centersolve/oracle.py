@@ -203,7 +203,11 @@ def numeric_roots(
                 f"no convergence after {max_iter} iterations"
                 f" (residual {float(max_res):.3g})"
             )
-    roots.sort(key=lambda r: (r.value.real, r.value.imag))
+    # real parts are compared to 9 digits of the largest modulus, so the two
+    # members of a conjugate pair, whose real parts differ only by rounding
+    # noise, come out in the same order at every precision
+    top = max(mpf(1), max(abs(r.value) for r in roots))
+    roots.sort(key=lambda r: (round(float(r.value.real / top), 9), r.value.imag))
     return OracleRootSet(
         roots=roots,
         iterations=iterations,

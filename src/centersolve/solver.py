@@ -29,7 +29,6 @@ from .errors import (
     NoRadicalMethodError,
     PivotError,
     RepeatedEigenvalueError,
-    ResolventFailureError,
 )
 from .forms import (
     BinaryForm,
@@ -725,8 +724,6 @@ def _solve_quartic(eq: UnivariateEquation, prec: int) -> QuarticSolution:
                         ),
                     )
                 )
-    if len(roots) != 4:
-        raise ResolventFailureError("factorization did not yield four roots")
     root_set = RootSet(
         roots=tuple(roots),
         method="quartic-two-squares",

@@ -428,6 +428,26 @@ class TestExitCodeTable:
         assert json.loads(out)["verification"]["passed"] is True
         assert len(calls) == 1
 
+    def test_nary_decompose_computes_the_center_once(self, monkeypatch):
+        # an irrational spectrum used to be found by a failed exact attempt,
+        # then the center was computed again for the numeric one
+        import centersolve.cli as cli
+        import centersolve.diagonalize as diagonalize
+
+        calls = []
+        original = diagonalize.compute_center
+
+        def counting(f):
+            calls.append(f)
+            return original(f)
+
+        monkeypatch.setattr(diagonalize, "compute_center", counting)
+        monkeypatch.setattr(cli, "compute_center", counting)
+        code, out, _ = run(["decompose", "4*x1^3 + 12*x1*x2^2 + 12*x1*x3^2 + 12*x2^2*x3"])
+        assert code == EXIT_OK
+        assert "3 summands of degree 3 (numeric)" in out
+        assert len(calls) == 1
+
 
 class TestRegressions:
     def test_decompose_repeated_rational_next_to_irrational_pair(self):
