@@ -17,12 +17,12 @@ import centersolve as cs
 eq = cs.from_plain_coeffs([2, 3, 3, 1])
 form = eq.homogenize()
 
-gen = cs.center_generator(form)
-print("invariants:  D1 =", gen.D1, " D2 =", gen.D2, " D3 =", gen.D3)
-print("discriminant:", gen.discriminant)
-print("eigenvalues: ", gen.lambda1, "and", gen.lambda2)
+inv = cs.binary_invariants(form)
+print("invariants:  D1 =", inv.D1, " D2 =", inv.D2, " D3 =", inv.D3)
+print("discriminant:", inv.discriminant)
+print("eigenvalues: ", inv.lambda1, "and", inv.lambda2)
 
-dec = cs.complete_cube(form)
+dec = cs.complete_powers(form)
 print("\ncompletion:")
 for coeff, linear in dec.summands:
     x_part, y_part = linear.coeffs

@@ -14,9 +14,9 @@ print("equation:", eq, "= 0")
 cls = cs.classify(eq)
 print("\nclassification:", cls.tag, f"(Hankel rank {cls.hankel_rank})")
 
-gen = cs.center_generator(eq.homogenize())
-print("invariants: D1 =", gen.D1, " D2 =", gen.D2, " D3 =", gen.D3)
-print("eigenvalues:", gen.lambda1, gen.lambda2)
+inv = cs.binary_invariants(eq.homogenize())
+print("invariants: D1 =", inv.D1, " D2 =", inv.D2, " D3 =", inv.D3)
+print("eigenvalues:", inv.lambda1, inv.lambda2)
 
 dec = cs.complete_powers(eq.homogenize())
 print("\ncompletion into two fifth powers:")

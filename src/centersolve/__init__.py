@@ -9,12 +9,9 @@ root expressions together with an independent numeric cross-check.
 from .center import (
     BinaryInvariants,
     CenterBasis,
-    CenterGenerator,
     binary_center_system,
     binary_invariants,
-    center_generator,
     compute_center,
-    d_invariants,
     is_nondegenerate,
 )
 from .diagonalize import (
@@ -40,7 +37,6 @@ from .forms import (
     NAryForm,
     PowerSumDecomposition,
     UnivariateEquation,
-    evaluate,
     expand,
     from_norm_coeffs,
     from_plain_coeffs,
@@ -55,22 +51,18 @@ from .oracle import (
     rational_roots,
 )
 from .parser import ParsedInput, PolyParseError, parse_polynomial, render_polynomial
-from .scalars import DEFAULT_PREC, QuadExt, exact_sqrt, nth_root, rational_nth_root
+from .scalars import QuadExt, rational_nth_root
 from .solver import (
     DepressedQuartic,
     EquationClass,
-    HankelMatrix,
     QuarticSolution,
     RadicalRoot,
     ResolventData,
     RootSet,
     cardano,
     classify,
-    complete_cube,
     complete_powers,
     depress_quartic,
-    hankel,
-    max_scaled_residual,
     reversal_transform,
     shift_equation,
     solve_by_radicals,
@@ -84,15 +76,12 @@ __all__ = [
     "BinaryForm",
     "BinaryInvariants",
     "CenterBasis",
-    "CenterGenerator",
     "CenterRankError",
     "CenterSolveError",
-    "DEFAULT_PREC",
     "DegreeError",
     "DepressedQuartic",
     "DiagonalDecomposition",
     "EquationClass",
-    "HankelMatrix",
     "LinearForm",
     "MatchReport",
     "NAryForm",
@@ -115,26 +104,18 @@ __all__ = [
     "binary_center_system",
     "binary_invariants",
     "cardano",
-    "center_generator",
     "check_decomposition",
     "classify",
     "compare_root_sets",
-    "complete_cube",
     "complete_powers",
     "compute_center",
-    "d_invariants",
     "depress_quartic",
     "diagonalize_form",
-    "evaluate",
-    "exact_sqrt",
     "expand",
     "from_norm_coeffs",
     "from_plain_coeffs",
-    "hankel",
     "hessian",
     "is_nondegenerate",
-    "max_scaled_residual",
-    "nth_root",
     "numeric_roots",
     "parse_polynomial",
     "profile",

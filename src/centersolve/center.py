@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CenterRankError, DegreeError, NonRationalCoefficientError, PivotError
+from .errors import DegreeError, NonRationalCoefficientError
 from .forms import BinaryForm, NAryForm, hessian
 from .linalg import mat_mul, mat_eq, nullspace, rank
 from .scalars import exact_sqrt
@@ -44,19 +44,6 @@ class CenterBasis:
                 if not mat_eq(mat_mul(a, b), mat_mul(b, a)):
                     return False
         return True
-
-
-@dataclass(frozen=True)
-class CenterGenerator:
-    """Distinguished generator of a rank-2 binary center with its spectrum."""
-
-    D1: Fraction
-    D2: Fraction
-    D3: Fraction
-    matrix: tuple  # Lambda = ((0, -D3), (D1, D2))
-    discriminant: Fraction  # D2^2 - 4*D1*D3
-    lambda1: object  # (D2 + sqrt(disc)) / 2, exact
-    lambda2: object  # (D2 - sqrt(disc)) / 2, exact
 
 
 def center_system(f: NAryForm):
@@ -114,15 +101,6 @@ def binary_center_system(form: BinaryForm):
     return [[a[i], a[i + 1], -a[i + 2]] for i in range(d - 1)]
 
 
-def d_invariants(form: BinaryForm):
-    """The three 2x2 Hankel minors D1, D2, D3 of a binary form."""
-    a = form.norm
-    d1 = a[0] * a[2] - a[1] * a[1]
-    d2 = a[0] * a[3] - a[1] * a[2]
-    d3 = a[1] * a[3] - a[2] * a[2]
-    return d1, d2, d3
-
-
 @dataclass(frozen=True)
 class BinaryInvariants:
     """Everything the classification and the two-power completion read.
@@ -141,41 +119,20 @@ class BinaryInvariants:
 
 
 def binary_invariants(form: BinaryForm) -> BinaryInvariants:
-    """Hankel rank, pivot minors, discriminant and (rank 2) the spectrum."""
+    """Hankel rank, the 2x2 minors D1-D3, discriminant and (rank 2) the spectrum."""
     if form.degree < 3:
         raise DegreeError("center invariants need degree >= 3")
     system_rank = rank(binary_center_system(form))
-    d1, d2, d3 = d_invariants(form)
+    a = form.norm
+    d1 = a[0] * a[2] - a[1] * a[1]
+    d2 = a[0] * a[3] - a[1] * a[2]
+    d3 = a[1] * a[3] - a[2] * a[2]
     disc = d2 * d2 - 4 * d1 * d3
     if system_rank != 2:
         return BinaryInvariants(system_rank, d1, d2, d3, disc)
     root = exact_sqrt(disc)
     lam1, lam2 = (d2 + root) / 2, (d2 - root) / 2
     return BinaryInvariants(system_rank, d1, d2, d3, disc, lam1, lam2)
-
-
-def center_generator(form: BinaryForm) -> CenterGenerator:
-    """Distinguished generator Lambda with exact eigenvalues.
-
-    Requires the binary center system to have rank exactly 2 (so the center
-    is spanned by I and Lambda) and the pivot D1 to be nonzero.
-    """
-    if form.degree < 3:
-        raise DegreeError("center generator needs degree >= 3")
-    inv = binary_invariants(form)
-    if inv.hankel_rank != 2:
-        raise CenterRankError(inv.hankel_rank)
-    if inv.D1 == 0:
-        raise PivotError("D1 = 0: Lambda is not defined; swapping x and y may help")
-    return CenterGenerator(
-        D1=inv.D1,
-        D2=inv.D2,
-        D3=inv.D3,
-        matrix=((Fraction(0), -inv.D3), (inv.D1, inv.D2)),
-        discriminant=inv.discriminant,
-        lambda1=inv.lambda1,
-        lambda2=inv.lambda2,
-    )
 
 
 def is_nondegenerate(f: NAryForm) -> bool:

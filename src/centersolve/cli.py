@@ -26,7 +26,6 @@ from .diagonalize import diagonalize_form
 from .errors import (
     CenterSolveError,
     DegreeError,
-    NoRadicalMethodError,
     NonConvergenceError,
 )
 from .forms import BinaryForm, UnivariateEquation, from_plain_coeffs
@@ -40,7 +39,6 @@ from .solver import (
     classify,
     complete_powers,
     max_scaled_residual,
-    solve_quartic_by_two_squares,
 )
 
 EXIT_OK = 0
@@ -100,7 +98,6 @@ def build_parser() -> _ArgumentParser:
             action="store_true",
             help="skip the numeric-oracle cross-check",
         )
-        cmd.add_argument("--seed", type=int, default=None, help="seed for retries")
         cmd.add_argument(
             "--batch",
             metavar="FILE",
@@ -242,13 +239,7 @@ def _cmd_solve(args, text, out, err) -> tuple[dict, int]:
     doc["degree"] = eq.degree
     cls = _classify_into(doc, eq) if eq.degree >= 3 else None
     prec = args.precision
-    try:
-        root_set = _solve_classified(eq, cls, prec)
-    except NoRadicalMethodError:
-        if eq.degree == 4:
-            root_set = solve_quartic_by_two_squares(eq, prec=prec).root_set
-        else:
-            raise
+    root_set = _solve_classified(eq, cls, prec)
     doc["roots"] = _roots_json(root_set)
     if doc["class"] == "SumOfTwoPowers":
         dec = _complete_powers(eq.homogenize(), cls.invariants)
@@ -333,7 +324,7 @@ def _cmd_center(args, text, out, err) -> tuple[dict, int]:
         inv = binary_invariants(BinaryForm.from_nary(form))
         if parsed.equation is not None:
             _fill_invariants(doc, inv)
-        if inv.lambda1 is not None and inv.D1 != 0:  # center_generator's domain
+        if inv.lambda1 is not None and inv.D1 != 0:  # Lambda is defined
             center_info["lambda1"] = scalar_str(inv.lambda1)
             center_info["lambda2"] = scalar_str(inv.lambda2)
     doc["center"] = center_info
@@ -346,7 +337,7 @@ def _cmd_decompose(args, text, out, err) -> tuple[dict, int]:
     if parsed.form is not None and parsed.binary is None:
         form = parsed.form
         doc["degree"] = form.degree
-        result = diagonalize_form(form, seed=args.seed, prec=args.precision)
+        result = diagonalize_form(form, prec=args.precision)
         dec = result.as_power_sum
         doc["decomposition"] = _decomposition_json(dec, parsed.variables)
         # diagonalize_form has already expanded the result back to the form

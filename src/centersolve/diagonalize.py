@@ -74,11 +74,11 @@ class DiagonalDecomposition:
     exact: bool
 
 
-def _weight_draws(dim: int, seed: int | None):
+def _weight_draws(dim: int):
     primes = _first_primes(dim)
     yield tuple(primes)
     yield tuple(p * p for p in primes)
-    rng = random.Random(_RETRY_SEED if seed is None else seed)
+    rng = random.Random(_RETRY_SEED)
     for _ in range(6):
         yield tuple(rng.randrange(1, 10**6) for _ in range(dim))
 
@@ -91,13 +91,13 @@ def _generic_element(basis: CenterBasis, weights):
     return g
 
 
-def profile(f: NAryForm, basis: CenterBasis | None = None, seed: int | None = None) -> AlgebraProfile:
+def profile(f: NAryForm, basis: CenterBasis | None = None) -> AlgebraProfile:
     """Commutativity, generic element, and spectrum classification over Q."""
     if basis is None:
         basis = compute_center(f)
     n = basis.n
     commutative = basis.is_commutative()
-    for weights in _weight_draws(basis.dim, seed):
+    for weights in _weight_draws(basis.dim):
         g = _generic_element(basis, weights)
         cp = char_poly(g)
         roots = rational_roots(cp)
@@ -154,7 +154,6 @@ def _first_nonzero_column(m, zero_test):
 
 def diagonalize_form(
     f: NAryForm,
-    seed: int | None = None,
     prec: int = DEFAULT_PREC,
     tol: float = 1e-9,
 ) -> DiagonalDecomposition:
@@ -164,7 +163,7 @@ def diagonalize_form(
     of n distinct eigenvalues.  If they are rational the result is exact;
     if one is irrational it is numeric, at max(prec, 96) bits.
     """
-    prof = profile(f, seed=seed)
+    prof = profile(f)
     n = f.nvars
     if prof.spectrum_kind == "non-commutative":
         raise NotDiagonalizableError("center algebra is not commutative")

@@ -11,8 +11,8 @@ The pipeline for a degree-d equation f with binomial-scaled coefficients a_i:
     d-th root of unity; a repeated eigenvalue forces a root of multiplicity
     d-1 with the last root closed by Vieta.
 
-Quartics with trivial center take the separate sum-of-two-squares route:
-depress, solve the resolvent cubic, split into two quadratics.
+Quartics with trivial center take the sum-of-two-squares route: depress,
+solve the resolvent cubic, split into two quadratics.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from mpmath import mp, mpc
 
-from .center import BinaryInvariants, binary_center_system, binary_invariants
+from .center import BinaryInvariants, binary_invariants
 from .errors import (
     CenterRankError,
     DegreeError,
@@ -37,7 +37,6 @@ from .forms import (
     UnivariateEquation,
     from_plain_coeffs,
 )
-from .linalg import rank
 from .oracle import rational_roots
 from .scalars import (
     DEFAULT_PREC,
@@ -46,28 +45,13 @@ from .scalars import (
     is_exact,
     nth_root,
     rational_nth_root,
-    scalar_str,
     to_mpc,
     unit_root,
 )
 
 # ---------------------------------------------------------------------------
-# Hankel matrix and classification
+# classification
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HankelMatrix:
-    rows: tuple  # (d-1) x 3, entries read from the a-coefficients
-    rank: int
-
-
-def hankel(eq: UnivariateEquation) -> HankelMatrix:
-    """The (d-1) x 3 coefficient Hankel matrix with its exact rank."""
-    if eq.degree < 3:
-        raise DegreeError("hankel matrix needs degree >= 3")
-    rows = tuple((a, b, -c) for a, b, c in binary_center_system(eq.homogenize()))
-    return HankelMatrix(rows=rows, rank=rank(rows))
 
 
 @dataclass(frozen=True)
@@ -151,20 +135,6 @@ def _two_power_completion(norm, inv: BinaryInvariants) -> PowerSumDecomposition:
     return PowerSumDecomposition(tuple(summands), d)
 
 
-def complete_cube(form: BinaryForm) -> PowerSumDecomposition:
-    """Write a binary cubic as a sum of two cubes of linear forms.
-
-    Requires the pivot D1 != 0 and distinct generator eigenvalues; the two
-    summand coefficients and shifts are exact over Q or Q(sqrt(disc)).
-    """
-    if form.degree != 3:
-        raise DegreeError("complete_cube expects degree 3")
-    inv = binary_invariants(form)
-    if inv.D1 == 0:  # for a cubic this includes every rank below 2
-        raise PivotError("D1 = 0")
-    return _two_power_completion(form.norm, inv)
-
-
 def _swap_decomposition(dec: PowerSumDecomposition) -> PowerSumDecomposition:
     return PowerSumDecomposition(
         tuple((c, LinearForm((f.coeffs[1], f.coeffs[0]))) for c, f in dec.summands),
@@ -219,8 +189,6 @@ class RadicalRoot:
     multiplicity: int
     exact: object | None  # Fraction or QuadExt when the root is exact
     expr: str  # prefix mini-language, auditable without a CAS
-    pretty: str
-    params: dict | None = None  # structured radical data (radicand, index, ...)
 
 
 @dataclass(frozen=True)
@@ -313,18 +281,14 @@ def _escalate(evaluate, prec: int):
     return result
 
 
-def _mk_root(value, multiplicity=1, exact=None, expr=None, pretty=None, params=None):
+def _mk_root(value, multiplicity=1, exact=None, expr=None):
     if exact is not None and expr is None:
         expr = _prefix(exact)
-    if pretty is None:
-        pretty = scalar_str(exact) if exact is not None else str(value)
     return RadicalRoot(
         value=mpc(value),
         multiplicity=multiplicity,
         exact=exact,
         expr=expr or str(value),
-        pretty=pretty,
-        params=params,
     )
 
 
@@ -334,9 +298,9 @@ def solve_by_radicals(
     """Radical roots of an equation whose homogenization has a usable center.
 
     ``branch`` rotates the principal d-th root by the branch-th root of
-    unity; any choice yields the same root multiset.  Raises
-    NoRadicalMethodError when the Hankel rank is 3 (for quartics, the
-    sum-of-two-squares route still applies).
+    unity; any choice yields the same root multiset.  A quartic whose
+    Hankel rank is 3 takes the sum-of-two-squares route; at any other degree
+    that rank raises NoRadicalMethodError.
     """
     return _solve_classified(eq, None, prec, branch)
 
@@ -357,11 +321,10 @@ def _solve_classified(
     if work.degree >= 3 and (cls is None or zeros):
         cls = classify(work)
     if work.degree >= 3 and cls.tag == "NoNontrivialCenter":
-        hint = (
-            " (quartic: use solve_quartic_by_two_squares)" if work.degree == 4 else ""
-        )
+        if eq.degree == 4:
+            return solve_quartic_by_two_squares(eq, prec).root_set
         raise NoRadicalMethodError(
-            f"Hankel rank 3: the center is trivial, no radical formula here{hint}"
+            "Hankel rank 3: the center is trivial, no radical formula here"
         )
     return _escalate(
         lambda working: _radical_roots(eq, work, zeros, cls, working, branch), prec
@@ -443,18 +406,8 @@ def _power_plus_constant_roots(scale, t, gamma, d, prec, branch):
         if base_exact is not None and k == 0:
             exact = -t + base_exact
         expr = f"sub(mul(root({_prefix(radicand)},{d}),zeta({d},{k})),{t})"
-        pretty = f"({scalar_str(radicand)})^(1/{d}) * zeta_{d}^{k} - {scalar_str(t)}"
         value = to_mpc(exact, prec) if exact is not None else w - to_mpc(t, prec)
-        roots.append(
-            _mk_root(
-                value,
-                1,
-                exact=exact,
-                expr=expr,
-                pretty=pretty,
-                params={"radicand": radicand, "degree": d, "index": k, "shift": t},
-            )
-        )
+        roots.append(_mk_root(value, 1, exact=exact, expr=expr))
     return roots
 
 
@@ -465,14 +418,7 @@ def _invert_root(r: RadicalRoot, prec) -> RadicalRoot:
         value = to_mpc(exact, prec)
     else:
         value = 1 / r.value
-    return RadicalRoot(
-        value=mpc(value),
-        multiplicity=r.multiplicity,
-        exact=exact,
-        expr=f"inv({r.expr})",
-        pretty=f"1/({r.pretty})",
-        params=None if r.params is None else {**r.params, "inverted": True},
-    )
+    return _mk_root(value, r.multiplicity, exact=exact, expr=f"inv({r.expr})")
 
 
 def _two_power_roots(eq: UnivariateEquation, data: BinaryInvariants, prec, branch):
@@ -513,26 +459,9 @@ def _two_power_roots(eq: UnivariateEquation, data: BinaryInvariants, prec, branc
                 if exact is not None
                 else (w * l1 - l2) / (d1 * one_minus_w)
             )
-            pretty = (
-                f"(delta*zeta_{d}^{k}*l1 - l2)/(D1*(1 - delta*zeta_{d}^{k})), "
-                f"delta = ({scalar_str(ratio)})^(1/{d})"
+            roots.append(
+                _mk_root(value, 1, exact=exact, expr=_root_expr(ratio, d, k, data))
             )
-            root = _mk_root(
-                value,
-                1,
-                exact=exact,
-                expr=_root_expr(ratio, d, k, data),
-                pretty=pretty,
-                params={
-                    "radicand": ratio,
-                    "degree": d,
-                    "index": k,
-                    "lambda1": data.lambda1,
-                    "lambda2": data.lambda2,
-                    "D1": data.D1,
-                },
-            )
-            roots.append(root)
     return roots
 
 
@@ -569,7 +498,6 @@ def _cardano(p: Fraction, q: Fraction, prec: int) -> RootSet:
                         1,
                         exact=exact,
                         expr=f"mul(root({_prefix(-q)},3),zeta(3,{i}))",
-                        pretty=f"({scalar_str(-q)})^(1/3) * zeta_3^{i}",
                     )
                 )
         elif q == 0:
@@ -598,7 +526,7 @@ def _cardano(p: Fraction, q: Fraction, prec: int) -> RootSet:
                 f"v=div({-p}/3,u)"
             )
             roots = [
-                _mk_root(val, 1, expr=f"{expr} where {stem}", pretty=f"{expr}; {stem}")
+                _mk_root(val, 1, expr=f"{expr} where {stem}")
                 for val, expr in exprs
             ]
     return RootSet(
@@ -717,10 +645,6 @@ def _solve_quartic(eq: UnivariateEquation, prec: int) -> QuarticSolution:
                         expr=(
                             f"sub(div(add(neg({bq}),mul({sign},sqrt(sub(mul({bq},{bq}),"
                             f"mul(4,{cq}))))),2),{dq.shift})"
-                        ),
-                        pretty=(
-                            f"quadratic factor y^2 + ({bq})y + ({cq}); "
-                            f"x = y - {dq.shift}"
                         ),
                     )
                 )

@@ -158,11 +158,11 @@ def _quartic_family():
 def test_criterion_1_quintic_golden():
     start = time.perf_counter()
     eq, rs = _quintic_case()
-    gen = cs.center_generator(eq.homogenize())
-    assert (gen.D1, gen.D2, gen.D3) == (-8, -20, -12)
-    assert (gen.lambda1, gen.lambda2) == (-8, -12)
+    inv = cs.binary_invariants(eq.homogenize())
+    assert (inv.D1, inv.D2, inv.D3) == (-8, -20, -12)
+    assert (inv.lambda1, inv.lambda2) == (-8, -12)
     a0, a1 = eq.norm[0], eq.norm[1]
-    ratio = (gen.lambda2 * a0 - gen.D1 * a1) / (gen.lambda1 * a0 - gen.D1 * a1)
+    ratio = (inv.lambda2 * a0 - inv.D1 * a1) / (inv.lambda1 * a0 - inv.D1 * a1)
     assert ratio == F(1, 32)
     assert cs.rational_nth_root(ratio, 5) == F(1, 2)
     exact_roots = [r.exact for r in rs.roots if r.exact is not None]
@@ -178,9 +178,9 @@ def test_criterion_1_quintic_golden():
 def test_criterion_2_degree7_golden():
     start = time.perf_counter()
     eq, rs = _degree7_case()
-    gen = cs.center_generator(eq.homogenize())
-    assert gen.D1 == F(-25, 1764)
-    assert gen.lambda1 == gen.lambda2 == F(25, 3528)
+    inv = cs.binary_invariants(eq.homogenize())
+    assert inv.D1 == F(-25, 1764)
+    assert inv.lambda1 == inv.lambda2 == F(25, 3528)
     got = sorted((r.exact, r.multiplicity) for r in rs.roots)
     assert got == [(F(-1, 3), 1), (F(1, 2), 6)]
     assert all(isinstance(r.exact, F) for r in rs.roots)

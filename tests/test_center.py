@@ -5,12 +5,10 @@ import pytest
 
 import centersolve as cs
 from centersolve import (
-    CenterRankError,
     DegreeError,
     NAryForm,
-    PivotError,
     binary_center_system,
-    center_generator,
+    binary_invariants,
     compute_center,
     hessian,
     is_nondegenerate,
@@ -138,56 +136,43 @@ class TestBinaryCenterSystem:
 
 class TestCenterGenerator:
     def test_quintic_invariants(self, quintic):
-        gen = center_generator(quintic.homogenize())
-        assert (gen.D1, gen.D2, gen.D3) == (-8, -20, -12)
-        assert gen.discriminant == 16
-        assert (gen.lambda1, gen.lambda2) == (-8, -12)
-        assert gen.matrix == ((0, 12), (-8, -20))
+        inv = binary_invariants(quintic.homogenize())
+        assert (inv.D1, inv.D2, inv.D3) == (-8, -20, -12)
+        assert inv.discriminant == 16
+        assert (inv.lambda1, inv.lambda2) == (-8, -12)
 
     def test_degree7_invariants(self, degree7):
-        gen = center_generator(degree7.homogenize())
-        assert gen.D1 == F(-25, 1764)
-        assert gen.D2 == F(25, 1764)
-        assert gen.D3 == F(-25, 7056)
-        assert gen.discriminant == 0
-        assert gen.lambda1 == gen.lambda2 == F(25, 3528)
+        inv = binary_invariants(degree7.homogenize())
+        assert inv.D1 == F(-25, 1764)
+        assert inv.D2 == F(25, 1764)
+        assert inv.D3 == F(-25, 7056)
+        assert inv.discriminant == 0
+        assert inv.lambda1 == inv.lambda2 == F(25, 3528)
 
     @pytest.mark.parametrize("p,q", [(F(2), F(5)), (F(-3), F(2)), (F(1, 2), F(-1, 3))])
     def test_depressed_cubic_invariants(self, p, q):
         eq = cs.from_plain_coeffs([1, 0, p, q])
-        gen = center_generator(eq.homogenize())
-        assert gen.D1 == p / 3
-        assert gen.D2 == q
-        assert gen.D3 == -p * p / 9
+        inv = binary_invariants(eq.homogenize())
+        assert inv.D1 == p / 3
+        assert inv.D2 == q
+        assert inv.D3 == -p * p / 9
 
     def test_eigenvalue_identities(self):
         rng = random.Random(303)
         for _ in range(25):
             norm = tuple(rand_nonzero_fraction(rng) for _ in range(4))
-            form = cs.BinaryForm(norm)
-            try:
-                gen = center_generator(form)
-            except (PivotError, CenterRankError):
+            inv = binary_invariants(cs.BinaryForm(norm))
+            if inv.hankel_rank != 2 or inv.D1 == 0:
                 continue
-            assert gen.lambda1 + gen.lambda2 == gen.D2
-            assert gen.lambda1 * gen.lambda2 == gen.D1 * gen.D3
-
-    def test_pivot_error(self):
-        # x^3 + y^3 has D1 = 0
-        with pytest.raises(PivotError):
-            center_generator(cs.BinaryForm((1, 0, 0, 1)))
-
-    def test_rank_error_on_perfect_power(self):
-        with pytest.raises(CenterRankError) as exc:
-            center_generator(cs.BinaryForm((1, 1, 1, 1)))
-        assert exc.value.rank == 1
+            assert inv.lambda1 + inv.lambda2 == inv.D2
+            assert inv.lambda1 * inv.lambda2 == inv.D1 * inv.D3
 
     def test_binary_consistency_with_general_center(self, quintic):
         form = quintic.homogenize()
-        gen = center_generator(form)
+        inv = binary_invariants(form)
         basis = compute_center(form.to_nary())
         assert basis.dim == 2
-        lam = [list(map(F, row)) for row in gen.matrix]
+        lam = [[F(0), -inv.D3], [inv.D1, inv.D2]]
         assert span_equal(
             [[x for row in b for x in row] for b in basis.basis],
             [[x for row in m for x in row] for m in (identity(2), lam)],

@@ -113,6 +113,16 @@ class TestSolve:
         doc = json.loads(out)
         assert doc["class"] == "NoNontrivialCenter"
         assert len(doc["roots"]) == 4
+        # x times a trivial-center quartic is of degree 5: no method
+        code, _, err = run(["solve", "x^5 + x^2 + x"])
+        assert code == EXIT_NO_METHOD
+        assert "not applicable" in err
+
+    def test_binary_input_is_dehomogenized(self):
+        code, out, err = run(["solve", "x^3 + 3*x^2*y + 3*x*y^2 + 9*y^3"])
+        assert code == EXIT_OK, err
+        assert "class: PowerPlusConstant" in out
+        assert "verification: passed" in out
 
     def test_text_format(self):
         code, out, _ = run(["solve", "--input", "coeffs", "31 235 710 1070 805 242"])
@@ -204,6 +214,21 @@ class TestOtherCommands:
         assert doc["center"]["lambda2"] == "-12"
         assert doc["invariants"]["hankel_rank"] == 2
 
+    def test_center_text_format(self):
+        code, out, _ = run(["center", "--input", "coeffs", "31 235 710 1070 805 242"])
+        assert code == EXIT_OK
+        assert "center: dim=2 commutative=True" in out
+        assert "    [-5/2, -3/2]" in out
+        assert "  lambda1 = -8, lambda2 = -12" in out
+
+    def test_center_binary_input(self):
+        # D1 = 0 for x^3 + y^3, so no eigenvalues are printed
+        code, out, _ = run(["center", "x^3 + y^3", "--format", "json"])
+        doc = json.loads(out)
+        assert code == EXIT_OK
+        assert doc["center"]["dim"] == 2
+        assert doc["center"]["lambda1"] is None
+
     def test_center_nary(self):
         code, out, _ = run(
             ["center", "x1^3 + x2^3 + x3^3", "--format", "json"]
@@ -213,12 +238,20 @@ class TestOtherCommands:
 
     def test_decompose_seed_and_precision_flags(self):
         code, out, _ = run(
-            ["decompose", "x1^3 - 2*x2^3 + 3*x3^3", "--seed", "7",
-             "--precision", "96", "--format", "json"]
+            ["decompose", "x1^3 - 2*x2^3 + 3*x3^3", "--precision", "96",
+             "--format", "json"]
         )
         doc = json.loads(out)
         assert code == EXIT_OK
         assert doc["verification"]["passed"] is True
+        code, _, err = run(["decompose", "x1^3 - 2*x2^3 + 3*x3^3", "--seed", "7"])
+        assert code == EXIT_USAGE
+        assert "usage error" in err
+
+    def test_decompose_repeated_spectrum(self):
+        code, _, err = run(["decompose", "x1^2*x2"])
+        assert code == EXIT_NO_METHOD
+        assert "generic center element has a repeated spectrum" in err
 
     def test_oracle_command(self):
         code, out, _ = run(

@@ -235,6 +235,14 @@ class TestDiagonalizeNumeric:
         assert flipped == []
 
 
+def test_repeated_spectrum_raises():
+    # every weight draw gives the generic element of x1^2*x2 a repeated eigenvalue
+    f = cs.parse_polynomial("x1^2*x2").form
+    assert profile(f).spectrum_kind == "repeated"
+    with pytest.raises(NotDiagonalizableError, match="repeated spectrum"):
+        diagonalize_form(f)
+
+
 def test_center_dim_mismatch_raises():
     # x1^3 + x2^3 viewed in three variables is degenerate: dim Z > 3
     f = NAryForm(3, 3, {(3, 0, 0): F(1), (0, 3, 0): F(1)})

@@ -13,13 +13,13 @@ from centersolve import (
     NoRadicalMethodError,
     PivotError,
     RepeatedEigenvalueError,
+    binary_center_system,
+    binary_invariants,
     cardano,
     classify,
-    complete_cube,
     complete_powers,
     depress_quartic,
     expand,
-    hankel,
     reversal_transform,
     shift_equation,
     solve_by_radicals,
@@ -63,16 +63,20 @@ def residual_ok(root_set, tol=1e-9):
     return True
 
 
+def hankel_rank(eq):
+    return binary_invariants(eq.homogenize()).hankel_rank
+
+
 class TestHankel:
     def test_quintic_rank_two(self, quintic):
-        hk = hankel(quintic)
-        assert hk.rank == 2
-        assert hk.rows[0] == (31, 47, 71)
-        assert len(hk.rows) == 4
+        assert hankel_rank(quintic) == 2
+        rows = binary_center_system(quintic.homogenize())
+        assert rows[0] == [31, 47, -71]
+        assert len(rows) == 4
 
     def test_binomial_power_rank_one(self):
         eq = cs.from_plain_coeffs([1, 4, 6, 4, 1])  # (x+1)^4
-        assert hankel(eq).rank == 1
+        assert hankel_rank(eq) == 1
 
     def test_generic_cubic_rank_two(self):
         rng = random.Random(11)
@@ -84,11 +88,11 @@ class TestHankel:
             if d2 * d2 - 4 * d1 * d3 == 0:
                 continue
             eq = cs.from_norm_coeffs(norm)
-            assert hankel(eq).rank == 2
+            assert hankel_rank(eq) == 2
 
     def test_degree_error(self):
         with pytest.raises(DegreeError):
-            hankel(cs.from_plain_coeffs([1, 2, 3]))
+            hankel_rank(cs.from_plain_coeffs([1, 2, 3]))
 
 
 class TestClassify:
@@ -145,19 +149,19 @@ class TestClassify:
 
 class TestCompleteCube:
     def test_two_symmetric_cubes(self):
-        dec = complete_cube(BinaryForm((2, 0, 2, 0)))
+        dec = complete_powers(BinaryForm((2, 0, 2, 0)))
         got = {(str(c), tuple(map(str, l.coeffs))) for c, l in dec.summands}
         assert got == {("1", ("1", "1")), ("1", ("1", "-1"))}
 
     def test_cube_plus_shifted_cube(self):
-        dec = complete_cube(BinaryForm((2, 1, 1, 1)))
+        dec = complete_powers(BinaryForm((2, 1, 1, 1)))
         got = {(str(c), tuple(map(str, l.coeffs))) for c, l in dec.summands}
         assert got == {("1", ("1", "1")), ("1", ("1", "0"))}
 
     @pytest.mark.parametrize("p,q", [(F(2), F(3)), (F(-5), F(1)), (F(1, 2), F(7))])
     def test_depressed_cubic_eigenvalues(self, p, q):
         form = BinaryForm((1, 0, p / 3, q))
-        dec = complete_cube(form)
+        dec = complete_powers(form)
         # the summand shifts are lambda_i / D1 with the classical spectrum
         root = exact_sqrt(q * q / 4 + p**3 / 27)
         lam1 = q / 2 + root
@@ -171,20 +175,22 @@ class TestCompleteCube:
             norm = tuple(rand_fraction(rng) for _ in range(4))
             form = BinaryForm(norm)
             try:
-                dec = complete_cube(form)
-            except (PivotError, RepeatedEigenvalueError, DegreeError):
+                dec = complete_powers(form)
+            except (PivotError, RepeatedEigenvalueError, DegreeError, CenterRankError):
                 continue
             assert expand(dec, 2) == form.to_nary()
 
-    def test_pivot_error(self):
-        with pytest.raises(PivotError):
-            complete_cube(BinaryForm((1, 0, 0, 1)))
+    def test_sum_of_cubes_splits_as_diagonal(self):
+        # x^3 + y^3 has D1 = 0 before and after the x/y swap
+        dec = complete_powers(BinaryForm((1, 0, 0, 1)))
+        got = {(str(c), tuple(map(str, l.coeffs))) for c, l in dec.summands}
+        assert got == {("1", ("1", "0")), ("1", ("0", "1"))}
 
     def test_repeated_eigenvalue(self):
         # x(x+1)^2 homogenized: discriminant vanishes
         eq = cs.from_plain_coeffs([1, 2, 1, 0])
         with pytest.raises(RepeatedEigenvalueError):
-            complete_cube(eq.homogenize())
+            complete_powers(eq.homogenize())
 
 
 class TestCompletePowers:
@@ -209,10 +215,6 @@ class TestCompletePowers:
         )
         dec = complete_powers(BinaryForm(norm))
         assert dec.canonical() == dec_true.canonical()
-
-    def test_cubic_delegates_to_complete_cube(self):
-        form = BinaryForm((2, 1, 1, 1))
-        assert complete_powers(form) == complete_cube(form)
 
     def test_rank_error(self):
         eq = cs.from_plain_coeffs([1, 0, 0, 0, 1, 1])
@@ -299,12 +301,15 @@ class TestSolveByRadicals:
         with pytest.raises(NoRadicalMethodError):
             solve_by_radicals(eq)
 
-    def test_quartic_hint_in_message(self):
+    def test_trivial_center_quartic_takes_two_squares(self):
         eq = cs.from_plain_coeffs([1, 1, 1, 1, 5])
         assert classify(eq).tag == "NoNontrivialCenter"
-        with pytest.raises(NoRadicalMethodError) as exc:
-            solve_by_radicals(eq)
-        assert "quartic" in str(exc.value)
+        rs = solve_by_radicals(eq)
+        assert rs.method == "quartic-two-squares"
+        assert rs == solve_quartic_by_two_squares(eq).root_set
+        # x times that quartic is not a quartic: its trivial center has no method
+        with pytest.raises(NoRadicalMethodError):
+            solve_by_radicals(cs.from_plain_coeffs([1, 1, 1, 1, 5, 0]))
 
     def test_quadratic_convenience(self):
         rs = solve_by_radicals(cs.from_plain_coeffs([1, -3, 2]))
@@ -315,15 +320,6 @@ class TestSolveByRadicals:
     def test_linear_convenience(self):
         rs = solve_by_radicals(cs.from_plain_coeffs([2, -5]))
         assert rs.roots[0].exact == F(5, 2)
-
-    def test_structured_root_parameters(self, quintic):
-        rs = solve_by_radicals(quintic)
-        for r in rs.roots:
-            p = r.params
-            assert p["radicand"] == F(1, 32)
-            assert p["degree"] == 5
-            assert (p["lambda1"], p["lambda2"], p["D1"]) == (-8, -12, -8)
-        assert sorted(r.params["index"] for r in rs.roots) == [0, 1, 2, 3, 4]
 
     def test_branch_invariance(self, quintic):
         base = as_multiset(solve_by_radicals(quintic))
