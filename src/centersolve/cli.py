@@ -322,8 +322,7 @@ def _cmd_center(args, text, out, err) -> tuple[dict, int]:
     }
     if form.nvars == 2:
         inv = binary_invariants(BinaryForm.from_nary(form))
-        if parsed.equation is not None:
-            _fill_invariants(doc, inv)
+        _fill_invariants(doc, inv)
         if inv.lambda1 is not None and inv.D1 != 0:  # Lambda is defined
             center_info["lambda1"] = scalar_str(inv.lambda1)
             center_info["lambda2"] = scalar_str(inv.lambda2)

@@ -10,11 +10,7 @@ class DegreeError(CenterSolveError):
 
 
 class PivotError(CenterSolveError):
-    """A required pivot vanishes: D1, or the constant term of a reversal.
-
-    D1 vanishes only for binary forms: an equation outside the ratio
-    classes always has D1 != 0.
-    """
+    """A reversal needs a nonzero constant term."""
 
 
 class CenterRankError(CenterSolveError):

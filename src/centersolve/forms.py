@@ -191,10 +191,6 @@ class BinaryForm:
                 terms[(d - i, i)] = comb(d, i) * a
         return NAryForm(2, d, terms)
 
-    def reversed(self) -> "BinaryForm":
-        """Swap the roles of x and y (coefficient reversal)."""
-        return BinaryForm(tuple(reversed(self.norm)))
-
 
 # ---------------------------------------------------------------------------
 # n-ary forms
@@ -291,22 +287,6 @@ class NAryForm:
 
     def __repr__(self):
         return f"NAryForm({self.nvars}, {self.degree}, {self.terms!r})"
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono in sorted(self.terms, reverse=True):
-            c = self.terms[mono]
-            factors = []
-            for i, e in enumerate(mono):
-                if e == 1:
-                    factors.append(f"x{i + 1}")
-                elif e > 1:
-                    factors.append(f"x{i + 1}^{e}")
-            body = "*".join(factors)
-            parts.append(f"{c}*{body}" if body else f"{c}")
-        return " + ".join(parts)
 
 
 # ---------------------------------------------------------------------------

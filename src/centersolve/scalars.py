@@ -173,7 +173,8 @@ class QuadExt:
 
     The radicand is normalized to a square-reduced integer on construction,
     so values built from different but equivalent radicands (8 vs 2) compare
-    equal.  Arithmetic collapses to a plain Fraction whenever b becomes 0.
+    equal.  Arithmetic keeps that reduced radicand and collapses to a plain
+    Fraction whenever b becomes 0.
     """
 
     __slots__ = ("a", "b", "disc")
@@ -192,6 +193,14 @@ class QuadExt:
         self.b = b * scale
         self.disc = Fraction(n)
         return self
+
+    def _with(self, a: Fraction, b: Fraction):
+        """a + b*sqrt(self.disc), without reducing the radicand again."""
+        if b == 0:
+            return a
+        out = object.__new__(QuadExt)
+        out.a, out.b, out.disc = a, b, self.disc
+        return out
 
     # -- field arithmetic ------------------------------------------------
 
@@ -213,19 +222,19 @@ class QuadExt:
         if parts is None:
             return NotImplemented
         oa, ob = parts
-        return QuadExt(self.a + oa, self.b + ob, self.disc)
+        return self._with(self.a + oa, self.b + ob)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.disc)
+        return self._with(-self.a, -self.b)
 
     def __sub__(self, other):
         parts = self._match(other)
         if parts is None:
             return NotImplemented
         oa, ob = parts
-        return QuadExt(self.a - oa, self.b - ob, self.disc)
+        return self._with(self.a - oa, self.b - ob)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -235,10 +244,8 @@ class QuadExt:
         if parts is None:
             return NotImplemented
         oa, ob = parts
-        return QuadExt(
-            self.a * oa + self.b * ob * self.disc,
-            self.a * ob + self.b * oa,
-            self.disc,
+        return self._with(
+            self.a * oa + self.b * ob * self.disc, self.a * ob + self.b * oa
         )
 
     __rmul__ = __mul__
@@ -246,14 +253,14 @@ class QuadExt:
     def inverse(self):
         norm = self.a * self.a - self.b * self.b * self.disc
         # norm == 0 would force sqrt(disc) rational, excluded by construction
-        return QuadExt(self.a / norm, -self.b / norm, self.disc)
+        return self._with(self.a / norm, -self.b / norm)
 
     def __truediv__(self, other):
         if isinstance(other, QuadExt):
             return self * other.inverse()
         if isinstance(other, (int, Fraction)):
             o = as_fraction(other)
-            return QuadExt(self.a / o, self.b / o, self.disc)
+            return self._with(self.a / o, self.b / o)
         return NotImplemented
 
     def __rtruediv__(self, other):
@@ -274,7 +281,7 @@ class QuadExt:
         return result
 
     def conjugate(self):
-        return QuadExt(self.a, -self.b, self.disc)
+        return self._with(self.a, -self.b)
 
     # -- comparisons and hashing ------------------------------------------
 

@@ -1,15 +1,18 @@
 """Classification of equations by center structure and radical solutions.
 
-The pipeline for a degree-d equation f with binomial-scaled coefficients a_i:
+The pipeline for a degree-d equation f with binomial-scaled coefficients a_i
+reads one record, the invariants of the Hankel matrix with rows
+(a_i, a_{i+1}, a_{i+2}):
 
-  * ratio classes first (perfect power; power plus constant; constant plus
-    power), decided by exact cross-product tests, solved by d-th roots;
-  * otherwise the Hankel matrix with rows (a_i, a_{i+1}, a_{i+2}) is ranked:
-    rank 3 means a trivial center and no radical method here, rank 2 hands
-    the equation to the center generator.  Distinct generator eigenvalues
-    complete f into two d-th powers and every root is a Moebius image of a
-    d-th root of unity; a repeated eigenvalue forces a root of multiplicity
-    d-1 with the last root closed by Vieta.
+  * rank 1 is a perfect power, rank 3 a trivial center (no radical method
+    here);
+  * at rank 2, D1 = 0 is a power plus a constant, solved by d-th roots;
+  * a zero discriminant is a repeated generator eigenvalue, which forces a
+    root of multiplicity d-1 with the last root closed by Vieta;
+  * D3 = 0 is a constant times x^d plus a power: the reversed equation is
+    a power plus a constant;
+  * otherwise the generator's distinct eigenvalues complete f into two
+    d-th powers, and every root is a Moebius image of a d-th root of unity.
 
 Quartics with trivial center take the sum-of-two-squares route: depress,
 solve the resolvent cubic, split into two quadratics.
@@ -66,35 +69,36 @@ class EquationClass:
         return self.invariants.hankel_rank
 
 
-def _geometric(seq) -> bool:
-    """All cross products s_i*s_{j+1} == s_{i+1}*s_j (projective ratio test)."""
-    m = len(seq) - 1
-    return all(
-        seq[i] * seq[j + 1] == seq[i + 1] * seq[j]
-        for i in range(m)
-        for j in range(i + 1, m)
-    )
-
-
 def classify(eq: UnivariateEquation) -> EquationClass:
-    """Total classification by ratio tests and center structure.
+    """Total classification from the center invariants of the homogenization.
 
-    Outside the three ratio classes, Hankel rank <= 2 forces the pivot
-    D1 = a0*a2 - a1^2 to be nonzero (a0 != 0 for an equation), so the two
-    center classes need no pivot-restoring transform.
+    With a0 != 0 (always, for an equation) the invariants decide every tag:
+    Hankel rank 1 iff the a_i are geometric (a perfect power); at rank 2,
+    D1 = 0 iff a_0..a_{d-1} are geometric (a power plus a constant); and a
+    sum of two distinct powers with an x^d summand has the eigenvalue 0, so
+    D1*D3 = lambda1*lambda2 = 0.  Outside these classes D1 != 0, so the
+    two center classes need no pivot-restoring transform.
     """
     if eq.degree < 3:
         raise DegreeError("classification needs degree >= 3")
     a = eq.norm
     d = eq.degree
     inv = binary_invariants(eq.homogenize())
-    if _geometric(a):
+    if inv.hankel_rank == 1:
         tag, witness = "PerfectPower", {"scale": a[0], "shift": a[1] / a[0]}
-    elif _geometric(a[:-1]):
+    elif inv.hankel_rank == 3:
+        tag, witness = "NoNontrivialCenter", {}
+    elif inv.D1 == 0:
         t = a[1] / a[0]
         tag = "PowerPlusConstant"
         witness = {"scale": a[0], "shift": t, "constant": a[d] - a[0] * t**d}
-    elif a[d] != 0 and _geometric(a[1:]):
+    elif inv.discriminant == 0:
+        tag = "LinearTimesPowerD1"
+        witness = {
+            "repeated_root": -inv.D2 / (2 * inv.D1),
+            "simple_root": (d - 1) * inv.D2 / (2 * inv.D1) - d * a[1] / a[0],
+        }
+    elif inv.D3 == 0:
         u = a[d - 1] / a[d]
         tag = "ConstantTimesPowerPlusPower"
         witness = {
@@ -102,16 +106,8 @@ def classify(eq: UnivariateEquation) -> EquationClass:
             "reciprocal_shift": u,
             "constant": a[0] - a[d] * u**d,
         }
-    elif inv.hankel_rank == 3:
-        tag, witness = "NoNontrivialCenter", {}
-    elif inv.discriminant != 0:
-        tag, witness = "SumOfTwoPowers", {}
     else:
-        tag = "LinearTimesPowerD1"
-        witness = {
-            "repeated_root": -inv.D2 / (2 * inv.D1),
-            "simple_root": (d - 1) * inv.D2 / (2 * inv.D1) - d * a[1] / a[0],
-        }
+        tag, witness = "SumOfTwoPowers", {}
     return EquationClass(tag=tag, witness=witness, invariants=inv)
 
 
@@ -135,20 +131,13 @@ def _two_power_completion(norm, inv: BinaryInvariants) -> PowerSumDecomposition:
     return PowerSumDecomposition(tuple(summands), d)
 
 
-def _swap_decomposition(dec: PowerSumDecomposition) -> PowerSumDecomposition:
-    return PowerSumDecomposition(
-        tuple((c, LinearForm((f.coeffs[1], f.coeffs[0]))) for c, f in dec.summands),
-        dec.degree,
-    )
-
-
 def complete_powers(form: BinaryForm) -> PowerSumDecomposition:
-    """Two-power completion for degree >= 3, restoring the pivot if needed.
+    """Two-power completion of a binary form of degree >= 3 and Hankel rank 2.
 
-    When D1 = 0 (possible for a binary form, never for an equation outside
-    the ratio classes) the same completion is run on the x/y-swapped form,
-    and the pure diagonal a0*x^d + ad*y^d splits directly; genuinely
-    repeated eigenvalues or the wrong Hankel rank are errors.
+    When D1 = 0 and a0 != 0, the a_0..a_{d-1} are geometric with ratio
+    t = a1/a0, so the form is a0*(x + t*y)^d + gamma*y^d.  When D1 = 0 and
+    a0 = 0, y^2 divides the form, which is no sum of two distinct powers.
+    A repeated eigenvalue or the wrong Hankel rank is an error.
     """
     if form.degree < 3:
         raise DegreeError("complete_powers expects degree >= 3")
@@ -161,21 +150,22 @@ def _complete_powers(form: BinaryForm, inv: BinaryInvariants) -> PowerSumDecompo
         raise CenterRankError(inv.hankel_rank)
     if inv.D1 != 0:
         return _two_power_completion(form.norm, inv)
-    swapped = form.reversed()
-    swapped_inv = binary_invariants(swapped)
-    if swapped_inv.D1 != 0:
-        return _swap_decomposition(_two_power_completion(swapped.norm, swapped_inv))
-    if all(c == 0 for c in form.norm[1:-1]):
-        a0, ad = form.norm[0], form.norm[-1]
-        if a0 != 0 and ad != 0:
-            return PowerSumDecomposition(
-                (
-                    (a0, LinearForm((Fraction(1), Fraction(0)))),
-                    (ad, LinearForm((Fraction(0), Fraction(1)))),
-                ),
-                form.degree,
-            )
-    raise PivotError("no pivot available for the two-power completion")
+    a0, a1, ad = form.norm[0], form.norm[1], form.norm[-1]
+    if a0 == 0:  # then a1 = 0 as well
+        raise RepeatedEigenvalueError("repeated generator eigenvalue")
+    d = form.degree
+    t = a1 / a0
+    gamma = ad - a0 * t**d
+    y_power = (gamma, LinearForm((Fraction(0), Fraction(1))))
+    if t == 0:
+        summands = ((a0, LinearForm((Fraction(1), Fraction(0)))), y_power)
+    else:
+        # a0*(x + t*y)^d = a0*t^d * (x/t + y)^d; it comes first iff its
+        # eigenvalue a0*t^(d-3)*gamma under the x/y swap is the larger one
+        power = (a0 * t**d, LinearForm((1 / t, Fraction(1))))
+        first = gamma * a0 * t ** (d - 1) > 0
+        summands = (power, y_power) if first else (y_power, power)
+    return PowerSumDecomposition(summands, d)
 
 
 # ---------------------------------------------------------------------------

@@ -229,6 +229,19 @@ class TestOtherCommands:
         assert doc["center"]["dim"] == 2
         assert doc["center"]["lambda1"] is None
 
+    @pytest.mark.parametrize("text", ["x^3 + y^3", "x1^3 + x2^3"])
+    def test_center_binary_invariants(self, text):
+        # every two-variable form gets its invariants, not only an equation
+        code, out, _ = run(["center", text, "--format", "json"])
+        assert code == EXIT_OK
+        assert json.loads(out)["invariants"] == {
+            "D1": "0",
+            "D2": "1",
+            "D3": "0",
+            "discriminant": "1",
+            "hankel_rank": 2,
+        }
+
     def test_center_nary(self):
         code, out, _ = run(
             ["center", "x1^3 + x2^3 + x3^3", "--format", "json"]

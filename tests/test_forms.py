@@ -248,6 +248,3 @@ class TestHomogenization:
     def test_round_trip(self, quintic):
         assert quintic.homogenize().dehomogenize() == quintic
 
-    def test_binary_reversal(self):
-        form = cs.BinaryForm((1, 2, 3, 4))
-        assert form.reversed().norm == (4, 3, 2, 1)

@@ -192,3 +192,23 @@ def test_cancelling_parts_keep_their_relative_accuracy():
     with mp.workprec(256):
         want = mpf(p) - mpf(q) * mp.sqrt(2)
     assert abs(to_mpc(x) - want) <= 1e-15 * abs(want)
+
+
+def test_arithmetic_keeps_the_reduced_radicand(monkeypatch):
+    import centersolve.scalars as scalars
+
+    x = QuadExt(F(1, 3), 2, 1000000007 * 998244353)
+    y = QuadExt(5, F(-1, 7), 1000000007 * 998244353)
+    calls = []
+    original = scalars._square_part
+
+    def counting(n):
+        calls.append(n)
+        return original(n)
+
+    monkeypatch.setattr(scalars, "_square_part", counting)
+    total = (x + y) * x / y
+    assert calls == []
+    assert total.disc == x.disc
+    assert total * y == (x + y) * x
+    assert x - x == 0 and isinstance(x - x, F)

@@ -181,7 +181,7 @@ class TestCompleteCube:
             assert expand(dec, 2) == form.to_nary()
 
     def test_sum_of_cubes_splits_as_diagonal(self):
-        # x^3 + y^3 has D1 = 0 before and after the x/y swap
+        # x^3 + y^3 has D1 = 0 and t = a1/a0 = 0: a0*x^3 + a3*y^3 as it stands
         dec = complete_powers(BinaryForm((1, 0, 0, 1)))
         got = {(str(c), tuple(map(str, l.coeffs))) for c, l in dec.summands}
         assert got == {("1", ("1", "0")), ("1", ("0", "1"))}
@@ -222,7 +222,7 @@ class TestCompletePowers:
             complete_powers(eq.homogenize())
 
     def test_pivot_restoration_by_swap(self):
-        # (x+y)^3 + 4y^3 has D1 = 0 but the swapped form is pivoted
+        # (x+y)^3 + 4y^3 has D1 = 0: a0*(x + t*y)^3 + gamma*y^3, t = a1/a0
         form = BinaryForm((1, 1, 1, 5))
         dec = complete_powers(form)
         assert expand(dec, 2) == form.to_nary()
@@ -528,12 +528,20 @@ def test_classification_precedence_on_overlaps():
     assert cs.compare_root_sets(rs, oracle, tol=1e-9).passed
 
 
+# a SumOfTwoPowers cubic of the solve_exact corpus whose residual misses the
+# contract at 128 bits and meets it at 192 bits
+_FORCED_ESCALATION = [
+    F(75287398628364, 12547899771385),
+    F(-54, 5),
+    F(62979915469134666545104276, 5),
+    F(-12595983093817898821185458, 5),
+]
+
+
 def test_near_degenerate_coefficients_escalate_precision():
-    # delta is numerically indistinguishable from 1 at 64 bits; the solver
-    # must raise its working precision until the residual contract holds
-    eq = cs.from_plain_coeffs(
-        [10**40 + 1, 3 * 10**30, 3 * (10**20 + 7), 999999999999]
-    )
+    # the solver must raise its working precision until the residual
+    # contract holds, and the oracle must agree with the roots it returns
+    eq = cs.from_plain_coeffs(_FORCED_ESCALATION)
     assert classify(eq).tag == "SumOfTwoPowers"
     rs = solve_by_radicals(eq)
     from centersolve.solver import max_scaled_residual
@@ -630,13 +638,21 @@ def _count_classify(monkeypatch):
     return calls
 
 
-_FORCED_ESCALATION = [10**40 + 1, 3 * 10**30, 3 * (10**20 + 7), 999999999999]
-
-
 def test_solve_by_radicals_classifies_once_across_escalation(monkeypatch):
+    import centersolve.solver as solver
+
     calls = _count_classify(monkeypatch)
+    rounds = []
+    original = solver.max_scaled_residual
+
+    def counting(root_set, prec):
+        rounds.append(prec)
+        return original(root_set, prec)
+
+    monkeypatch.setattr(solver, "max_scaled_residual", counting)
     rs = solve_by_radicals(cs.from_plain_coeffs(_FORCED_ESCALATION))
     assert rs.method == "two-power-sum"
+    assert len(rounds) >= 2
     assert len(calls) == 1
 
 
