@@ -1,8 +1,8 @@
 """Diagonalizing a ternary cubic into a sum of three cubes of linear forms.
 
-The center algebra of the form is computed as an exact nullspace, a generic
-center element is split into orthogonal idempotents, and the idempotents'
-ranges assemble the change of variables.
+The center algebra of the form is computed as an exact nullspace, and the
+eigenvectors of a generic center element (one per eigenvalue, each from the
+range of that eigenvalue's idempotent) assemble the change of variables P.
 """
 
 from fractions import Fraction as F
@@ -23,7 +23,7 @@ for k, matrix in enumerate(basis.basis, 1):
     for row in matrix:
         print("    [" + "  ".join(str(x) for x in row) + "]")
 
-prof = cs.profile(f, basis)
+prof = cs.profile(f)
 print("\ngeneric element spectrum:", prof.spectrum_kind)
 print("eigenvalues:", [str(v) for v, _ in prof.eigenvalues])
 
@@ -43,14 +43,15 @@ for coeff, linear in result.as_power_sum.summands:
 assert cs.expand(result.as_power_sum, 3) == f
 print("\nexpand-back check: exact")
 
-# idempotent sanity: e_i e_j = delta_ij e_i and sum e_i = I
-from centersolve.linalg import identity, mat_mul
+# P diagonalizes the generic element: P^-1 g P = diag(eigenvalues), exactly
+from centersolve.linalg import inverse, mat_mul
 
-idem = [[list(row) for row in e] for e in result.idempotents]
-assert all(mat_mul(e, e) == e for e in idem)
-total = [[sum(e[i][j] for e in idem) for j in range(3)] for i in range(3)]
-assert total == identity(3)
-print("idempotent relations: exact")
+g = [list(row) for row in prof.generic_element]
+p = [list(row) for row in result.p]
+lams = sorted(v for v, _ in prof.eigenvalues)
+conjugated = mat_mul(mat_mul(inverse(p), g), p)
+assert conjugated == [[lams[i] if i == j else 0 for j in range(3)] for i in range(3)]
+print("P^-1 g P = diag(" + ", ".join(str(v) for v in lams) + "): exact")
 
 # a binary example with an irrational spectrum: the same call splits it
 # numerically

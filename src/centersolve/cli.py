@@ -86,18 +86,21 @@ def build_parser() -> _ArgumentParser:
             default="text",
             help="output format (default: text)",
         )
-        cmd.add_argument(
-            "--precision",
-            type=int,
-            default=DEFAULT_PREC,
-            metavar="N",
-            help="numeric precision in bits (default: 64)",
-        )
-        cmd.add_argument(
-            "--no-verify",
-            action="store_true",
-            help="skip the numeric-oracle cross-check",
-        )
+        # each command is given only the options it reads
+        if name in ("solve", "decompose", "oracle"):
+            cmd.add_argument(
+                "--precision",
+                type=int,
+                default=DEFAULT_PREC,
+                metavar="N",
+                help="numeric precision in bits (default: 64)",
+            )
+        if name == "solve":
+            cmd.add_argument(
+                "--no-verify",
+                action="store_true",
+                help="skip the numeric-oracle cross-check",
+            )
         cmd.add_argument(
             "--batch",
             metavar="FILE",

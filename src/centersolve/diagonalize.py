@@ -3,25 +3,26 @@
 A nondegenerate form of degree > 2 is a sum of d-th powers of independent
 linear forms exactly when its center algebra is a product of fields.  The
 constructive route: pick a generic element g of the center, split its
-characteristic polynomial, build the orthogonal primitive idempotents by
-Lagrange interpolation
+characteristic polynomial, and take column i of the change of variables P
+from the range of the primitive idempotent
 
     e_i = prod_{j != i} (g - l_j I) / (l_i - l_j),
 
-assemble the change of variables P column-wise from their ranges (so that
-P^-1 e_i P = E_ii), and read the diagonal coefficient of y_i^d off f(Py) as
-f evaluated at column i of P.  The result is checked once, by expanding it
-back to f.
+as its first nonzero column: e_i applied to a unit vector, n - 1
+matrix-vector steps, so no idempotent matrix is formed.  Then P^-1 g P is
+diagonal, and the diagonal coefficient of y_i^d in f(Py) is f evaluated at
+column i of P.  The result is checked once, by expanding it back to f.
 
 One pipeline (``_split``) does this over two scalar kinds, and the spectrum
 of the generic element chooses which.  When its n eigenvalues are distinct
-and rational, the split runs on Fractions; since the minimal polynomial is
-then prod (x - l_i), the idempotent relations hold by Cayley-Hamilton and
-are not rechecked.  When one eigenvalue is irrational, it runs on mpc at a
-working precision, with eigenvalues from the numeric roots of the
-characteristic polynomial; only its zero and negligible-summand tests
-differ.  A non-commutative center, a center of the wrong dimension, or a
-repeated eigenvalue in every draw means f is not such a power sum.
+and rational, the split runs on Fractions.  When one eigenvalue is
+irrational, it runs on mpc at a working precision, with eigenvalues from
+the numeric roots of the characteristic polynomial; their multiplicities
+come from its exact square-free split, so no distance between them decides
+whether the spectrum is separated.  Only the zero and negligible-summand
+tests differ between the two kinds.  A non-commutative center, a center of
+the wrong dimension, or a repeated eigenvalue in every draw means f is not
+such a power sum.
 """
 
 from __future__ import annotations
@@ -29,13 +30,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from mpmath import mp
 
 from .center import CenterBasis, compute_center
 from .errors import NotDiagonalizableError
 from .forms import LinearForm, NAryForm, PowerSumDecomposition, from_plain_coeffs
-from .linalg import char_poly, inverse, mat_add, mat_mul, mat_scale
+from .linalg import char_poly, inverse, mat_add, mat_scale
 from .oracle import check_decomposition, numeric_roots, rational_roots
 from .scalars import DEFAULT_PREC, as_fraction, to_mpc
 
@@ -67,8 +69,6 @@ class AlgebraProfile:
 @dataclass(frozen=True)
 class DiagonalDecomposition:
     p: tuple  # change of variables, x = P y
-    p_inv: tuple
-    idempotents: tuple
     diagonal: tuple  # coefficients with f(Py) = sum diagonal[i] * y_i^d
     as_power_sum: PowerSumDecomposition
     exact: bool
@@ -91,10 +91,9 @@ def _generic_element(basis: CenterBasis, weights):
     return g
 
 
-def profile(f: NAryForm, basis: CenterBasis | None = None) -> AlgebraProfile:
+def profile(f: NAryForm) -> AlgebraProfile:
     """Commutativity, generic element, and spectrum classification over Q."""
-    if basis is None:
-        basis = compute_center(f)
+    basis = compute_center(f)
     n = basis.n
     commutative = basis.is_commutative()
     for weights in _weight_draws(basis.dim):
@@ -130,25 +129,22 @@ def _freeze(m):
     return tuple(tuple(row) for row in m)
 
 
-def _lagrange_idempotents(g, eigenvalues, ident):
-    out = []
-    for li in eigenvalues:
-        e = ident
-        for lj in eigenvalues:
-            if lj == li:
-                continue
-            shifted = mat_add(g, mat_scale(-lj, ident))
-            e = mat_scale(1 / (li - lj), mat_mul(e, shifted))
-        out.append(e)
-    return out
+def _eigen_column(g, eigenvalues, i, scalar, is_zero):
+    """First nonzero column of e_i = prod_{j != i} (g - l_j I) / (l_i - l_j).
 
-
-def _first_nonzero_column(m, zero_test):
-    n = len(m)
-    for j in range(n):
-        col = [m[i][j] for i in range(n)]
-        if any(not zero_test(x) for x in col):
-            return col
+    Column k of e_i is the product applied to the k-th unit vector, one
+    factor at a time: n - 1 matrix-vector steps.
+    """
+    n = len(g)
+    li = eigenvalues[i]
+    for k in range(n):
+        v = [scalar(int(r == k)) for r in range(n)]
+        for j, lj in enumerate(eigenvalues):
+            if j != i:
+                c = 1 / (li - lj)
+                v = [c * (sum(map(mul, row, v)) - lj * x) for row, x in zip(g, v)]
+        if any(not is_zero(x) for x in v):
+            return v
     raise NotDiagonalizableError("idempotent is zero")
 
 
@@ -160,8 +156,11 @@ def diagonalize_form(
     """Write f as a sum of d-th powers of n independent linear forms.
 
     The center must be commutative of dimension n, with a generic element
-    of n distinct eigenvalues.  If they are rational the result is exact;
-    if one is irrational it is numeric, at max(prec, 96) bits.
+    of n distinct eigenvalues; distinct is decided exactly, also when the
+    eigenvalues are numeric.  If they are rational the result is exact; if
+    one is irrational it is numeric, at max(prec, 96) bits.  Column i of P
+    is an eigenvector of the generic element for its i-th eigenvalue, taken
+    from the range of its idempotent without forming that matrix.
     """
     prof = profile(f)
     n = f.nvars
@@ -182,7 +181,7 @@ def diagonalize_form(
         )
     else:
         wprec = max(prec, 96)
-        eigenvalues = _numeric_spectrum(prof.char_poly, wprec, tol)
+        eigenvalues = _numeric_spectrum(prof.char_poly, wprec)
         with mp.workprec(wprec):
             eps = mp.mpf(2) ** (-wprec // 2)
             result = _split(
@@ -199,36 +198,28 @@ def diagonalize_form(
     return result
 
 
-def _numeric_spectrum(cp, wprec: int, tol: float) -> list:
-    """All eigenvalues of the generic element, numerically and separated."""
-    n = len(cp) - 1
-    approx = numeric_roots(from_plain_coeffs(cp), tol=1e-20, prec=wprec)
-    eigenvalues = approx.values_with_multiplicity()
-    if len(eigenvalues) != n:
-        raise NotDiagonalizableError("could not separate the numeric spectrum")
-    sep = min(
-        abs(eigenvalues[i] - eigenvalues[j])
-        for i in range(n)
-        for j in range(i + 1, n)
-    )
-    if sep < tol:
-        raise NotDiagonalizableError("numeric spectrum is not separated")
-    return eigenvalues
+def _numeric_spectrum(cp, wprec: int) -> list:
+    """All eigenvalues of the generic element, numerically; each must be
+    simple, which the exact multiplicities of ``numeric_roots`` decide."""
+    roots = numeric_roots(from_plain_coeffs(cp), tol=1e-20, prec=wprec).roots
+    if any(r.multiplicity > 1 for r in roots):
+        raise NotDiagonalizableError(
+            "generic center element has a repeated spectrum"
+        )
+    return [r.value for r in roots]
 
 
 def _split(f, prof, eigenvalues, scalar, is_zero, cut, exact) -> DiagonalDecomposition:
-    """Idempotents, P, P^-1, diagonal and summands from a split spectrum.
+    """P, P^-1, diagonal and summands from a split spectrum.
 
     ``scalar`` maps the exact entries of the generic element into the working
     scalars (Fraction, or mpc at the caller's precision); ``is_zero`` decides
-    which idempotent columns vanish; summand i is dropped when
+    which columns of an idempotent vanish; summand i is dropped when
     |diagonal[i]| <= cut * max |diagonal|, so cut = 0 keeps every nonzero one.
     """
     n = f.nvars
     g = [[scalar(x) for x in row] for row in prof.generic_element]
-    ident = [[scalar(int(i == j)) for j in range(n)] for i in range(n)]
-    idem = _lagrange_idempotents(g, eigenvalues, ident)
-    cols = [_first_nonzero_column(e, is_zero) for e in idem]
+    cols = [_eigen_column(g, eigenvalues, i, scalar, is_zero) for i in range(n)]
     p = [[cols[j][i] for j in range(n)] for i in range(n)]
     try:
         p_inv = inverse(p)
@@ -245,8 +236,6 @@ def _split(f, prof, eigenvalues, scalar, is_zero, cut, exact) -> DiagonalDecompo
     )
     return DiagonalDecomposition(
         p=_freeze(p),
-        p_inv=_freeze(p_inv),
-        idempotents=tuple(_freeze(e) for e in idem),
         diagonal=tuple(diagonal),
         as_power_sum=PowerSumDecomposition(summands, f.degree),
         exact=exact,

@@ -6,9 +6,8 @@ work in integers and build one ``Fraction`` per output entry.  Elimination
 is one-step Bareiss with a fixed column order and row swaps only, so ranks,
 nullspaces and the bases built from them are fully deterministic;
 nullspace back-substitution and Faddeev-LeVerrier also run in integers.
-``mat_mul`` takes the integer path when both operands are rational and the
-generic scalar loop otherwise (``mpc`` in numeric diagonalization);
-``inverse`` is Gauss-Jordan with largest-entry pivoting over either kind.
+``mat_mul`` is rational-only, like the other exact kernels; ``inverse`` is
+Gauss-Jordan with largest-entry pivoting over Fractions or ``mpc``.
 """
 
 from __future__ import annotations
@@ -53,26 +52,11 @@ def _rational_matrix(a):
 
 
 def mat_mul(a, b):
-    """Matrix product; fraction-free when both operands are rational."""
-    ca, cb = _cleared(a), _cleared(b)
-    if ca is not None and cb is not None:
-        (ia, da), (ib, db) = ca, cb
-        den = da * db
-        cols = list(zip(*ib))
-        return [[Fraction(sum(map(mul, row, col)), den) for col in cols] for row in ia]
-    n, k, m = len(a), len(b), len(b[0])
-    out = [[Fraction(0)] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        for t in range(k):
-            c = ai[t]
-            if c == 0:
-                continue
-            bt = b[t]
-            row = out[i]
-            for j in range(m):
-                row[j] += c * bt[j]
-    return out
+    """Exact matrix product over Q, in integers over one denominator."""
+    (ia, da), (ib, db) = _rational_matrix(a), _rational_matrix(b)
+    den = da * db
+    cols = list(zip(*ib))
+    return [[Fraction(sum(map(mul, row, col)), den) for col in cols] for row in ia]
 
 
 def mat_eq(a, b) -> bool:

@@ -345,6 +345,25 @@ class TestExitCodes:
         assert run(["classify", "x^3 - 2"])[0] == EXIT_OK
         assert run(["classify", "--precision", "x"])[0] == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--no-verify", "x^3 - 8"],
+            ["center", "--precision", "96", "x^3 - 8"],
+            ["center", "--no-verify", "x^3 - 8"],
+            ["decompose", "--no-verify", "x^3 - 8"],
+            ["oracle", "--no-verify", "x^3 - 8"],
+            ["classify", "--precision", "96", "x^3 - 8"],
+        ],
+        ids=lambda argv: argv[0] + argv[1],
+    )
+    def test_option_a_command_does_not_read_is_a_usage_error(self, argv):
+        # --precision is read by solve, decompose and oracle only, and
+        # --no-verify by solve only; elsewhere they used to be ignored
+        code, _, err = run(argv)
+        assert code == EXIT_USAGE
+        assert "unrecognized arguments" in err
+
 
 class TestBatch:
     def test_batch_order_and_worst_code(self, tmp_path):
@@ -496,6 +515,17 @@ class TestExitCodeTable:
 
 
 class TestRegressions:
+    def test_decompose_close_conjugate_eigenvalues(self):
+        # (x1 + a*x2)^3 + (x1 - a*x2)^3 with a^2 = 2e-24: the eigenvalues of
+        # the generic element are 8.5e-12 apart, which a distance test took
+        # for a repeated eigenvalue
+        code, out, err = run(
+            ["decompose", "2*x1^3 + 12/1000000000000000000000000*x1*x2^2"]
+        )
+        assert code == EXIT_OK, err
+        assert "decomposition: 2 summands of degree 3 (numeric)" in out
+        assert "verification: passed" in out
+
     def test_decompose_repeated_rational_next_to_irrational_pair(self):
         # the first generic element has char poly (x - 7)^2 (x^2 - 4x + 25/4)
         code, out, err = run(["decompose", QUATERNARY_CUBIC])

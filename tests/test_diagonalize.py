@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from mpmath import mpf
+from mpmath import mp, mpf
 
 import centersolve as cs
 from centersolve import (
@@ -14,7 +14,9 @@ from centersolve import (
     hessian,
     profile,
 )
-from centersolve.linalg import identity, inverse, mat_mul
+from centersolve.forms import from_plain_coeffs
+from centersolve.linalg import inverse, mat_mul
+from centersolve.scalars import to_mpc
 from conftest import TERNARY_CUBIC_DEC, planted_diagonalizable, rand_nonzero_fraction
 
 
@@ -116,25 +118,15 @@ class TestDiagonalizeExact:
         )
         assert result.as_power_sum.canonical() == expected.canonical()
 
-    def test_idempotent_relations(self, ternary_cubic):
+    def test_p_diagonalizes_the_generic_element(self, ternary_cubic):
+        # column i of P is an eigenvector for the i-th smallest eigenvalue
         result = diagonalize_form(ternary_cubic)
-        n = 3
-        idem = [[list(row) for row in e] for e in result.idempotents]
-        total = [[F(0)] * n for _ in range(n)]
-        for i, e in enumerate(idem):
-            assert mat_mul(e, e) == e
-            for j, e2 in enumerate(idem):
-                if i != j:
-                    assert all(x == 0 for row in mat_mul(e, e2) for x in row)
-            total = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(total, e)]
-        assert total == identity(n)
-        # P^-1 e_i P = E_ii
+        prof = profile(ternary_cubic)
+        g = [list(row) for row in prof.generic_element]
         p = [list(row) for row in result.p]
-        p_inv = inverse(p)
-        for i, e in enumerate(idem):
-            conj = mat_mul(mat_mul(p_inv, e), p)
-            expected = [[F(r == i and c == i) for c in range(n)] for r in range(n)]
-            assert conj == expected
+        lams = sorted(value for value, _ in prof.eigenvalues)
+        expected = [[lams[r] if r == c else F(0) for c in range(3)] for r in range(3)]
+        assert mat_mul(mat_mul(inverse(p), g), p) == expected
 
     def test_hessian_diagonal_after_substitution(self, ternary_cubic):
         result = diagonalize_form(ternary_cubic)
@@ -173,6 +165,74 @@ class TestDiagonalizeExact:
         assert result.exact
         assert len(result.as_power_sum.summands) == 1
         assert expand(result.as_power_sum, 1) == f
+
+
+def idempotent_matrix_p(prof, eigenvalues, scalar, is_zero):
+    """P built from the idempotent matrices, as diagonalize_form first did.
+
+    Every e_i = prod_{j != i} (g - l_j I) / (l_i - l_j) is formed as an n x n
+    matrix by a triple-loop product in the working scalars, and column i of
+    P is its first nonzero column.
+    """
+    n = len(prof.generic_element)
+    g = [[scalar(x) for x in row] for row in prof.generic_element]
+    ident = [[scalar(int(r == c)) for c in range(n)] for r in range(n)]
+
+    def product(a, b):
+        return [
+            [sum((a[r][t] * b[t][c] for t in range(n)), scalar(0)) for c in range(n)]
+            for r in range(n)
+        ]
+
+    cols = []
+    for li in eigenvalues:
+        e = ident
+        for lj in eigenvalues:
+            if lj != li:
+                shifted = [[x - lj * y for x, y in zip(rg, ri)] for rg, ri in zip(g, ident)]
+                e = [[x / (li - lj) for x in row] for row in product(e, shifted)]
+        cols.append(
+            next(col for col in zip(*e) if any(not is_zero(x) for x in col))
+        )
+    return tuple(tuple(col[r] for col in cols) for r in range(n))
+
+
+class TestEigenColumns:
+    def test_exact_p_equals_the_idempotent_matrix_columns(self):
+        rng = random.Random(515)
+        done = 0
+        while done < 50:
+            n = 2 + done % 5
+            d = rng.choice([3, 4])
+            f, _ = planted_diagonalizable(rng, n, d)
+            try:
+                result = diagonalize_form(f)
+            except NotDiagonalizableError:
+                continue  # a degenerate draw
+            prof = profile(f)
+            eigenvalues = sorted(value for value, _ in prof.eigenvalues)
+            expected = idempotent_matrix_p(prof, eigenvalues, F, lambda x: x == 0)
+            assert result.p == expected
+            done += 1
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_numeric_p_agrees_with_the_idempotent_matrix_columns(self, seed):
+        rng = random.Random(seed)
+        n, d = rng.choice([3, 4]), rng.choice([3, 4])
+        f = planted_conjugate_pairs(rng, n, d)
+        result = diagonalize_form(f, prec=128)
+        assert not result.exact
+        prof = profile(f)
+        cp = from_plain_coeffs(prof.char_poly)
+        eigenvalues = cs.numeric_roots(cp, tol=1e-20, prec=128).values_with_multiplicity()
+        with mp.workprec(128):
+            eps = mp.mpf(2) ** -64
+            expected = idempotent_matrix_p(
+                prof, eigenvalues, lambda x: to_mpc(x, 128), lambda x: abs(x) < eps
+            )
+        for c in range(n):
+            scale = max(abs(row[c]) for row in expected)
+            assert all(abs(a[c] - b[c]) <= 1e-20 * scale for a, b in zip(result.p, expected))
 
 
 class TestDiagonalizeNumeric:
