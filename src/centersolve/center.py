@@ -3,7 +3,9 @@
 The center of a form f with Hessian matrix H is the space of matrices X for
 which H*X is symmetric.  Matching coefficients of every monomial in the
 entries of H*X - (H*X)^T gives a homogeneous linear system in the n^2
-unknown entries of X; its exact nullspace is the center basis.
+unknown entries of X; its exact nullspace is the center basis.  The system
+is built in integers from f with its denominators cleared, which has the
+same center.
 
 For binary forms the system collapses to d-1 equations in the three
 quantities (c12, c22 - c11, c21), with rows (a_i, a_{i+1}, -a_{i+2}).  When
@@ -47,24 +49,25 @@ class CenterBasis:
 
 
 def center_system(f: NAryForm):
-    """Linear system rows for H*X symmetric, unknowns X flattened row-major.
+    """Integer rows of the system H*X symmetric, unknowns X flattened row-major.
 
+    The rows come from F = den * f, whose coefficients are integers; the
+    Hessian of F is den times that of f, so the system has the same solutions.
     One row per (entry pair, monomial); deterministic ordering.
     """
     n = f.nvars
-    h = hessian(f)
+    h = hessian(f.cleared()[0])
     rows = []
     for i in range(n):
         for j in range(i + 1, n):
             # (HX)_ij - (HX)_ji = sum_k H[i][k] c_kj - H[j][k] c_ki = 0
-            monomials = set()
+            by_mono = {}
             for k in range(n):
-                monomials |= set(h[i][k].terms) | set(h[j][k].terms)
-            for mono in sorted(monomials, reverse=True):
-                row = [Fraction(0)] * (n * n)
-                for k in range(n):
-                    row[k * n + j] += h[i][k].coefficient(mono)
-                    row[k * n + i] -= h[j][k].coefficient(mono)
+                for mono, c in h[i][k].terms.items():
+                    by_mono.setdefault(mono, [0] * (n * n))[k * n + j] += c
+                for mono, c in h[j][k].terms.items():
+                    by_mono.setdefault(mono, [0] * (n * n))[k * n + i] -= c
+            for _, row in sorted(by_mono.items(), reverse=True):
                 if any(row):
                     rows.append(row)
     return rows

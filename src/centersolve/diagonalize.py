@@ -15,14 +15,17 @@ column i of P.  The result is checked once, by expanding it back to f.
 
 One pipeline (``_split``) does this over two scalar kinds, and the spectrum
 of the generic element chooses which.  When its n eigenvalues are distinct
-and rational, the split runs on Fractions.  When one eigenvalue is
-irrational, it runs on mpc at a working precision, with eigenvalues from
-the numeric roots of the characteristic polynomial; their multiplicities
-come from its exact square-free split, so no distance between them decides
-whether the spectrum is separated.  Only the zero and negligible-summand
-tests differ between the two kinds.  A non-commutative center, a center of
-the wrong dimension, or a repeated eigenvalue in every draw means f is not
-such a power sum.
+and rational, the split runs on integers: g and the eigenvalues are cleared
+over one denominator, f to F = den * f, each column is an integer vector w
+over one divisor D = prod (l_i - l_j), and its diagonal coefficient is
+F(w) / (den * D^d).  When one eigenvalue is irrational, it runs on mpc at a
+working precision, each step scaled by 1 / (l_i - l_j), with eigenvalues
+from the numeric roots of the characteristic polynomial; their
+multiplicities come from its exact square-free split, so no distance
+between them decides whether the spectrum is separated.  Only the zero and
+negligible-summand tests and where the divisions fall differ between the
+two kinds.  A non-commutative center, a center of the wrong dimension, or a
+repeated eigenvalue in every draw means f is not such a power sum.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from operator import mul
 
 from mpmath import mp
@@ -39,7 +43,7 @@ from .errors import NotDiagonalizableError
 from .forms import LinearForm, NAryForm, PowerSumDecomposition, from_plain_coeffs
 from .linalg import char_poly, inverse, mat_add, mat_scale
 from .oracle import check_decomposition, numeric_roots, rational_roots
-from .scalars import DEFAULT_PREC, as_fraction, to_mpc
+from .scalars import DEFAULT_PREC, clear_denominators, to_mpc
 
 _RETRY_SEED = 0x5EED
 
@@ -129,23 +133,27 @@ def _freeze(m):
     return tuple(tuple(row) for row in m)
 
 
-def _eigen_column(g, eigenvalues, i, scalar, is_zero):
-    """First nonzero column of e_i = prod_{j != i} (g - l_j I) / (l_i - l_j).
+def _eigen_column(g, eigenvalues, i, is_zero, exact):
+    """First nonzero column of e_i = prod_{j != i} (g - l_j I) / (l_i - l_j),
+    as ``(w, D)`` with the column equal to w / D.
 
     Column k of e_i is the product applied to the k-th unit vector, one
-    factor at a time: n - 1 matrix-vector steps.
+    factor at a time: n - 1 matrix-vector steps.  On integers (``exact``)
+    the chain stays in integers and D = prod (l_i - l_j) divides once; on
+    mpc each step is scaled by its 1 / (l_i - l_j) and D = 1.  Some column
+    is nonzero, because the trace of e_i is 1.
     """
     n = len(g)
     li = eigenvalues[i]
+    others = [lj for j, lj in enumerate(eigenvalues) if j != i]
+    steps = [(lj, 1 if exact else 1 / (li - lj)) for lj in others]
     for k in range(n):
-        v = [scalar(int(r == k)) for r in range(n)]
-        for j, lj in enumerate(eigenvalues):
-            if j != i:
-                c = 1 / (li - lj)
-                v = [c * (sum(map(mul, row, v)) - lj * x) for row, x in zip(g, v)]
-        if any(not is_zero(x) for x in v):
-            return v
-    raise NotDiagonalizableError("idempotent is zero")
+        v = [int(r == k) for r in range(n)]
+        for lj, c in steps:
+            v = [c * (sum(map(mul, row, v)) - lj * x) for row, x in zip(g, v)]
+        if not all(map(is_zero, v)):
+            break
+    return v, Fraction(prod(li - lj for lj in others)) if exact else 1
 
 
 def diagonalize_form(
@@ -175,20 +183,26 @@ def diagonalize_form(
             "generic center element has a repeated spectrum"
         )
     if prof.spectrum_kind == "distinct-rational":
+        # g and the eigenvalues over one denominator: the idempotents of
+        # the integer matrix den * g with eigenvalues den * l_j are the same
         eigenvalues = sorted(value for value, _ in prof.eigenvalues)
+        nums, _ = clear_denominators(
+            [x for row in prof.generic_element for x in row] + eigenvalues
+        )
+        g = [nums[r * n : (r + 1) * n] for r in range(n)]
         result = _split(
-            f, prof, eigenvalues, as_fraction, lambda x: x == 0, cut=0, exact=True
+            f.cleared(), g, nums[n * n :], lambda x: x == 0, cut=0, exact=True
         )
     else:
         wprec = max(prec, 96)
         eigenvalues = _numeric_spectrum(prof.char_poly, wprec)
         with mp.workprec(wprec):
             eps = mp.mpf(2) ** (-wprec // 2)
+            g = [[to_mpc(x, wprec) for x in row] for row in prof.generic_element]
             result = _split(
-                f,
-                prof,
+                (f, 1),
+                g,
                 eigenvalues,
-                lambda x: to_mpc(x, wprec),
                 lambda x: abs(x) < eps,
                 cut=tol,
                 exact=False,
@@ -209,25 +223,31 @@ def _numeric_spectrum(cp, wprec: int) -> list:
     return [r.value for r in roots]
 
 
-def _split(f, prof, eigenvalues, scalar, is_zero, cut, exact) -> DiagonalDecomposition:
+def _split(form, g, eigenvalues, is_zero, cut, exact) -> DiagonalDecomposition:
     """P, P^-1, diagonal and summands from a split spectrum.
 
-    ``scalar`` maps the exact entries of the generic element into the working
-    scalars (Fraction, or mpc at the caller's precision); ``is_zero`` decides
-    which columns of an idempotent vanish; summand i is dropped when
-    |diagonal[i]| <= cut * max |diagonal|, so cut = 0 keeps every nonzero one.
+    ``form`` is ``(F, den)`` with F = den * f; ``g`` and ``eigenvalues`` are
+    the generic element and its spectrum in the working scalars (integers
+    over one denominator, or mpc at the caller's precision).  ``is_zero``
+    decides which columns of an idempotent vanish.  Column i of P is w / D
+    and its diagonal coefficient f(w / D) = F(w) / (den * D^d).  Summand i
+    is dropped when |diagonal[i]| <= cut * max |diagonal|, so cut = 0 keeps
+    every nonzero one.
     """
-    n = f.nvars
-    g = [[scalar(x) for x in row] for row in prof.generic_element]
-    cols = [_eigen_column(g, eigenvalues, i, scalar, is_zero) for i in range(n)]
-    p = [[cols[j][i] for j in range(n)] for i in range(n)]
+    big_f, den = form
+    n, d = big_f.nvars, big_f.degree
+    p_cols, diagonal = [], []
+    for i in range(n):
+        w, div = _eigen_column(g, eigenvalues, i, is_zero, exact)
+        p_cols.append([x / div for x in w])
+        # evaluate_exact is generic in the scalar; on an irrational spectrum
+        # it runs on mpc
+        diagonal.append(big_f.evaluate_exact(w) / (den * div**d))
+    p = [[p_cols[j][i] for j in range(n)] for i in range(n)]
     try:
         p_inv = inverse(p)
     except ValueError:
         raise NotDiagonalizableError("the change of variables is singular") from None
-    # evaluate_exact is generic in the scalar; on an irrational spectrum it
-    # runs on mpc
-    diagonal = [f.evaluate_exact(col) for col in cols]
     scale = max(abs(c) for c in diagonal)
     summands = tuple(
         (c, LinearForm(tuple(row)))
@@ -237,6 +257,6 @@ def _split(f, prof, eigenvalues, scalar, is_zero, cut, exact) -> DiagonalDecompo
     return DiagonalDecomposition(
         p=_freeze(p),
         diagonal=tuple(diagonal),
-        as_power_sum=PowerSumDecomposition(summands, f.degree),
+        as_power_sum=PowerSumDecomposition(summands, d),
         exact=exact,
     )

@@ -105,21 +105,6 @@ class UnivariateEquation:
     def homogenize(self) -> "BinaryForm":
         return BinaryForm(self.norm)
 
-    def __str__(self):
-        d = self.degree
-        parts = []
-        for i, b in enumerate(self.plain):
-            if b == 0:
-                continue
-            power = d - i
-            if power == 0:
-                parts.append(f"{b}")
-            elif power == 1:
-                parts.append(f"{b}*x")
-            else:
-                parts.append(f"{b}*x^{power}")
-        return " + ".join(parts) if parts else "0"
-
 
 def from_plain_coeffs(coeffs) -> UnivariateEquation:
     """Build an equation from b0..bd; a-coefficients are derived exactly."""
@@ -233,8 +218,14 @@ class NAryForm:
             terms[tuple(new)] = e * c
         return NAryForm(self.nvars, self.degree - 1, terms)
 
+    def cleared(self) -> "tuple[NAryForm, int]":
+        """``(F, den)`` with F = den * self in integer coefficients and den
+        the lcm of the denominators; rational coefficients only."""
+        nums, den = clear_denominators(list(self.terms.values()))
+        return NAryForm(self.nvars, self.degree, dict(zip(self.terms, nums))), den
+
     def evaluate_exact(self, point):
-        acc = Fraction(0)
+        acc = 0
         for mono, c in self.terms.items():
             t = c
             for x, e in zip(point, mono):

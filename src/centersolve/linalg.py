@@ -6,8 +6,12 @@ work in integers and build one ``Fraction`` per output entry.  Elimination
 is one-step Bareiss with a fixed column order and row swaps only, so ranks,
 nullspaces and the bases built from them are fully deterministic;
 nullspace back-substitution and Faddeev-LeVerrier also run in integers.
-``mat_mul`` is rational-only, like the other exact kernels; ``inverse`` is
-Gauss-Jordan with largest-entry pivoting over Fractions or ``mpc``.
+``nullspace`` eliminates only the rows that are independent mod 2^61 - 1
+(one sparse pass), checks every basis vector exactly against every row,
+and eliminates all rows if a check fails, so no modular step decides the
+answer.  ``mat_mul`` is rational-only, like the other exact kernels;
+``inverse`` is Gauss-Jordan with largest-entry pivoting over Fractions or
+``mpc``.
 """
 
 from __future__ import annotations
@@ -110,20 +114,42 @@ def rank(rows) -> int:
     return len(pivots)
 
 
-def nullspace(rows, n_cols: int | None = None):
-    """Exact basis of the right nullspace.
+_PRIME = 2**61 - 1
 
-    Free columns are assigned the value 1 in reverse column order, one basis
-    vector per free column, so the basis is canonical for a given row order.
+
+def _independent_rows(rows, n_cols: int):
+    """Indices of the rows independent mod p = 2^61 - 1 of all rows before
+    them: the row rank profile mod p, in one sparse pass.
+
+    Rows independent mod p are independent over Q.
     """
-    if not rows:
-        if not n_cols:
-            return []
-        return [
-            [Fraction(i == j) for i in range(n_cols)]
-            for j in reversed(range(n_cols))
-        ]
-    n_cols = n_cols or len(rows[0])
+    pivot_rows = {}  # pivot column -> {column: entry mod p}, pivot entry 1
+    keep = []
+    for index, row in enumerate(rows):
+        r = {c: x % _PRIME for c, x in enumerate(row) if x % _PRIME}
+        while r:
+            c = min(r)
+            b = pivot_rows.get(c)
+            if b is None:
+                inv = pow(r[c], -1, _PRIME)
+                pivot_rows[c] = {k: x * inv % _PRIME for k, x in r.items()}
+                keep.append(index)
+                break
+            t = r[c]
+            for k, x in b.items():
+                y = (r.get(k, 0) - t * x) % _PRIME
+                if y:
+                    r[k] = y
+                else:
+                    del r[k]
+        if len(keep) == n_cols:
+            break
+    return keep
+
+
+def _integer_nullspace(rows, n_cols: int):
+    """Integer vectors v with v / v[f] the canonical basis vector of free
+    column f, in reverse column order (see ``nullspace``)."""
     ech, pivots = row_echelon(rows)
     pivot_set = set(pivots)
     free_cols = [c for c in range(n_cols) if c not in pivot_set]
@@ -143,8 +169,31 @@ def nullspace(rows, n_cols: int | None = None):
                 v = [x * s for x in v]
                 num *= s
             v[c] = num // p
-        basis.append([Fraction(x, v[f]) for x in v])
+        basis.append((v, f))
     return basis
+
+
+def nullspace(rows, n_cols: int | None = None):
+    """Exact basis of the right nullspace.
+
+    Free columns are assigned the value 1 in reverse column order, one basis
+    vector per free column.  This basis depends only on the row space, so
+    it is computed from the rows independent mod 2^61 - 1 and accepted only
+    if every vector is exactly orthogonal to every row; otherwise (the rows
+    have a larger rank over Q than mod p) it is computed from all rows.
+    """
+    if not rows and not n_cols:
+        return []
+    n_cols = n_cols or len(rows[0])
+    # each row cleared by its own denominator lcm; the row space is unchanged
+    ints = [_rational_matrix([row])[0][0] for row in rows]
+    keep = _independent_rows(ints, n_cols)
+    basis = _integer_nullspace([ints[i] for i in keep], n_cols)
+    if len(keep) < len(ints) and any(
+        sum(map(mul, row, v)) for v, _ in basis for row in ints
+    ):
+        basis = _integer_nullspace(ints, n_cols)
+    return [[Fraction(x, v[f]) for x in v] for v, f in basis]
 
 
 def inverse(a):

@@ -526,6 +526,16 @@ class TestRegressions:
         assert "decomposition: 2 summands of degree 3 (numeric)" in out
         assert "verification: passed" in out
 
+    def test_decompose_closer_conjugate_pair_fails_the_expand_back_check(self):
+        # a^2 = 2e-40: the numeric split at 96 bits does not expand back to
+        # f, and the one check of the power sum reports it as not applicable
+        code, out, err = run(
+            ["decompose", "2*x1^3 + 12/10000000000000000000000000000000000000000*x1*x2^2"]
+        )
+        assert code == EXIT_NO_METHOD
+        assert out == ""
+        assert "not applicable: the power sum does not expand back to the form" in err
+
     def test_decompose_repeated_rational_next_to_irrational_pair(self):
         # the first generic element has char poly (x - 7)^2 (x^2 - 4x + 25/4)
         code, out, err = run(["decompose", QUATERNARY_CUBIC])

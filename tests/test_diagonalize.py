@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from operator import mul
 
 import pytest
 from mpmath import mp, mpf
@@ -197,7 +198,52 @@ def idempotent_matrix_p(prof, eigenvalues, scalar, is_zero):
     return tuple(tuple(col[r] for col in cols) for r in range(n))
 
 
+def fraction_split(f):
+    """P, diagonal and power sum as the exact split first computed them from
+    eigen-columns: every step of e_i applied to a unit vector in Fractions,
+    and diagonal[i] = f(column i) summed in Fractions."""
+    prof = profile(f)
+    eigenvalues = sorted(value for value, _ in prof.eigenvalues)
+    g = prof.generic_element
+    n = len(g)
+    cols = []
+    for i, li in enumerate(eigenvalues):
+        for k in range(n):
+            v = [F(int(r == k)) for r in range(n)]
+            for j, lj in enumerate(eigenvalues):
+                if j != i:
+                    c = 1 / (li - lj)
+                    v = [c * (sum(map(mul, row, v)) - lj * x) for row, x in zip(g, v)]
+            if any(v):
+                break
+        cols.append(v)
+    diagonal = []
+    for col in cols:
+        acc = F(0)
+        for mono, c in f.terms.items():
+            for x, e in zip(col, mono):
+                c = c * x**e
+            acc = acc + c
+        diagonal.append(acc)
+    p = tuple(tuple(col[r] for col in cols) for r in range(n))
+    summands = tuple(
+        (c, cs.LinearForm(tuple(row))) for c, row in zip(diagonal, inverse(p)) if c
+    )
+    return p, tuple(diagonal), cs.PowerSumDecomposition(summands, f.degree)
+
+
 class TestEigenColumns:
+    @pytest.mark.parametrize("n", range(3, 9))
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_integer_split_equals_the_fraction_split(self, n, d):
+        f, _ = planted_diagonalizable(random.Random(100 * n + d), n, d)
+        with_fractions = F(1, 10007) * f
+        assert any(c.denominator > 1 for c in with_fractions.terms.values())
+        for form in (f.cleared()[0], with_fractions):
+            result = diagonalize_form(form)
+            assert result.exact
+            assert (result.p, result.diagonal, result.as_power_sum) == fraction_split(form)
+
     def test_exact_p_equals_the_idempotent_matrix_columns(self):
         rng = random.Random(515)
         done = 0

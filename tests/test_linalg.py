@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpc
 
+from centersolve import linalg
 from centersolve.linalg import (
     char_poly,
     identity,
@@ -89,10 +90,14 @@ def test_mat_mul_matches_fraction_triple_loop(pair):
 
 @st.composite
 def rank_deficient(draw):
-    """Rows that are rational combinations of a few random rows."""
+    """Rows that are rational combinations of a few random rows; tall draws
+    have many more rows than their rank, like the center systems."""
     cols = draw(st.integers(1, 7))
-    base = draw(matrices(draw(st.integers(1, cols)), cols, zero_rows=False))
-    combos = draw(matrices(draw(st.integers(1, 6)), len(base)))
+    tall = draw(st.booleans())
+    rank_cap = min(cols, 3) if tall else cols
+    base = draw(matrices(draw(st.integers(1, rank_cap)), cols, zero_rows=False))
+    n_combos = draw(st.integers(8, 30) if tall else st.integers(1, 6))
+    combos = draw(matrices(n_combos, len(base)))
     return [
         [sum((F(c) * F(r[j]) for c, r in zip(combo, base)), F(0)) for j in range(cols)]
         for combo in combos
@@ -142,6 +147,35 @@ def test_nullspace_deterministic_free_order():
     # x + y + z = 0: free columns are z then y (reverse order), each set to 1
     basis = nullspace([[F(1), F(1), F(1)]])
     assert basis == [[F(-1), F(0), F(1)], [F(-1), F(1), F(0)]]
+
+
+@pytest.mark.parametrize(
+    "rows, eliminations",
+    [
+        # the second row is the first one mod 2^61 - 1, but independent over
+        # Q: the basis from the rows independent mod p fails the exact check
+        ([[1, 0, 0], [1, 2**61 - 1, 0]], 2),
+        # a row that vanishes mod p leaves no row to eliminate
+        ([[0, 2**61 - 1, 0], [0, 0, 0]], 2),
+        # a dependent row over Q is dependent mod p: one elimination
+        ([[1, 0, 0], [2, 0, 0], [0, 1, 1]], 1),
+    ],
+)
+def test_nullspace_reruns_on_all_rows_when_the_mod_p_rank_drops(
+    rows, eliminations, monkeypatch
+):
+    calls = []
+    original = linalg._integer_nullspace
+
+    def counting(rows, n_cols):
+        calls.append(len(rows))
+        return original(rows, n_cols)
+
+    monkeypatch.setattr(linalg, "_integer_nullspace", counting)
+    assert nullspace(rows, n_cols=3) == fraction_nullspace(rows, 3)
+    assert len(calls) == eliminations
+    if eliminations == 2:
+        assert calls[-1] == len(rows)
 
 
 def test_nullspace_full_rank_is_empty():
