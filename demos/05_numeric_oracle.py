@@ -26,7 +26,7 @@ report = cs.compare_root_sets(radical, result, tol=1e-9)
 print("\nradical vs oracle:", "pass" if report.passed else "FAIL",
       f"(max distance {report.max_distance:.3g})")
 
-# and exact rational roots can be reconstructed from numeric seeds
+# exact rational roots need no numeric phase: they are lifted p-adically
 coeffs = [F(1), F(-5), F(6), F(4), F(-8)]  # (x-2)^3 (x+1)
 print("\nrational roots of x^4 - 5x^3 + 6x^2 + 4x - 8:")
 for root, mult in cs.rational_roots(coeffs):

@@ -214,7 +214,14 @@ def diagonalize_form(
 
 def _numeric_spectrum(cp, wprec: int) -> list:
     """All eigenvalues of the generic element, numerically; each must be
-    simple, which the exact multiplicities of ``numeric_roots`` decide."""
+    simple, which the exact multiplicities of ``numeric_roots`` decide.
+
+    ``profile`` draws again only while a rational eigenvalue repeats, so a
+    repeated irrational one is refused here: the trace over Q(sqrt 2) of
+    (x1 + sqrt2 x3)^2 (x2 + sqrt2 x4) has the center Q(sqrt 2)[e]/(e^2),
+    so every generic element has the square of an irreducible quadratic as
+    its char poly, (t^2 - 4t - 46)^2 for the first draw.
+    """
     roots = numeric_roots(from_plain_coeffs(cp), tol=1e-20, prec=wprec).roots
     if any(r.multiplicity > 1 for r in roots):
         raise NotDiagonalizableError(
@@ -244,10 +251,8 @@ def _split(form, g, eigenvalues, is_zero, cut, exact) -> DiagonalDecomposition:
         # it runs on mpc
         diagonal.append(big_f.evaluate_exact(w) / (den * div**d))
     p = [[p_cols[j][i] for j in range(n)] for i in range(n)]
-    try:
-        p_inv = inverse(p)
-    except ValueError:
-        raise NotDiagonalizableError("the change of variables is singular") from None
+    # eigenvectors of distinct eigenvalues are independent, so P is invertible
+    p_inv = inverse(p)
     scale = max(abs(c) for c in diagonal)
     summands = tuple(
         (c, LinearForm(tuple(row)))

@@ -2,10 +2,13 @@
 
 Matrices are plain lists of lists of ``Fraction``.  The exact kernels are
 fraction-free: they clear denominators (``scalars.clear_denominators``),
-work in integers and build one ``Fraction`` per output entry.  Elimination
-is one-step Bareiss with a fixed column order and row swaps only, so ranks,
-nullspaces and the bases built from them are fully deterministic;
-nullspace back-substitution and Faddeev-LeVerrier also run in integers.
+work in integers and build one ``Fraction`` per output entry.
+``row_echelon`` and ``nullspace`` take a row of ints as it is (the center
+system is built in integers) and clear any other row by its own
+denominators.  Elimination is one-step Bareiss with a fixed column order
+and row swaps only, so ranks, nullspaces and the bases built from them are
+fully deterministic; nullspace back-substitution and Faddeev-LeVerrier
+also run in integers.
 ``nullspace`` eliminates only the rows that are independent mod 2^61 - 1
 (one sparse pass), checks every basis vector exactly against every row,
 and eliminates all rows if a check fails, so no modular step decides the
@@ -55,6 +58,15 @@ def _rational_matrix(a):
     return _cleared(a) or _cleared([[as_fraction(x) for x in row] for row in a])
 
 
+def _integer_rows(rows):
+    """Each row in integers: a row of ints as it is, any other row cleared
+    by its own denominator lcm.  The row space is unchanged."""
+    return [
+        row if all(isinstance(x, int) for x in row) else _rational_matrix([row])[0][0]
+        for row in rows
+    ]
+
+
 def mat_mul(a, b):
     """Exact matrix product over Q, in integers over one denominator."""
     (ia, da), (ib, db) = _rational_matrix(a), _rational_matrix(b)
@@ -68,14 +80,13 @@ def mat_eq(a, b) -> bool:
 
 
 def row_echelon(rows):
-    """Bareiss row echelon of a rational matrix.
+    """Bareiss row echelon of a rational matrix, on copies of its rows.
 
     Returns ``(echelon, pivot_cols)`` where ``echelon`` is an integer matrix
     row-equivalent to the input and ``pivot_cols`` lists the pivot column of
     each nonzero row in order.
     """
-    # each row cleared by its own denominator lcm; the row space is unchanged
-    m = [_rational_matrix([row])[0][0] for row in rows]
+    m = [list(row) for row in _integer_rows(rows)]
     if not m:
         return [], []
     n_rows, n_cols = len(m), len(m[0])
@@ -185,8 +196,7 @@ def nullspace(rows, n_cols: int | None = None):
     if not rows and not n_cols:
         return []
     n_cols = n_cols or len(rows[0])
-    # each row cleared by its own denominator lcm; the row space is unchanged
-    ints = [_rational_matrix([row])[0][0] for row in rows]
+    ints = _integer_rows(rows)
     keep = _independent_rows(ints, n_cols)
     basis = _integer_nullspace([ints[i] for i in keep], n_cols)
     if len(keep) < len(ints) and any(

@@ -24,6 +24,14 @@ formulas it is used to check.
 Working precision scales with the degree of the factor iterated: its roots
 are simple, but a simple root's condition number can still grow
 exponentially with the degree (Wilkinson's polynomial).
+
+Rational roots (``rational_roots``) share the square-free split and have no
+numeric phase: the rational roots of each factor are the integer roots of a
+monic integer polynomial over its leading coefficient, found mod a small
+prime and lifted p-adically by Newton steps until the modulus exceeds
+twice Cauchy's root bound (Loos, SIAM J. Comput. 12, 1983; von zur Gathen
+and Gerhard, Modern Computer Algebra, ch. 15).  Each is kept only if it is
+an exact root, so no float, precision or tolerance decides the answer.
 """
 
 from __future__ import annotations
@@ -36,7 +44,6 @@ from itertools import zip_longest
 from typing import NamedTuple
 
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import to_rational
 
 from .errors import NonConvergenceError
 from .forms import (
@@ -430,7 +437,7 @@ def check_decomposition(
 
 
 # ---------------------------------------------------------------------------
-# exact rational roots (square-free split + numeric seed + exact verification)
+# exact rational roots (square-free split + p-adic lifting, in integers)
 # ---------------------------------------------------------------------------
 
 
@@ -438,32 +445,62 @@ def rational_roots(coeffs) -> list:
     """All rational roots of a rational polynomial: [(root, multiplicity)], sorted.
 
     A root's multiplicity is the index of its square-free factor g.  A root
-    r = u/v of g has v | L, the leading coefficient of the primitive g, so
-    candidates are 1/L^2 apart and limit_denominator(L) recovers r from an
-    iterate z within 1/(2L^2); a candidate counts only if g(r) == 0.  As
-    v^(n-1) g'(r) is a nonzero integer and |g(z)| <= 8 n eps ||g||_1 B^n at
-    the rounding floor (B: Fujiwara's bound), |z - r| ~ |g(z) / g'(r)| is
-    below 1/(2L^2) once eps < 1 / (16 n ||g||_1 B^n L^(n+1)), plus 32 bits.
+    u/v of g (primitive, degree n, leading coefficient L) has v | L, so
+    y = L * u/v is an integer root of the monic integer polynomial
+    h(y) = L^(n-1) g(y/L), whose coefficients are g_i L^(i-1).  Those roots
+    are found mod a prime, lifted p-adically (``_integer_roots``) and kept
+    only where h(y) == 0 exactly.
     """
     work = [as_fraction(c) for c in coeffs]
     if work[0] == 0:
         raise ValueError("leading coefficient must be nonzero")
     found = []
     for g, m in _squarefree(clear_denominators(work)[0]):
-        n, lead = len(g) - 1, g[0]
-        if n == 1:
-            found.append((Fraction(-g[1], lead), m))
-            continue
-        logs = [(math.log2(abs(c)) - math.log2(lead)) / i for i, c in enumerate(g[1:], 1) if c]
-        log_b = 1 + max(0, *logs)
-        bits = math.log2(16 * n * sum(map(abs, g))) + n * log_b + (n + 1) * math.log2(lead)
-        approx, _, converged = _aberth(g, 1e-12, int(bits) + 32, 500)
-        if not converged:
-            raise NonConvergenceError("rational_roots: no convergence after 500 iterations")
-        candidates = {
-            Fraction(*to_rational(z.real._mpf_)).limit_denominator(lead)
-            for z in approx
-            if 2 * abs(z.imag) * lead * lead < 1
-        }
-        found += [(r, m) for r in candidates if _horner(g, r) == 0]
+        lead = g[0]
+        h = [1] + [c * lead ** (i - 1) for i, c in enumerate(g[1:], 1)]
+        found += [(Fraction(y, lead), m) for y in _integer_roots(h)]
     return sorted(found)
+
+
+def _lifting_prime(h):
+    """``(p, roots)``: the smallest odd prime p at which every root of h mod p
+    is simple, and those roots, by evaluating h at 0..p-1.
+
+    Hensel's lemma needs no more than that; it holds wherever h mod p is
+    square-free, so at every odd prime not dividing the discriminant of the
+    square-free h.
+    """
+    p = 3
+    while True:
+        if all(p % q for q in range(3, math.isqrt(p) + 1, 2)):
+            hp = [c % p for c in h]
+            dp = [c % p for c in _derivative(hp)]
+            roots = [a for a in range(p) if _horner(hp, a) % p == 0]
+            if all(_horner(dp, a) % p for a in roots):
+                return p, roots
+        p += 2
+
+
+def _integer_roots(h):
+    """The integer roots of a monic square-free integer polynomial h.
+
+    Each root a of h mod p is simple, so Newton steps y <- y - h(y)/h'(y)
+    lift it to the unique root mod p^2, p^4, ... above it, until the
+    modulus exceeds twice Cauchy's bound 1 + max |h_i| on every root.  An
+    integer root of h reduces mod p to one of these a, so it is the
+    symmetric residue of that lift; a lift is kept only if h(y) == 0.
+    """
+    p, roots = _lifting_prime(h)
+    dh = _derivative(h)
+    bound = 2 * (1 + max(map(abs, h[1:])))
+    found = []
+    for y in roots:
+        q = p
+        while q <= bound:
+            q *= q
+            y = (y - _horner(h, y) * pow(_horner(dh, y), -1, q)) % q
+        if y > q // 2:
+            y -= q
+        if _horner(h, y) == 0:
+            found.append(y)
+    return found

@@ -349,6 +349,19 @@ def test_repeated_spectrum_raises():
         diagonalize_form(f)
 
 
+def test_repeated_irrational_spectrum_raises():
+    # the trace over Q(sqrt 2) of (x1 + sqrt2 x3)^2 (x2 + sqrt2 x4): its
+    # center Q(sqrt 2)[e]/(e^2) is commutative of dimension 4, but every
+    # generic element has a repeated irrational pair of eigenvalues, which
+    # the rational re-draw in profile does not see
+    f = cs.parse_polynomial("2*x1^2*x2 + 4*x2*x3^2 + 8*x1*x3*x4").form
+    prof = profile(f)
+    assert (prof.dim, prof.commutative, prof.spectrum_kind) == (4, True, "irrational")
+    assert prof.char_poly == (1, -8, -76, 368, 2116)  # (t^2 - 4t - 46)^2
+    with pytest.raises(NotDiagonalizableError, match="repeated spectrum"):
+        diagonalize_form(f)
+
+
 def test_center_dim_mismatch_raises():
     # x1^3 + x2^3 viewed in three variables is degenerate: dim Z > 3
     f = NAryForm(3, 3, {(3, 0, 0): F(1), (0, 3, 0): F(1)})

@@ -117,6 +117,37 @@ def test_nullspace_matches_fraction_back_substitution(case):
             assert sum(F(c) * x for c, x in zip(row, v)) == 0
 
 
+@st.composite
+def integer_rows_and_denominators(draw):
+    """Integer combinations of a few integer rows, often many more rows than
+    their rank like the center systems, and one nonzero divisor per row."""
+    def ints(size, values=st.integers(-9, 9)):
+        return st.lists(values, min_size=size, max_size=size)
+
+    cols = draw(st.integers(1, 7))
+    base = draw(st.lists(ints(cols), min_size=1, max_size=3))
+    combos = draw(st.lists(ints(len(base)), min_size=1, max_size=24))
+    rows = [
+        [sum(c * r[j] for c, r in zip(combo, base)) for j in range(cols)]
+        for combo in combos
+    ]
+    divisor = st.integers(1, 10**6) | st.integers(-(10**6), -1)
+    return rows, draw(ints(len(rows), divisor)), cols
+
+
+@settings(max_examples=60, deadline=None)
+@given(integer_rows_and_denominators())
+def test_integer_rows_taken_as_given_match_their_rational_multiples(case):
+    # integer rows skip the clearing; a row over its own denominator is
+    # cleared back to an integer multiple of itself: same row space
+    rows, dens, cols = case
+    divided = [[F(x, d) for x in row] for row, d in zip(rows, dens)]
+    given_rows = [list(row) for row in rows]
+    assert nullspace(rows, n_cols=cols) == nullspace(divided, n_cols=cols)
+    assert row_echelon(rows)[1] == row_echelon(divided)[1]
+    assert rows == given_rows  # elimination works on copies
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(1, 5).flatmap(lambda n: matrices(n, n)))
 def test_char_poly_matches_fraction_faddeev_leverrier(a):

@@ -223,21 +223,32 @@ class TestRationalRoots:
         assert rational_roots([F(3), F(-2)]) == [(F(2, 3), 1)]
 
     def test_one_numeric_seed_per_call(self, monkeypatch):
+        # no numeric seed at all: the roots are lifted p-adically
         import centersolve.oracle as oracle
 
-        degrees = []
-        original = oracle._aberth
+        def no_aberth(*args, **kwargs):
+            raise AssertionError("rational_roots ran the numeric root finder")
 
-        def counting(coeffs, *args, **kwargs):
-            degrees.append(len(coeffs) - 1)
-            return original(coeffs, *args, **kwargs)
-
-        monkeypatch.setattr(oracle, "_aberth", counting)
-        coeffs = [F(1)]
-        for k in range(1, 7):  # multiply by (x - k)
-            coeffs = [a - k * b for a, b in zip(coeffs + [F(0)], [F(0)] + coeffs)]
+        monkeypatch.setattr(oracle, "_aberth", no_aberth)
+        coeffs = _planted([(F(k), 1) for k in range(1, 7)])
         assert rational_roots(coeffs) == [(F(k), 1) for k in range(1, 7)]
-        assert degrees == [6]
+
+    def test_prime_search_skips_primes_with_a_repeated_root(self):
+        # x(x - 1)...(x - 6) has double roots mod 3 and mod 5, none mod 7
+        from centersolve.oracle import _lifting_prime
+
+        coeffs = _planted([(F(k), 1) for k in range(7)])
+        assert _lifting_prime(coeffs) == (7, list(range(7)))
+        assert rational_roots(coeffs) == [(F(k), 1) for k in range(7)]
+
+    def test_cluster_of_twelve_roots_within_1e_11(self):
+        # prod (10^12 x - 10^12 - k): the roots 1 + k/10^12 are 1e-12 apart
+        planted = [(1 + F(k, 10**12), 1) for k in range(1, 13)]
+        assert rational_roots(_planted(planted)) == planted
+
+    def test_roots_with_forty_digit_heights(self):
+        planted = sorted((F(10**40 + k, 10**39 + 3 * k), 1) for k in range(1, 7))
+        assert rational_roots(_planted(planted)) == planted
 
     def test_distinct_roots_closer_than_the_cluster_tolerance(self):
         # (x - 1)(x - 1 - 1e-7)(x^2 - 2): the oracle merges the two rational
@@ -271,10 +282,47 @@ def _planted(linear, quadratic=None):
     return coeffs
 
 
-_heights = st.integers(1, 10**30)
-_rationals = st.builds(
-    lambda s, u, v: F(s * u, v), st.sampled_from((-1, 1)), _heights, _heights
+def _rationals_to(height):
+    heights = st.integers(1, height)
+    return st.builds(
+        lambda s, u, v: F(s * u, v), st.sampled_from((-1, 1)), heights, heights
+    )
+
+
+_rationals = _rationals_to(10**30)
+
+# irreducible over Q: no real root (b^2 < 4ac), or the real pair +-k sqrt(2)
+_irreducible_quadratics = st.one_of(
+    st.builds(
+        lambda a, b, e: (a, b, b * b // (4 * a) + e),
+        st.integers(1, 10**20),
+        st.integers(-(10**20), 10**20),
+        st.integers(2, 10**20),
+    ),
+    st.builds(lambda k: (1, 0, -2 * k * k), st.integers(1, 10**20)),
 )
+
+
+@st.composite
+def _planted_linear_factors(draw):
+    """[(root, multiplicity)] with at most 12 linear factors in all."""
+    roots = draw(st.lists(_rationals_to(10**40), min_size=1, max_size=12, unique=True))
+    mults = []
+    for _ in roots:
+        if sum(mults) == 12:
+            break
+        mults.append(draw(st.integers(1, 12 - sum(mults))))
+    return sorted(zip(roots, mults))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    planted=_planted_linear_factors(),
+    quadratic=st.one_of(st.none(), _irreducible_quadratics),
+)
+def test_rational_roots_are_the_planted_multiset(planted, quadratic):
+    # prod (v x - u)^m, heights to 1e40, times an irreducible quadratic
+    assert rational_roots(_planted(planted, quadratic)) == planted
 
 
 class TestSquareFreeSplit:
