@@ -5,7 +5,8 @@ which H*X is symmetric.  Matching coefficients of every monomial in the
 entries of H*X - (H*X)^T gives a homogeneous linear system in the n^2
 unknown entries of X; its exact nullspace is the center basis.  The system
 is built in integers from f with its denominators cleared, which has the
-same center.
+same center.  Commutativity of the center is checked on the basis matrices
+cleared to integers, each once.
 
 For binary forms the system collapses to d-1 equations in the three
 quantities (c12, c22 - c11, c21), with rows (a_i, a_{i+1}, -a_{i+2}).  When
@@ -22,10 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 
 from .errors import DegreeError, NonRationalCoefficientError
 from .forms import BinaryForm, NAryForm, hessian
-from .linalg import mat_mul, mat_eq, nullspace, rank
+from .linalg import _cleared, nullspace, rank
 from .scalars import exact_sqrt
 
 
@@ -40,12 +43,22 @@ class CenterBasis:
     def dim(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def integer_basis(self) -> tuple:
+        """Each basis matrix in integers, as ``(ints, den)`` with B = ints / den."""
+        return tuple(_cleared(b) for b in self.basis)
+
     def is_commutative(self) -> bool:
-        for i, a in enumerate(self.basis):
-            for b in self.basis[i + 1 :]:
-                if not mat_eq(mat_mul(a, b), mat_mul(b, a)):
-                    return False
-        return True
+        """AB == BA for every pair, compared in integers: with A = IA / da and
+        B = IB / db both products are over da * db, so IA IB == IB IA."""
+        mats = [(m, list(zip(*m))) for m, _ in self.integer_basis]
+        return all(
+            sum(map(mul, ra, cb)) == sum(map(mul, rb, ca))
+            for i, (a, a_cols) in enumerate(mats)
+            for b, b_cols in mats[i + 1 :]
+            for ra, rb in zip(a, b)
+            for ca, cb in zip(a_cols, b_cols)
+        )
 
 
 def center_system(f: NAryForm):

@@ -33,7 +33,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 from operator import mul
 
 from mpmath import mp
@@ -41,7 +41,7 @@ from mpmath import mp
 from .center import CenterBasis, compute_center
 from .errors import NotDiagonalizableError
 from .forms import LinearForm, NAryForm, PowerSumDecomposition, from_plain_coeffs
-from .linalg import char_poly, inverse, mat_add, mat_scale
+from .linalg import char_poly, inverse
 from .oracle import check_decomposition, numeric_roots, rational_roots
 from .scalars import DEFAULT_PREC, clear_denominators, to_mpc
 
@@ -88,11 +88,14 @@ def _weight_draws(dim: int):
 
 
 def _generic_element(basis: CenterBasis, weights):
+    """sum w_i B_i, summed in integers over the lcm of the denominators."""
     n = basis.n
-    g = [[Fraction(0)] * n for _ in range(n)]
-    for w, b in zip(weights, basis.basis):
-        g = mat_add(g, mat_scale(Fraction(w), b))
-    return g
+    den = lcm(*(d for _, d in basis.integer_basis))
+    scaled = [(w * (den // d), m) for w, (m, d) in zip(weights, basis.integer_basis)]
+    return [
+        [Fraction(sum(s * m[r][c] for s, m in scaled), den) for c in range(n)]
+        for r in range(n)
+    ]
 
 
 def profile(f: NAryForm) -> AlgebraProfile:

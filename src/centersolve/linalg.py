@@ -10,11 +10,11 @@ and row swaps only, so ranks, nullspaces and the bases built from them are
 fully deterministic; nullspace back-substitution and Faddeev-LeVerrier
 also run in integers.
 ``nullspace`` eliminates only the rows that are independent mod 2^61 - 1
-(one sparse pass), checks every basis vector exactly against every row,
-and eliminates all rows if a check fails, so no modular step decides the
-answer.  ``mat_mul`` is rational-only, like the other exact kernels;
-``inverse`` is Gauss-Jordan with largest-entry pivoting over Fractions or
-``mpc``.
+(one sparse pass over pivot rows kept in reduced echelon form), checks
+every basis vector exactly against every row, and eliminates all rows if a
+check fails, so no modular step decides the answer.  ``mat_mul`` is
+rational-only, like the other exact kernels; ``inverse`` is Gauss-Jordan
+with largest-entry pivoting over Fractions or ``mpc``.
 """
 
 from __future__ import annotations
@@ -33,14 +33,6 @@ Matrix = "list[list[Fraction]]"
 
 def identity(n: int):
     return [[Fraction(i == j) for j in range(n)] for i in range(n)]
-
-
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(c, a):
-    return [[c * x for x in row] for row in a]
 
 
 def _cleared(a):
@@ -75,10 +67,6 @@ def mat_mul(a, b):
     return [[Fraction(sum(map(mul, row, col)), den) for col in cols] for row in ia]
 
 
-def mat_eq(a, b) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
 def row_echelon(rows):
     """Bareiss row echelon of a rational matrix, on copies of its rows.
 
@@ -86,7 +74,12 @@ def row_echelon(rows):
     row-equivalent to the input and ``pivot_cols`` lists the pivot column of
     each nonzero row in order.
     """
-    m = [list(row) for row in _integer_rows(rows)]
+    return _echelon(_integer_rows(rows))
+
+
+def _echelon(rows):
+    """``row_echelon`` of integer rows, on copies of them."""
+    m = [list(row) for row in rows]
     if not m:
         return [], []
     n_rows, n_cols = len(m), len(m[0])
@@ -132,36 +125,46 @@ def _independent_rows(rows, n_cols: int):
     """Indices of the rows independent mod p = 2^61 - 1 of all rows before
     them: the row rank profile mod p, in one sparse pass.
 
+    The pivot rows are kept in reduced echelon form (pivot entry 1, zero in
+    every other pivot column), so a new row is reduced by one subtraction
+    per pivot column it meets, with no fill-in in another pivot column.
     Rows independent mod p are independent over Q.
     """
-    pivot_rows = {}  # pivot column -> {column: entry mod p}, pivot entry 1
+    pivot_rows = {}  # pivot column -> {non-pivot column: entry mod p}
     keep = []
     for index, row in enumerate(rows):
         r = {c: x % _PRIME for c, x in enumerate(row) if x % _PRIME}
-        while r:
-            c = min(r)
-            b = pivot_rows.get(c)
-            if b is None:
-                inv = pow(r[c], -1, _PRIME)
-                pivot_rows[c] = {k: x * inv % _PRIME for k, x in r.items()}
-                keep.append(index)
-                break
-            t = r[c]
-            for k, x in b.items():
-                y = (r.get(k, 0) - t * x) % _PRIME
-                if y:
-                    r[k] = y
-                else:
-                    del r[k]
+        for c in [c for c in r if c in pivot_rows]:
+            _subtract_mod_p(r, r.pop(c), pivot_rows[c])
+        if not r:
+            continue
+        c = min(r)
+        inv = pow(r.pop(c), -1, _PRIME)
+        new = {k: x * inv % _PRIME for k, x in r.items()}
+        for b in pivot_rows.values():
+            if c in b:
+                _subtract_mod_p(b, b.pop(c), new)
+        pivot_rows[c] = new
+        keep.append(index)
         if len(keep) == n_cols:
             break
     return keep
 
 
+def _subtract_mod_p(r, t, b):
+    """r -= t * b mod p on sparse rows, dropping the entries that vanish."""
+    for k, x in b.items():
+        y = (r.get(k, 0) - t * x) % _PRIME
+        if y:
+            r[k] = y
+        else:
+            del r[k]
+
+
 def _integer_nullspace(rows, n_cols: int):
     """Integer vectors v with v / v[f] the canonical basis vector of free
     column f, in reverse column order (see ``nullspace``)."""
-    ech, pivots = row_echelon(rows)
+    ech, pivots = _echelon(rows)
     pivot_set = set(pivots)
     free_cols = [c for c in range(n_cols) if c not in pivot_set]
     basis = []

@@ -29,7 +29,7 @@ Rational roots (``rational_roots``) share the square-free split and have no
 numeric phase: the rational roots of each factor are the integer roots of a
 monic integer polynomial over its leading coefficient, found mod a small
 prime and lifted p-adically by Newton steps until the modulus exceeds
-twice Cauchy's root bound (Loos, SIAM J. Comput. 12, 1983; von zur Gathen
+twice Fujiwara's root bound (Loos, SIAM J. Comput. 12, 1983; von zur Gathen
 and Gerhard, Modern Computer Algebra, ch. 15).  Each is kept only if it is
 an exact root, so no float, precision or tolerance decides the answer.
 """
@@ -481,18 +481,27 @@ def _lifting_prime(h):
         p += 2
 
 
+def _root_bound(h):
+    """A power of two above |y| for every root y of the monic h.
+
+    Fujiwara's bound 2 max |h_i|^(1/i), with |h_i| < 2^bitlen(h_i) in place
+    of the i-th root, so no root is taken.
+    """
+    return 2 << max(-(-abs(c).bit_length() // i) for i, c in enumerate(h[1:], 1))
+
+
 def _integer_roots(h):
     """The integer roots of a monic square-free integer polynomial h.
 
     Each root a of h mod p is simple, so Newton steps y <- y - h(y)/h'(y)
     lift it to the unique root mod p^2, p^4, ... above it, until the
-    modulus exceeds twice Cauchy's bound 1 + max |h_i| on every root.  An
-    integer root of h reduces mod p to one of these a, so it is the
-    symmetric residue of that lift; a lift is kept only if h(y) == 0.
+    modulus exceeds twice ``_root_bound(h)``.  An integer root of h reduces
+    mod p to one of these a, so it is the symmetric residue of that lift; a
+    lift is kept only if h(y) == 0.
     """
     p, roots = _lifting_prime(h)
     dh = _derivative(h)
-    bound = 2 * (1 + max(map(abs, h[1:])))
+    bound = 2 * _root_bound(h)
     found = []
     for y in roots:
         q = p

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import centersolve as cs
 from centersolve import (
@@ -13,6 +14,8 @@ from centersolve import (
     hessian,
     is_nondegenerate,
 )
+from centersolve.center import CenterBasis
+from centersolve.diagonalize import _generic_element
 from centersolve.linalg import identity, rank, span_equal
 from conftest import (
     TERNARY_CENTER_BASIS,
@@ -177,3 +180,72 @@ class TestCenterGenerator:
             [[x for row in b for x in row] for b in basis.basis],
             [[x for row in m for x in row] for m in (identity(2), lam)],
         )
+
+
+# ---------------------------------------------------------------------------
+# references: the Fraction matrix arithmetic the integer center checks replace
+# ---------------------------------------------------------------------------
+
+
+def fraction_product(a, b):
+    return [
+        [sum((F(x) * F(y) for x, y in zip(row, col)), F(0)) for col in zip(*b)]
+        for row in a
+    ]
+
+
+def fraction_commutative(basis):
+    return all(
+        fraction_product(a, b) == fraction_product(b, a)
+        for i, a in enumerate(basis)
+        for b in basis[i + 1 :]
+    )
+
+
+@st.composite
+def center_like_bases(draw):
+    """Matrices each over its own denominator: polynomials in one integer
+    matrix (they commute), or arbitrary integer matrices (often they do not)."""
+    n = draw(st.integers(1, 4))
+    entries = st.one_of(st.just(0), st.integers(-5, 5))
+    square = st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+    a = draw(square)
+    a2 = fraction_product(a, a)
+    basis = []
+    for _ in range(draw(st.integers(1, 4))):
+        den = draw(st.integers(1, 10**4))
+        if draw(st.booleans()):
+            c0, c1, c2 = (draw(st.integers(-4, 4)) for _ in range(3))
+            m = [
+                [c0 * (i == j) + c1 * a[i][j] + c2 * a2[i][j] for j in range(n)]
+                for i in range(n)
+            ]
+        else:
+            m = draw(square)
+        basis.append(tuple(tuple(F(x, den) for x in row) for row in m))
+    return CenterBasis(n=n, basis=tuple(basis))
+
+
+@settings(max_examples=100, deadline=None)
+@given(center_like_bases())
+def test_is_commutative_matches_fraction_products(basis):
+    assert basis.is_commutative() == fraction_commutative(basis.basis)
+
+
+@settings(max_examples=60, deadline=None)
+@given(center_like_bases(), st.lists(st.integers(1, 10**6), min_size=4, max_size=4))
+def test_generic_element_matches_fraction_sum(basis, weights):
+    expected = [[F(0)] * basis.n for _ in range(basis.n)]
+    for w, b in zip(weights, basis.basis):
+        expected = [[x + w * y for x, y in zip(re, rb)] for re, rb in zip(expected, b)]
+    g = _generic_element(basis, weights)
+    assert g == expected
+    assert all(type(x) is F for row in g for x in row)
+
+
+def test_non_commutative_basis_over_different_denominators():
+    a = ((F(1, 2), F(0)), (F(0), F(0)))
+    b = ((F(0), F(1, 3)), (F(0), F(0)))
+    five_a = tuple(tuple(5 * x for x in row) for row in a)
+    assert not CenterBasis(n=2, basis=(a, b)).is_commutative()
+    assert CenterBasis(n=2, basis=(a, five_a)).is_commutative()

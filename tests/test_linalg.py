@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp, mpc
 
 from centersolve import linalg
@@ -152,6 +152,123 @@ def test_integer_rows_taken_as_given_match_their_rational_multiples(case):
 @given(st.integers(1, 5).flatmap(lambda n: matrices(n, n)))
 def test_char_poly_matches_fraction_faddeev_leverrier(a):
     assert char_poly(a) == fraction_char_poly(a)
+
+
+_P = 2**61 - 1
+
+
+def _rank_mod_p(rows):
+    """Dense Gaussian elimination mod 2^61 - 1."""
+    m = [[x % _P for x in row] for row in rows]
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = pow(m[r][c], -1, _P)
+        for i in range(r + 1, len(m)):
+            f = m[i][c] * inv % _P
+            m[i] = [(x - f * y) % _P for x, y in zip(m[i], m[r])]
+        r += 1
+    return r
+
+
+def dense_independent_rows(rows):
+    """Row i is kept iff it raises the rank mod p of the rows before it."""
+    return [
+        i for i in range(len(rows)) if _rank_mod_p(rows[: i + 1]) > _rank_mod_p(rows[:i])
+    ]
+
+
+@st.composite
+def center_like_rows(draw):
+    """Tall, sparse integer rows of low rank, like the center systems: integer
+    combinations of a few base rows, rows that vanish mod 2^61 - 1, and rows
+    equal mod 2^61 - 1 to a combination but not over Q."""
+    cols = draw(st.integers(1, 10))
+    sparse = st.one_of(st.just(0), st.integers(-9, 9))
+    base = draw(
+        st.lists(st.lists(sparse, min_size=cols, max_size=cols), min_size=1, max_size=6)
+    )
+    rows = []
+    for _ in range(draw(st.integers(4, 30))):
+        combo = draw(st.lists(st.integers(-3, 3), min_size=len(base), max_size=len(base)))
+        row = [sum(c * b[j] for c, b in zip(combo, base)) for j in range(cols)]
+        kind = draw(st.sampled_from(("combination", "vanishing", "shifted")))
+        shift = draw(st.lists(sparse, min_size=cols, max_size=cols))
+        if kind == "vanishing":
+            row = [_P * x for x in shift]
+        elif kind == "shifted":
+            row = [x + _P * y for x, y in zip(row, shift)]
+        rows.append(row)
+    return rows, cols
+
+
+@settings(max_examples=100, deadline=None)
+@given(center_like_rows())
+def test_independent_rows_are_the_rank_profile_mod_p(case):
+    rows, cols = case
+    keep = linalg._independent_rows(rows, cols)
+    assert keep == dense_independent_rows(rows)
+    assert rank([rows[i] for i in keep]) == len(keep)  # independent over Q too
+
+
+def fraction_inverse(a):
+    """Gauss-Jordan in Fractions, pivoting on the largest entry."""
+    n = len(a)
+    aug = [[F(x) for x in row] + [F(i == j) for j in range(n)] for i, row in enumerate(a)]
+    for c in range(n):
+        pivot_row = max(range(c, n), key=lambda i: abs(aug[i][c]))
+        if aug[pivot_row][c] == 0:
+            raise ValueError("matrix is singular")
+        aug[c], aug[pivot_row] = aug[pivot_row], aug[c]
+        p = aug[c][c]
+        aug[c] = [x / p for x in aug[c]]
+        for i in range(n):
+            if i != c and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
+    return [row[n:] for row in aug]
+
+
+@st.composite
+def invertible_rational_matrices(draw):
+    """Matrices over per-column denominators, zeros often, so that pivots
+    need row swaps."""
+    n = draw(st.integers(1, 6))
+    a = draw(matrices(n, n, zero_rows=False))
+    dens = draw(st.lists(st.integers(1, 10**6), min_size=n, max_size=n))
+    a = [[F(x) / d for x, d in zip(row, dens)] for row in a]
+    assume(rank(a) == n)
+    return a
+
+
+@settings(max_examples=100, deadline=None)
+@given(invertible_rational_matrices())
+def test_inverse_matches_fraction_gauss_jordan(a):
+    inv = inverse(a)
+    assert inv == fraction_inverse(a)
+    assert all(type(x) is F for row in inv for x in row)
+    assert mat_mul(a, inv) == identity(len(a))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5).flatmap(lambda n: matrices(n, n)))
+def test_inverse_of_a_singular_matrix_raises(a):
+    # the last row a combination of the others
+    a = a[:-1] + [[sum((F(x) for x in col), F(0)) for col in zip(*a[:-1])]]
+    with pytest.raises(ValueError):
+        inverse(a)
+
+
+def test_inverse_reads_str_entries():
+    a = [["1/2", "3"], ["-2/3", "0"]]
+    inv = inverse(a)
+    assert inv == fraction_inverse([[F(x) for x in row] for row in a])
+    assert mat_mul([[F(x) for x in row] for row in a], inv) == identity(2)
+    with pytest.raises(ValueError):
+        inverse([["1/2", "1"], ["1", "2"]])
 
 
 def test_rank_basic():

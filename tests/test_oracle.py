@@ -325,6 +325,40 @@ def test_rational_roots_are_the_planted_multiset(planted, quadratic):
     assert rational_roots(_planted(planted, quadratic)) == planted
 
 
+def _monic_with_integer_roots(roots, quadratic=(1,)):
+    h = list(quadratic)
+    for y in roots:
+        h = _poly_mul(h, [1, -y])
+    return h
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    roots=st.lists(st.integers(-(10**40), 10**40), min_size=1, max_size=12),
+    quadratic=st.one_of(
+        st.just((1,)),
+        st.tuples(st.just(1), st.integers(-(10**30), 10**30), st.integers(-(10**30), 10**30)),
+    ),
+)
+def test_root_bound_is_above_every_planted_root(roots, quadratic):
+    from centersolve.oracle import _root_bound
+
+    h = _monic_with_integer_roots(roots, quadratic)
+    assert _root_bound(h) >= max(map(abs, roots))
+
+
+def test_root_bound_of_the_cluster_is_near_its_roots():
+    # h = L^11 g(y/L) for g = prod (10^12 x - 10^12 - k) has the integer
+    # roots L (1 + k/10^12), L the product of the reduced denominators (464
+    # bits); twice Cauchy's 1 + max |h_i| has 5,566 bits
+    from centersolve.oracle import _root_bound
+
+    cluster = [1 + F(k, 10**12) for k in range(1, 13)]
+    lead = math.prod(r.denominator for r in cluster)
+    h = _monic_with_integer_roots([int(lead * r) for r in cluster])
+    assert max(abs(int(lead * r)) for r in cluster) <= _root_bound(h) < 2**480
+
+
 class TestSquareFreeSplit:
     @settings(max_examples=40, deadline=None)
     @given(
