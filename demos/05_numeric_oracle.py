@@ -1,9 +1,13 @@
-"""The independent numeric oracle: Aberth-Ehrlich iteration with clustering.
+"""The independent numeric oracle: square-free split, then Aberth-Ehrlich.
 
 Every radical answer in this library is cross-checked by a root finder that
-knows nothing about radicals.  Multiplicities come from clustering, so a
-multiplicity-6 root is detected as six iterates agreeing to 1e-6 -- which is
-why the oracle works far above double precision.
+knows nothing about radicals.  Multiplicities are exact: Yun's algorithm on
+the integer coefficients writes the polynomial as a product of powers of
+square-free factors, so the multiplicity-6 root below is the one root of
+the sixth-power factor, and only simple roots are iterated.  Each factor is
+iterated in hardware complex, then in stdlib decimal at 48, 144, ... digits,
+and finished in mpmath at the working precision, which alone decides
+convergence; ``iterations`` counts the decimal and mpmath rounds.
 """
 
 from fractions import Fraction as F

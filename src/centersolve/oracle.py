@@ -1,8 +1,8 @@
 """Independent numeric verification: root finding without radicals.
 
 An exact square-free split, then a simultaneous Aberth-Ehrlich iteration in
-two phases on each factor.  It reads only the coefficients, never the radical
-formulas it is used to check.
+three phases on each factor.  It reads only the coefficients, never the
+radical formulas it is used to check.
 
 0. Square-free split.  The rational coefficients are cleared to a primitive
    integer polynomial f, and Yun's algorithm (SYMSAC 1976), on gcds from a
@@ -16,10 +16,19 @@ formulas it is used to check.
    every root is there or the steps stall.  When a monic coefficient or an
    iterate is not a finite double (inputs beyond ~1e308) or two results
    coincide, the circle itself seeds the next phase.
-2. Multiprecision phase.  The same update at the working precision until
-   every root is at the rounding floor (and no longer updated) or every step
-   is below 256 eps.  ``OracleRootSet.iterations`` counts these rounds only,
-   summed over the factors.
+2. Decimal ladder.  The same update in stdlib ``decimal`` (libmpdec), on
+   pairs of Decimals, at 48 digits first.  The digits triple when every
+   root is at the level's rounding floor or the largest relative step is
+   below eps^(1/3); no level reaches the working precision, and a factor
+   whose working precision is at most 48 digits has none (Bini and
+   Fiorentino, Numer. Algorithms 23, 2000: pay for full precision only at
+   the end).  Decimal contexts are per-thread, so the ladder leaves
+   mpmath's global precision alone.
+3. Multiprecision phase.  The same update in mpc at the working precision
+   until every root is at the rounding floor (and no longer updated) or
+   every step is below 256 eps.  Only this phase decides convergence; the
+   ladder just gives it closer seeds.  ``OracleRootSet.iterations`` counts
+   the rounds of phases 2 and 3, summed over the factors.
 
 Working precision scales with the degree of the factor iterated: its roots
 are simple, but a simple root's condition number can still grow
@@ -39,11 +48,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 from itertools import zip_longest
 from typing import NamedTuple
 
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_rational, round_nearest
 
 from .errors import NonConvergenceError
 from .forms import (
@@ -60,6 +71,11 @@ _ANGLE_OFFSET = 0.7071067811865476
 #: Rounds without progress that end the float phase (see _float_aberth).
 _FLOAT_STALL = 8
 
+#: Digits of the first decimal level; each level has three times as many.
+_LADDER_START = 48
+
+_LOG2_10 = math.log2(10)
+
 
 class OracleRoot(NamedTuple):
     value: mpc
@@ -69,7 +85,7 @@ class OracleRoot(NamedTuple):
 @dataclass
 class OracleRootSet:
     roots: list  # of OracleRoot, multiplicities summing to the degree
-    iterations: int  # multiprecision Aberth rounds, summed over the factors
+    iterations: int  # Aberth rounds at every level, decimal and mpc, over all factors
     converged: bool
     max_residual: float  # scaled residual max |f(z)| / (max|b| * max(1,|z|)^d)
 
@@ -185,9 +201,10 @@ def numeric_roots(
 ) -> OracleRootSet:
     """All complex roots of a rational equation by Aberth-Ehrlich iteration.
 
-    Each square-free factor gets the working precision of its degree and at
-    most ``max_iter`` rounds; ``iterations`` sums the rounds.  ``max_residual``
-    is measured against the input.
+    Each square-free factor gets the working precision of its degree, at
+    most ``max_iter`` rounds on the decimal ladder and at most ``max_iter``
+    at the working precision; ``iterations`` sums the rounds.
+    ``max_residual`` is measured against the input.
     """
     d = eq.degree
     if d < 1:
@@ -224,53 +241,186 @@ def numeric_roots(
 
 
 def _aberth(coeffs, tol, prec, max_iter):
-    """(roots, multiprecision rounds, converged) of one polynomial."""
+    """(roots, Aberth rounds at every level, converged) of one polynomial.
+
+    The float phase seeds the decimal ladder, whose iterates seed the
+    multiprecision rounds; only those decide ``converged``.
+    """
     d = len(coeffs) - 1
     wprec = _working_prec(d, tol, prec)
     with mp.workprec(wprec):
         b = [to_mpc(c, wprec) for c in coeffs]
         if d == 1:
             return [-b[1] / b[0]], 0, True
-        db = [(d - i) * b[i] for i in range(d)]
         abs_b = [abs(c) for c in b]
         circle = _start_circle(abs_b)
         seeds = _float_aberth(
             [complex(c / b[0]) for c in b], [complex(zk) for zk in circle]
         )
         z = circle if seeds is None else [mpc(zk) for zk in seeds]
-        eps = mpf(2) ** (-wprec)
-        iterations = 0
-        converged = False
-        for iterations in range(1, max_iter + 1):
-            max_step = mpf(0)
-            all_quiet = True
-            for k in range(d):
-                p = _horner(b, z[k])
-                if abs(p) <= 8 * d * eps * _horner(abs_b, abs(z[k])):
-                    continue  # quiet: at the rounding floor already
-                all_quiet = False
-                dp = _horner(db, z[k])
-                w = p / dp if dp != 0 else p
-                s = mpc(0)
-                for j in range(d):
-                    if j == k:
-                        continue
-                    diff = z[k] - z[j]
-                    if diff == 0:
-                        diff = mpc(eps)
-                    s += 1 / diff
-                denom = 1 - w * s
-                step = w / denom if denom != 0 else w
-                z[k] = z[k] - step
-                rel = abs(step) / (1 + abs(z[k]))
-                if rel > max_step:
-                    max_step = rel
-            if all_quiet or max_step < eps * 256:
-                converged = True
-                break
-        if any(not mp.isfinite(zk) for zk in z):
-            raise NonConvergenceError("iteration produced a non-finite value")
+        z, climbed = _decimal_ladder(coeffs, z, wprec, max_iter)
+        z, finished, converged = _mpc_rounds(b, abs_b, z, wprec, max_iter)
+    return z, climbed + finished, converged
+
+
+def _mpc_rounds(b, abs_b, z, wprec, max_iter):
+    """(roots, rounds, converged): Aberth-Ehrlich at the working precision.
+
+    A root is quiet once |p(z)| is at the rounding floor, and is no longer
+    updated; the iteration has converged when every root is quiet or every
+    step is below 256 eps.
+    """
+    d = len(b) - 1
+    db = [(d - i) * b[i] for i in range(d)]
+    eps = mpf(2) ** (-wprec)
+    iterations = 0
+    converged = False
+    for iterations in range(1, max_iter + 1):
+        max_step = mpf(0)
+        all_quiet = True
+        for k in range(d):
+            p = _horner(b, z[k])
+            if abs(p) <= 8 * d * eps * _horner(abs_b, abs(z[k])):
+                continue  # quiet: at the rounding floor already
+            all_quiet = False
+            dp = _horner(db, z[k])
+            w = p / dp if dp != 0 else p
+            s = mpc(0)
+            for j in range(d):
+                if j == k:
+                    continue
+                diff = z[k] - z[j]
+                if diff == 0:
+                    diff = mpc(eps)
+                s += 1 / diff
+            denom = 1 - w * s
+            step = w / denom if denom != 0 else w
+            z[k] = z[k] - step
+            rel = abs(step) / (1 + abs(z[k]))
+            if rel > max_step:
+                max_step = rel
+        if all_quiet or max_step < eps * 256:
+            converged = True
+            break
     return z, iterations, converged
+
+
+# ---------------------------------------------------------------------------
+# decimal ladder (stdlib decimal, complex numbers as pairs of Decimals)
+# ---------------------------------------------------------------------------
+
+
+def _to_decimal(x) -> Decimal:
+    """An mpf, rounded once to the current decimal context.
+
+    man * 2^exp is (man * 5^-exp) * 10^exp for exp < 0, and scaleb
+    rounds the exact product once.
+    """
+    sign, man, exp, _ = x._mpf_
+    if exp < 0:
+        man *= 5**-exp
+    else:
+        man, exp = man << exp, 0
+    return Decimal(-man if sign else man).scaleb(exp)
+
+
+def _to_mpf(x: Decimal):
+    """A Decimal, rounded once to mpmath's current precision."""
+    return mp.make_mpf(from_rational(*x.as_integer_ratio(), mp.prec, round_nearest))
+
+
+def _ladder_levels(wprec: int) -> list:
+    """Digits of each decimal level: 48, 144, 432, ... below ``wprec`` bits."""
+    levels = []
+    digits = _LADDER_START
+    while digits * _LOG2_10 < wprec:
+        levels.append(digits)
+        digits *= 3
+    return levels
+
+
+def _decimal_ladder(coeffs, z, wprec, max_iter):
+    """(roots, rounds): Aberth-Ehrlich rounds in decimal on a precision ladder.
+
+    The digits triple when every root is quiet at the level, or when the
+    largest relative step is below eps^(1/3), so that the cubic convergence
+    of the next step would be cut off by the level's rounding.  The rounds
+    over all levels are capped at ``max_iter``.  The roots come back as mpc
+    at the caller's precision; with no level below ``wprec`` bits they
+    come back as they are.
+    """
+    levels = _ladder_levels(wprec)
+    if not levels:
+        return z, 0
+    rounds = 0
+    with localcontext(Context(levels[0], Emax=MAX_EMAX, Emin=MIN_EMIN)) as ctx:
+        zr = [_to_decimal(zk.real) for zk in z]
+        zi = [_to_decimal(zk.imag) for zk in z]
+        for digits in levels:
+            ctx.prec = digits
+            b = [+Decimal(c) for c in coeffs]
+            abs_b = [abs(c) for c in b]
+            eps = Decimal(1).scaleb(1 - digits)
+            while rounds < max_iter:
+                rounds += 1
+                max_step, all_quiet = _decimal_round(b, abs_b, zr, zi, eps)
+                if all_quiet or max_step**3 < eps:
+                    break
+    return [mpc(_to_mpf(x), _to_mpf(y)) for x, y in zip(zr, zi)], rounds
+
+
+def _decimal_round(b, abs_b, zr, zi, eps):
+    """One Aberth-Ehrlich round in place on z = zr + i zi; (max step, all quiet).
+
+    The same update and quiet test as ``_mpc_rounds``, with p and p'
+    evaluated together on the real coefficients ``b``.
+    """
+    d = len(b) - 1
+    floor_scale = 8 * d * eps
+    zero = Decimal(0)
+    max_step = zero
+    all_quiet = True
+    for k in range(d):
+        xr, xi = zr[k], zi[k]
+        pr = pi = dr = di = zero
+        for c in b:
+            dr, di = dr * xr - di * xi + pr, dr * xi + di * xr + pi
+            pr, pi = pr * xr - pi * xi + c, pr * xi + pi * xr
+        r = (xr * xr + xi * xi).sqrt()
+        floor = zero
+        for c in abs_b:
+            floor = floor * r + c
+        floor *= floor_scale
+        if pr * pr + pi * pi <= floor * floor:
+            continue  # quiet: at the rounding floor of this level
+        all_quiet = False
+        m = dr * dr + di * di
+        if m:
+            wr, wi = (pr * dr + pi * di) / m, (pi * dr - pr * di) / m
+        else:
+            wr, wi = pr, pi
+        sr = si = zero
+        for j in range(d):
+            if j == k:
+                continue
+            ar, ai = xr - zr[j], xi - zi[j]
+            m = ar * ar + ai * ai
+            if not m:
+                ar, ai, m = eps, zero, eps * eps
+            sr += ar / m
+            si -= ai / m
+        er, ei = 1 - (wr * sr - wi * si), -(wr * si + wi * sr)
+        m = er * er + ei * ei
+        if m:
+            hr, hi = (wr * er + wi * ei) / m, (wi * er - wr * ei) / m
+        else:
+            hr, hi = wr, wi
+        xr, xi = xr - hr, xi - hi
+        zr[k], zi[k] = xr, xi
+        rel = (hr * hr + hi * hi).sqrt() / (1 + (xr * xr + xi * xi).sqrt())
+        if rel > max_step:
+            max_step = rel
+    return max_step, all_quiet
 
 
 # ---------------------------------------------------------------------------

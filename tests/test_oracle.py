@@ -474,3 +474,294 @@ def test_compare_root_sets_matches_the_reference(seed):
         b = b + [mpc(0)]  # cardinality mismatch
     tol = rng.choice((1e-9, 1e-2))
     assert compare_root_sets(a, b, tol) == _reference_compare(a, b, tol)
+
+
+# ---------------------------------------------------------------------------
+# decimal ladder: the multiprecision rounds start from better seeds only
+# ---------------------------------------------------------------------------
+
+
+def _parent_aberth(coeffs, tol, prec, max_iter):
+    """``oracle._aberth`` without the decimal ladder (test-only copy): the
+    float phase, then every round at the working precision."""
+    from centersolve.oracle import _float_aberth, _horner, _start_circle, _working_prec
+    from centersolve.scalars import to_mpc
+
+    d = len(coeffs) - 1
+    wprec = _working_prec(d, tol, prec)
+    with mp.workprec(wprec):
+        b = [to_mpc(c, wprec) for c in coeffs]
+        if d == 1:
+            return [-b[1] / b[0]], 0, True
+        db = [(d - i) * b[i] for i in range(d)]
+        abs_b = [abs(c) for c in b]
+        circle = _start_circle(abs_b)
+        seeds = _float_aberth(
+            [complex(c / b[0]) for c in b], [complex(zk) for zk in circle]
+        )
+        z = circle if seeds is None else [mpc(zk) for zk in seeds]
+        eps = mpf(2) ** (-wprec)
+        iterations = 0
+        converged = False
+        for iterations in range(1, max_iter + 1):
+            max_step = mpf(0)
+            all_quiet = True
+            for k in range(d):
+                p = _horner(b, z[k])
+                if abs(p) <= 8 * d * eps * _horner(abs_b, abs(z[k])):
+                    continue
+                all_quiet = False
+                dp = _horner(db, z[k])
+                w = p / dp if dp != 0 else p
+                s = mpc(0)
+                for j in range(d):
+                    if j == k:
+                        continue
+                    diff = z[k] - z[j]
+                    if diff == 0:
+                        diff = mpc(eps)
+                    s += 1 / diff
+                denom = 1 - w * s
+                step = w / denom if denom != 0 else w
+                z[k] = z[k] - step
+                rel = abs(step) / (1 + abs(z[k]))
+                if rel > max_step:
+                    max_step = rel
+            if all_quiet or max_step < eps * 256:
+                converged = True
+                break
+    return z, iterations, converged
+
+
+def _match_radius(g, x, wprec):
+    """2^-(wprec - 16) max(1, |x|, H(|x|) / |g'(x)|), H the Horner sum of |g_i|.
+
+    The last term widens the radius around an ill-conditioned root: |g(z)|
+    reaches the rounding floor 8 d eps H(|z|) anywhere within about
+    8 d eps H / |g'| of the root, so runs from different seeds stop up to
+    that far apart (2^39.5 eps for two roots 1e-12 apart at degree 6).
+    """
+    from centersolve.oracle import _horner
+
+    d = len(g) - 1
+    with mp.workprec(wprec):
+        dg = [(d - i) * c for i, c in enumerate(g[:-1])]
+        r = abs(x)
+        spread = _horner([abs(c) for c in g], r) / abs(_horner(dg, x))
+        return mpf(2) ** (16 - wprec) * max(1, r, spread)
+
+
+def _product(factors):
+    out = [1]
+    for f in factors:
+        out = _poly_mul(out, list(f))
+    return out
+
+
+@st.composite
+def _random_integer_polys(draw, max_degree=24):
+    d = draw(st.integers(2, max_degree))
+    h = 10 ** draw(st.integers(0, 35))
+    coeffs = draw(st.lists(st.integers(-h, h), min_size=d + 1, max_size=d + 1))
+    return [coeffs[0] or h] + coeffs[1:]
+
+
+_planted_factors = st.one_of(
+    # a conjugate pair: a x^2 + b x + c with b^2 < 4 a c
+    st.builds(
+        lambda a, b, e: (a, b, b * b // (4 * a) + e),
+        st.integers(1, 10**6),
+        st.integers(-(10**6), 10**6),
+        st.integers(1, 10**6),
+    ),
+    # a negative real root -u/v
+    st.builds(lambda u, v: (v, u), st.integers(1, 10**6), st.integers(1, 10**6)),
+    # a root s 10^e, |e| <= 20
+    st.builds(
+        lambda s, e: (10**-e, -s) if e < 0 else (1, -s * 10**e),
+        st.sampled_from((-7, -3, -1, 1, 2, 9)),
+        st.integers(-20, 20),
+    ),
+)
+
+# roots 1 + k/10^12 for distinct k: a cluster within 1e-12 of each other
+_clusters = st.lists(st.integers(1, 9), min_size=2, max_size=4, unique=True).map(
+    lambda ks: [(10**12, -(10**12) - k) for k in ks]
+)
+
+
+@st.composite
+def _planted_integer_polys(draw):
+    factors = draw(st.lists(_planted_factors, min_size=1, max_size=6))
+    factors += draw(st.one_of(st.just([]), _clusters))
+    factors += draw(st.one_of(st.just([]), _random_integer_polys(6).map(lambda c: [c])))
+    coeffs = _product(factors)
+    return coeffs if len(coeffs) <= 25 else _product(factors[:2])
+
+
+def _assert_same_as_parent(coeffs):
+    """Each square-free factor: the same verdict, the same roots, and no
+    multiple of the parent's rounds.
+
+    The ladder can take a few rounds more than the parent, where a level
+    cannot resolve a cluster and the finish does it (36 against 35 for four
+    roots 1e-12 apart at degree 6), but an mpf -> Decimal conversion that
+    drops the sign leaves seeds that take 36 rounds against 3 on
+    (x+2)^10 + 3(x-1)^10.
+    """
+    from centersolve.oracle import _aberth, _ladder_levels, _squarefree, _working_prec
+
+    for g, _ in _squarefree(coeffs):
+        if len(g) < 3:
+            continue
+        old, old_rounds, old_ok = _parent_aberth(g, 1e-12, 64, 500)
+        new, new_rounds, new_ok = _aberth(g, 1e-12, 64, 500)
+        assert new_ok == old_ok
+        wprec = _working_prec(len(g) - 1, 1e-12, 64)
+        assert new_rounds <= 2 * (old_rounds + len(_ladder_levels(wprec)))
+        with mp.workprec(wprec):
+            for x in old:
+                assert min(abs(x - y) for y in new) <= _match_radius(g, x, wprec), g
+            for y in new:
+                assert min(abs(x - y) for x in old) <= _match_radius(g, y, wprec), g
+
+
+@settings(max_examples=30, deadline=None)
+@given(coeffs=st.one_of(_random_integer_polys(), _planted_integer_polys()))
+def test_aberth_matches_the_parent_without_the_ladder(coeffs):
+    # degrees 2-24, heights to 1e35, conjugate pairs, negative roots, roots
+    # from 1e-20 to 1e20 and clusters within 1e-12
+    _assert_same_as_parent(coeffs)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        [1, 0, 0, 0, 0, 10**400],  # x^5 + 10^400
+        [1, 0, 0, 0, 0, 3, -2, 7 * 10**329 + 1],
+        _product([(1, 0, 10**320), (1, 1, 1), (2, 3)]),  # (x^2 + 10^320)(x^2 + x + 1)(2x + 3)
+    ],
+)
+def test_ladder_seeded_by_the_circle_matches_the_parent(coeffs, monkeypatch):
+    # a coefficient beyond 1e308: the float phase returns None and the ladder
+    # starts from the circle
+    import centersolve.oracle as oracle
+
+    float_phase = oracle._float_aberth
+    returned = []
+    monkeypatch.setattr(
+        oracle,
+        "_float_aberth",
+        lambda *args: returned.append(float_phase(*args)) or returned[-1],
+    )
+    _assert_same_as_parent(coeffs)
+    assert returned and all(seeds is None for seeds in returned)
+
+
+@pytest.mark.parametrize("sign", (1, -1))
+@pytest.mark.parametrize("exp", (-(10**4), -60, 0, 7, 10**4))
+def test_mpf_decimal_round_trip(sign, exp):
+    from decimal import Decimal, localcontext
+
+    from centersolve.oracle import _to_decimal, _to_mpf
+
+    with mp.workprec(200):
+        x = sign * mp.ldexp(mp.pi, exp)
+        with localcontext() as ctx:
+            ctx.prec, ctx.Emax, ctx.Emin = 8000, 10**6, -(10**6)
+            exact = _to_decimal(x)  # 200 bits * 5^10^4 has < 7,100 digits
+            n, q = sign * x.man * 2 ** max(x.exp, 0), 2 ** max(-x.exp, 0)
+            assert exact == Decimal(n) / q
+            assert _to_mpf(exact) == x
+            ctx.prec = 30  # one rounding, to nearest
+            assert _to_decimal(x) == Decimal(n) / q
+            assert (_to_decimal(x) < 0) == (sign < 0)
+        # Decimal -> mpf rounds once, as mpmath's own string conversion does
+        text = f"{'-' if sign < 0 else ''}7.123456789012345678901234567891E{exp}"
+        assert _to_mpf(Decimal(text)) == mpf(text)
+    with localcontext() as ctx:
+        ctx.prec = 30
+        assert _to_decimal(mpf(0)) == 0
+    assert _to_mpf(Decimal(0)) == 0 and _to_mpf(Decimal("-0")) == 0
+
+
+def test_ladder_levels_stop_below_the_working_precision():
+    from centersolve.oracle import _ladder_levels, _working_prec
+
+    assert _ladder_levels(159) == []  # 48 digits are 159.45 bits
+    assert _ladder_levels(160) == [48]
+    assert _ladder_levels(_working_prec(10, 1e-12, 64)) == [48]
+    assert _ladder_levels(_working_prec(64, 1e-12, 64)) == [48, 144, 432]
+    assert _ladder_levels(_working_prec(100, 1e-12, 64)) == [48, 144, 432]
+
+
+def test_the_multiprecision_rounds_decide(monkeypatch):
+    # every factor of degree >= 2 ends in the working-precision rounds, and
+    # their verdict is the oracle's
+    import centersolve.oracle as oracle
+
+    finish = oracle._mpc_rounds
+    verdicts = []
+
+    def spy(b, abs_b, z, wprec, max_iter):
+        z, rounds, converged = finish(b, abs_b, z, wprec, max_iter)
+        verdicts.append((len(b) - 1, wprec, converged))
+        return z, rounds, converged
+
+    monkeypatch.setattr(oracle, "_mpc_rounds", spy)
+    # (x - 3)^2 (x^2 + 1)^3 (x^7 - 2) (2x - 1): square-free factors of
+    # degrees 1 (no rounds), 2 (no decimal level) and 8 (one level)
+    coeffs = _product([(1, -3)] * 2 + [(1, 0, 1)] * 3 + [(1, 0, 0, 0, 0, 0, 0, -2), (2, -1)])
+    eq = cs.from_plain_coeffs(coeffs)
+    assert numeric_roots(eq).converged
+    assert sorted(verdicts) == [
+        (2, oracle._working_prec(2, 1e-12, 64), True),
+        (8, oracle._working_prec(8, 1e-12, 64), True),
+    ]
+
+    def refuse(b, abs_b, z, wprec, max_iter):
+        return finish(b, abs_b, z, wprec, max_iter)[:2] + (False,)
+
+    monkeypatch.setattr(oracle, "_mpc_rounds", refuse)
+    assert oracle._aberth([1, 0, 0, 0, 0, 0, 0, -2], 1e-12, 64, 500)[2] is False
+    with pytest.raises(NonConvergenceError):
+        numeric_roots(eq)
+
+
+def test_wilkinson_20_roots_to_1e_140():
+    # prod (x - k), k = 1..20: the worst root has condition ~1e13; the
+    # working-precision finish (544 bits) leaves every root within 2.1e-150
+    # of its integer (1.5e-150 without the ladder), roots left at the top
+    # decimal level (144 digits) are 1.9e-130 off
+    coeffs = _product([(1, -k) for k in range(1, 21)])
+    result = numeric_roots(cs.from_plain_coeffs(coeffs))
+    assert result.converged
+    with mp.workprec(600):
+        for r in result.roots:
+            assert abs(r.value - round(float(r.value.real))) < mpf(10) ** -140
+    assert sorted(round(float(r.value.real)) for r in result.roots) == list(range(1, 21))
+
+
+@pytest.mark.parametrize("d, ladder_rounds, finish_rounds", [(20, 4, 2), (40, 4, 2), (64, 13, 2)])
+def test_round_counts_of_the_two_power_sums(d, ladder_rounds, finish_rounds, monkeypatch):
+    # (x+2)^d + 3(x-1)^d: the ladder leaves the multiprecision rounds one
+    # step to the rounding floor and one round to confirm it
+    import centersolve.oracle as oracle
+
+    counts = {}
+    ladder, finish = oracle._decimal_ladder, oracle._mpc_rounds
+
+    def count(name, run):
+        def spy(*args):
+            out = run(*args)
+            counts[name] = out[1]
+            return out
+
+        return spy
+
+    monkeypatch.setattr(oracle, "_decimal_ladder", count("ladder", ladder))
+    monkeypatch.setattr(oracle, "_mpc_rounds", count("finish", finish))
+    coeffs = [math.comb(d, i) * (2**i + 3 * (-1) ** i) for i in range(d + 1)]
+    result = numeric_roots(cs.from_plain_coeffs(coeffs))
+    assert counts == {"ladder": ladder_rounds, "finish": finish_rounds}
+    assert result.iterations == ladder_rounds + finish_rounds
