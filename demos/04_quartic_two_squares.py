@@ -6,7 +6,9 @@ q^2 - 4(p - 2a)(r - a^2) = 0, then
 
     y^4 + p y^2 + q y + r = (y^2 + a)^2 - (u y + v)^2
 
-splits into two quadratics.
+splits into two quadratics.  A rational resolvent root is found exactly;
+otherwise the resolvent is irreducible, and its root comes from completing
+the cube: the resolvent is a sum of two cubes, solved like any other.
 """
 
 import centersolve as cs

@@ -6,16 +6,18 @@ reads one record, the invariants of the Hankel matrix with rows
 
   * rank 1 is a perfect power, rank 3 a trivial center (no radical method
     here);
-  * at rank 2, D1 = 0 is a power plus a constant, solved by d-th roots;
-  * a zero discriminant is a repeated generator eigenvalue, which forces a
-    root of multiplicity d-1 with the last root closed by Vieta;
-  * D3 = 0 is a constant times x^d plus a power: the reversed equation is
-    a power plus a constant;
-  * otherwise the generator's distinct eigenvalues complete f into two
-    d-th powers, and every root is a Moebius image of a d-th root of unity.
+  * at rank 2, a zero discriminant with D1 != 0 is a repeated generator
+    eigenvalue, which forces a root of multiplicity d-1 with the last root
+    closed by Vieta;
+  * every other rank-2 equation -- a power plus a constant (D1 = 0), a
+    constant times x^d plus a power (D3 = 0) or a sum of two powers -- is
+    completed once into c1*L1^d + c2*L2^d, and every root is the Moebius
+    image (w*b1 - b2) / (a2 - w*a1) of a d-th root w of -c1/c2, where
+    L_j = a_j*x + b_j.
 
 Quartics with trivial center take the sum-of-two-squares route: depress,
-solve the resolvent cubic, split into two quadratics.
+find a root of the resolvent cubic (by completing the cube when no root is
+rational), split into two quadratics.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from .scalars import (
     DEFAULT_PREC,
     QuadExt,
     exact_sqrt,
-    is_exact,
     nth_root,
     rational_nth_root,
     to_mpc,
@@ -61,6 +62,9 @@ from .scalars import (
 class EquationClass:
     tag: str  # PerfectPower | PowerPlusConstant | ConstantTimesPowerPlusPower
     #         | SumOfTwoPowers | LinearTimesPowerD1 | NoNontrivialCenter
+    # PerfectPower: scale, shift (f = scale*(x + shift)^d); LinearTimesPowerD1:
+    # repeated_root, simple_root; empty for the three two-power classes,
+    # whose data complete_powers carries
     witness: dict
     invariants: BinaryInvariants  # of the homogenization
 
@@ -89,9 +93,7 @@ def classify(eq: UnivariateEquation) -> EquationClass:
     elif inv.hankel_rank == 3:
         tag, witness = "NoNontrivialCenter", {}
     elif inv.D1 == 0:
-        t = a[1] / a[0]
-        tag = "PowerPlusConstant"
-        witness = {"scale": a[0], "shift": t, "constant": a[d] - a[0] * t**d}
+        tag, witness = "PowerPlusConstant", {}
     elif inv.discriminant == 0:
         tag = "LinearTimesPowerD1"
         witness = {
@@ -99,13 +101,7 @@ def classify(eq: UnivariateEquation) -> EquationClass:
             "simple_root": (d - 1) * inv.D2 / (2 * inv.D1) - d * a[1] / a[0],
         }
     elif inv.D3 == 0:
-        u = a[d - 1] / a[d]
-        tag = "ConstantTimesPowerPlusPower"
-        witness = {
-            "scale": a[d],
-            "reciprocal_shift": u,
-            "constant": a[0] - a[d] * u**d,
-        }
+        tag, witness = "ConstantTimesPowerPlusPower", {}
     else:
         tag, witness = "SumOfTwoPowers", {}
     return EquationClass(tag=tag, witness=witness, invariants=inv)
@@ -205,15 +201,6 @@ def _prefix(x) -> str:
     return str(x)
 
 
-def _root_expr(radicand, d, i, data: BinaryInvariants) -> str:
-    delta = f"root({_prefix(radicand)},{d})"
-    w = delta if i == 0 else f"mul({delta},zeta({d},{i}))"
-    return (
-        f"div(sub(mul({w},{_prefix(data.lambda1)}),{_prefix(data.lambda2)}),"
-        f"mul({_prefix(data.D1)},sub(1,{w})))"
-    )
-
-
 def shift_equation(eq: UnivariateEquation, c: Fraction) -> UnivariateEquation:
     """Exact coefficients of f(x + c) (Taylor shift)."""
     b = list(eq.plain)
@@ -254,10 +241,9 @@ def _escalate(evaluate, prec: int):
 
     Callers analyze the equation once, before this loop; each round only
     evaluates the radical expressions at the working precision.
-    Near-degenerate inputs (delta numerically close to a root of unity)
-    cancel catastrophically in the root denominators; the radical
-    expressions are exact, so raising the evaluation precision always
-    recovers the contract.
+    Near-degenerate inputs (huge or nearly cancelling coefficients) lose
+    digits in the root formulas; the radical expressions are exact, so
+    raising the evaluation precision always recovers the contract.
     """
     working = max(prec, DEFAULT_PREC)
     result = None
@@ -300,8 +286,9 @@ def _solve_classified(
 ) -> RootSet:
     """solve_by_radicals, reusing ``cls = classify(eq)`` when the caller has it.
 
-    A factor x^k is split off first; the rest is classified once, here, and
-    only the root evaluation is repeated by the escalation loop.
+    A factor x^k is split off first; the rest is classified, and a two-power
+    class completed, once, here; only the root evaluation is repeated by the
+    escalation loop.
     """
     work, zeros = eq, 0
     if eq.degree >= 3:
@@ -316,14 +303,17 @@ def _solve_classified(
         raise NoRadicalMethodError(
             "Hankel rank 3: the center is trivial, no radical formula here"
         )
+    dec = None  # the completion of a two-power class
+    if work.degree >= 3 and cls.tag not in ("PerfectPower", "LinearTimesPowerD1"):
+        dec = _complete_powers(work.homogenize(), cls.invariants)
     return _escalate(
-        lambda working: _radical_roots(eq, work, zeros, cls, working, branch), prec
+        lambda working: _radical_roots(eq, work, zeros, cls, dec, working, branch),
+        prec,
     )
 
 
-def _radical_roots(eq, work, zeros, cls, prec, branch) -> RootSet:
+def _radical_roots(eq, work, zeros, cls, dec, prec, branch) -> RootSet:
     """One evaluation of the roots of eq = x^zeros * work at precision prec."""
-    pre = [f"factored out x^{zeros}"] if zeros else []
     d = work.degree
     if d == 1:
         root = -work.plain[1] / work.plain[0]
@@ -336,37 +326,22 @@ def _radical_roots(eq, work, zeros, cls, prec, branch) -> RootSet:
         root = -work.norm[1] / work.norm[0]
         roots = [_mk_root(to_mpc(root, prec), d, exact=root)]
         method = "perfect-power"
-    elif cls.tag == "PowerPlusConstant":
-        w = cls.witness
-        roots = _power_plus_constant_roots(
-            w["scale"], w["shift"], w["constant"], d, prec, branch
-        )
-        method = "power-plus-constant"
-    elif cls.tag == "ConstantTimesPowerPlusPower":
-        # the reversed equation is a power plus constant with this witness
-        w = cls.witness
-        roots = _power_plus_constant_roots(
-            w["scale"], w["reciprocal_shift"], w["constant"], d, prec, branch
-        )
-        roots = [_invert_root(r, prec) for r in roots]
-        pre.append("reversal (roots inverted)")
-        method = "reversed-power-plus-constant"
-    elif cls.tag == "SumOfTwoPowers":
-        roots = _two_power_roots(work, cls.invariants, prec, branch)
-        method = "two-power-sum"
-    else:  # LinearTimesPowerD1
+    elif cls.tag == "LinearTimesPowerD1":
         repeated, simple = cls.witness["repeated_root"], cls.witness["simple_root"]
         roots = [
             _mk_root(to_mpc(repeated, prec), d - 1, exact=repeated),
             _mk_root(to_mpc(simple, prec), 1, exact=simple),
         ]
         method = "repeated-linear-factor"
+    else:  # a two-power class, completed once by the caller
+        roots = _power_sum_roots(dec, prec, branch)
+        method = "two-power-sum"
     if zeros:
         roots.append(_mk_root(mpc(0), zeros, exact=Fraction(0)))
     return RootSet(
         roots=tuple(roots),
         method=method,
-        pre_transform=tuple(pre),
+        pre_transform=(f"factored out x^{zeros}",) if zeros else (),
         equation=eq,
     )
 
@@ -383,75 +358,50 @@ def _quadratic_roots(eq: UnivariateEquation, prec):
     return [_mk_root(to_mpc(r, prec), 1, exact=r) for r in (r1, r2)]
 
 
-def _power_plus_constant_roots(scale, t, gamma, d, prec, branch):
-    """Roots of scale*(x + t)^d + gamma."""
-    radicand = -gamma / scale
-    base_exact = rational_nth_root(radicand, d)
-    base = nth_root(radicand, d, prec)
+def _power_sum_roots(dec: PowerSumDecomposition, prec: int, branch: int = 0):
+    """Every root of c1*L1^d + c2*L2^d = 0, L_j = a_j*x + b_j, by one Moebius map.
+
+    L2 = w*L1 with w^d = ratio = -c1/c2, so x = (w*b1 - b2) / (a2 - w*a1).
+    Each form with a_j != 0 is scaled to a_j = 1 (c_j absorbs a_j^d) and a
+    y^d summand goes first, so a0*(x + t*y)^d + gamma*y^d gives x = w - t.
+    a2 - w*a1 cancels for the w nearest a2/a1; there it is taken as
+    (a2^d - ratio*a1^d) / sum_j a2^(d-1-j) (w*a1)^j, whose numerator is exact
+    and nonzero: c2 times it is the leading coefficient.
+    """
+    d = dec.degree
+    scaled = []
+    for c, form in dec.summands:
+        a, b = form.coeffs
+        scaled.append((c * a**d, Fraction(1), b / a) if a != 0 else (c, a, b))
+    (c1, a1, b1), (c2, a2, b2) = sorted(scaled, key=lambda s: s[1] != 0)
+    ratio = -c1 / c2
+    w_exact = rational_nth_root(ratio, d) if isinstance(ratio, Fraction) else None
+    base = nth_root(ratio, d, prec)
+    a1n, b1n, a2n, b2n = (to_mpc(x, prec) for x in (a1, b1, a2, b2))
+    ws = [base * unit_root(d, (i + branch) % d, prec) for i in range(d)]
+    near = min(range(d), key=lambda i: abs(a2n - ws[i] * a1n))
+    delta = f"root({_prefix(ratio)},{d})"
     roots = []
-    for i in range(d):
+    for i, w in enumerate(ws):
         k = (i + branch) % d
-        w = base * unit_root(d, k, prec)
         exact = None
-        if base_exact is not None and k == 0:
-            exact = -t + base_exact
-        expr = f"sub(mul(root({_prefix(radicand)},{d}),zeta({d},{k})),{t})"
-        value = to_mpc(exact, prec) if exact is not None else w - to_mpc(t, prec)
-        roots.append(_mk_root(value, 1, exact=exact, expr=expr))
-    return roots
-
-
-def _invert_root(r: RadicalRoot, prec) -> RadicalRoot:
-    exact = None
-    if r.exact is not None:
-        exact = 1 / r.exact
-        value = to_mpc(exact, prec)
-    else:
-        value = 1 / r.value
-    return _mk_root(value, r.multiplicity, exact=exact, expr=f"inv({r.expr})")
-
-
-def _two_power_roots(eq: UnivariateEquation, data: BinaryInvariants, prec, branch):
-    d = eq.degree
-    a0, a1 = eq.norm[0], eq.norm[1]
-    # num - den = (l2 - l1)*a0 and den = (l1 - l2)*c2 are nonzero: the
-    # eigenvalues are distinct, a0 != 0, and c2 = 0 would be a perfect power
-    num = data.lambda2 * a0 - data.D1 * a1
-    den = data.lambda1 * a0 - data.D1 * a1
-    ratio = num / den
-    delta_exact = (
-        rational_nth_root(ratio, d) if isinstance(ratio, Fraction) else None
-    )
-    with mp.workprec(max(prec, 64)):
-        delta = nth_root(to_mpc(ratio, prec), d, prec) * unit_root(d, branch, prec)
-        roots = []
-        l1 = to_mpc(data.lambda1, prec)
-        l2 = to_mpc(data.lambda2, prec)
-        d1 = to_mpc(data.D1, prec)
-        ws = [delta * unit_root(d, i, prec) for i in range(d)]
-        # 1 - w cancels for the w nearest 1; there 1 - w = (1 - ratio) / sum w^j,
-        # since w^d = ratio is exact and the sum is near d
-        near = min(range(d), key=lambda i: abs(1 - ws[i]))
-        for i, w in enumerate(ws):
-            k = (i + branch) % d
-            exact = None
-            if delta_exact is not None and k == 0:
-                exact = (delta_exact * data.lambda1 - data.lambda2) / (
-                    data.D1 * (1 - delta_exact)
-                )
-            one_minus_w = (
-                to_mpc(1 - ratio, prec) / sum(w**j for j in range(d))
+        if w_exact is not None and k == 0:
+            exact = (w_exact * b1 - b2) / (a2 - w_exact * a1)
+            value = to_mpc(exact, prec)
+        else:
+            den = (
+                to_mpc(a2**d - ratio * a1**d, prec)
+                / sum(a2n ** (d - 1 - j) * (w * a1n) ** j for j in range(d))
                 if i == near
-                else 1 - w
+                else a2n - w * a1n
             )
-            value = (
-                to_mpc(exact, prec)
-                if exact is not None
-                else (w * l1 - l2) / (d1 * one_minus_w)
-            )
-            roots.append(
-                _mk_root(value, 1, exact=exact, expr=_root_expr(ratio, d, k, data))
-            )
+            value = (w * b1n - b2n) / den
+        wk = delta if k == 0 else f"mul({delta},zeta({d},{k}))"
+        expr = (
+            f"div(sub(mul({wk},{_prefix(b1)}),{_prefix(b2)}),"
+            f"sub({_prefix(a2)},mul({wk},{_prefix(a1)})))"
+        )
+        roots.append(_mk_root(value, 1, exact=exact, expr=expr))
     return roots
 
 
@@ -566,19 +516,18 @@ def depress_quartic(eq: UnivariateEquation) -> DepressedQuartic:
 
 
 def _resolvent_alpha(p, q, r, prec):
-    """A root of 8a^3 - 4p a^2 - 8r a + (4pr - q^2) = 0; rational preferred."""
+    """A root of 8a^3 - 4p a^2 - 8r a + (4pr - q^2) = 0; rational preferred.
+
+    Without a rational root the resolvent is irreducible, so its roots are
+    distinct and no cube: its binary form completes into two cubes.
+    """
     coeffs = [Fraction(8), -4 * p, -8 * r, 4 * p * r - q * q]
     rational = rational_roots(coeffs)
     if rational:
         return max(root for root, _ in rational)
-    # depress the resolvent and hand it to the cubic formula
-    b = [c / coeffs[0] for c in coeffs]
-    s = b[1] / 3
-    shifted = shift_equation(from_plain_coeffs(b), -s)
-    _, _, pc, qc = shifted.plain
-    candidates = [root.value - to_mpc(s, prec) for root in _cardano(pc, qc, prec).roots]
-    best = max(candidates, key=lambda z: (z.real, z.imag))
-    return best
+    cubes = complete_powers(from_plain_coeffs(coeffs).homogenize())
+    candidates = [root.value for root in _power_sum_roots(cubes, prec)]
+    return max(candidates, key=lambda z: (z.real, z.imag))
 
 
 def solve_quartic_by_two_squares(
@@ -597,32 +546,20 @@ def _solve_quartic(eq: UnivariateEquation, prec: int) -> QuarticSolution:
     dq = depress_quartic(eq)
     p, q, r = dq.p, dq.q, dq.r
     alpha = _resolvent_alpha(p, q, r, prec)
-    exact_mode = isinstance(alpha, Fraction)
-    if exact_mode:
-        u = exact_sqrt(2 * alpha - p)
-        if u != 0:
-            v = -q / (2 * u) if isinstance(u, Fraction) else (-q) * u.inverse() / 2
-        else:
-            v = exact_sqrt(alpha * alpha - r)
-        factors = ((Fraction(1), u, alpha + v), (Fraction(1), -u, alpha - v))
-        beta = to_mpc(u, prec) * mpc(0, 1)
-        gamma = to_mpc(v, prec) * mpc(0, 1)
-    else:
-        with mp.workprec(max(prec, 64)):
-            u = mp.sqrt(2 * alpha - to_mpc(p, prec))
-            if abs(u) > 0:
-                v = -to_mpc(q, prec) / (2 * u)
-            else:
-                v = mp.sqrt(alpha * alpha - to_mpc(r, prec))
-            factors = ((mpc(1), u, alpha + v), (mpc(1), -u, alpha - v))
-            beta = u * mpc(0, 1)
-            gamma = v * mpc(0, 1)
-    resolvent = ResolventData(alpha=alpha, beta=mpc(beta), gamma=mpc(gamma))
+    sqrt = exact_sqrt if isinstance(alpha, Fraction) else mp.sqrt
+    u = sqrt(2 * alpha - p)
+    v = -q / (2 * u) if u != 0 else sqrt(alpha * alpha - r)
+    factors = ((Fraction(1), u, alpha + v), (Fraction(1), -u, alpha - v))
+    resolvent = ResolventData(
+        alpha=alpha,
+        beta=to_mpc(u, prec) * mpc(0, 1),
+        gamma=to_mpc(v, prec) * mpc(0, 1),
+    )
     roots = []
     with mp.workprec(max(prec, 64)):
         for _, bq, cq in factors:
-            bqn = to_mpc(bq, prec) if is_exact(bq) else mpc(bq)
-            cqn = to_mpc(cq, prec) if is_exact(cq) else mpc(cq)
+            bqn = to_mpc(bq, prec)
+            cqn = to_mpc(cq, prec)
             disc = bqn * bqn - 4 * cqn
             sq = mp.sqrt(disc)
             for sign in (1, -1):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -25,7 +26,15 @@ from centersolve import (
     solve_by_radicals,
     solve_quartic_by_two_squares,
 )
-from centersolve.scalars import QuadExt, exact_sqrt
+from centersolve.scalars import (
+    QuadExt,
+    exact_sqrt,
+    nth_root,
+    rational_nth_root,
+    to_mpc,
+    unit_root,
+)
+from centersolve.solver import RadicalRoot, RootSet, max_scaled_residual
 from conftest import (
     near_one_plain,
     near_one_planted_roots,
@@ -117,14 +126,16 @@ class TestClassify:
         eq = cs.from_plain_coeffs([1, 0, 0, 1])  # x^3 + 1
         cls = classify(eq)
         assert cls.tag == "PowerPlusConstant"
-        assert cls.witness["constant"] == 1
+        dec = complete_powers(eq.homogenize())
+        assert {l.coeffs: c for c, l in dec.summands}[(0, 1)] == 1
 
     def test_constant_plus_power(self):
         # 2x^3 + (x+1)^3 = 3x^3 + 3x^2 + 3x + 1
         eq = cs.from_plain_coeffs([3, 3, 3, 1])
         cls = classify(eq)
         assert cls.tag == "ConstantTimesPowerPlusPower"
-        assert cls.witness["constant"] == 2
+        dec = complete_powers(eq.homogenize())
+        assert {l.coeffs: c for c, l in dec.summands}[(1, 0)] == 2
 
     def test_linear_times_square_with_zero_tail(self):
         # x^2 (5x + 3): the tail cross products vanish but a_d = 0,
@@ -279,11 +290,12 @@ class TestSolveByRadicals:
         exact = [r.exact for r in rs.roots if r.exact is not None]
         assert exact == [F(2)]
         assert residual_ok(rs)
+        # the y^3 summand comes first, so w^3 = 8 and x = w
+        assert all("root(8,3)" in r.expr for r in rs.roots)
 
     def test_constant_plus_power_via_reversal(self):
         eq = cs.from_plain_coeffs([3, 3, 3, 1])  # 2x^3 + (x+1)^3
         rs = solve_by_radicals(eq)
-        assert "reversal" in " ".join(rs.pre_transform)
         assert residual_ok(rs)
         # real root: 2x^3 = -(x+1)^3 -> x = -1/(1 + 2^(1/3)) ... check residual
         oracle = cs.numeric_roots(eq)
@@ -393,6 +405,10 @@ class TestCardano:
     def test_q_zero(self):
         rs = cardano(F(-4), F(0))
         assert multisets_close(as_multiset(rs), [-2, 0, 2])
+
+    def test_triple_root_at_zero(self):
+        rs = cardano(F(0), F(0))
+        assert [(r.exact, r.multiplicity) for r in rs.roots] == [(0, 3)]
 
     def test_matches_center_pipeline(self):
         rng = random.Random(5150)
@@ -510,7 +526,7 @@ def test_high_degree_power_plus_constant():
     # x^9 = 512 via the ratio class; exact principal root, 9 roots on a circle
     eq = cs.from_plain_coeffs([1] + [0] * 8 + [-512])
     rs = solve_by_radicals(eq)
-    assert rs.method == "power-plus-constant"
+    assert rs.method == "two-power-sum"
     exact = [r.exact for r in rs.roots if r.exact is not None]
     assert exact == [F(2)]
     assert all(abs(abs(complex(r.value)) - 2) < 1e-12 for r in rs.roots)
@@ -674,7 +690,7 @@ def test_reversal_path_matches_solving_the_reversed_equation():
     # 2x^3 + (x+1)^3: the reversed equation is a power plus constant
     eq = cs.from_plain_coeffs([3, 3, 3, 1])
     rs = solve_by_radicals(eq)
-    assert rs.method == "reversed-power-plus-constant"
+    assert rs.method == "two-power-sum"
     reversed_roots = solve_by_radicals(reversal_transform(eq)).roots
     inverted = [complex(1 / r.value) for r in reversed_roots]
     assert multisets_close(as_multiset(rs), inverted)
@@ -688,3 +704,241 @@ def test_radicand_within_1e_30_of_one():
     got = [complex(r.value) for r in rs.roots]
     for want in near_one_planted_roots():
         assert min(abs(g - want) for g in got) <= 1e-12 * max(1, abs(want))
+
+
+def test_irreducible_resolvent_is_completed_into_two_cubes(monkeypatch):
+    # the resolvent of x^4 + x + 1 is 8a^3 - 8a - 1, with no rational root;
+    # its root comes from completing the cube, not from the classical formula
+    import centersolve.solver as solver
+
+    def refuse(*args):
+        raise AssertionError("the resolvent cubic went to _cardano")
+
+    monkeypatch.setattr(solver, "_cardano", refuse)
+    assert cs.rational_roots([8, 0, -8, -1]) == []
+    eq = cs.from_plain_coeffs([1, 0, 0, 1, 1])
+    rs = solve_by_radicals(eq)
+    assert rs.method == "quartic-two-squares"
+    assert cs.compare_root_sets(rs, cs.numeric_roots(eq), tol=1e-9).passed
+
+
+# ---------------------------------------------------------------------------
+# one Moebius route against the three routines it replaced
+# ---------------------------------------------------------------------------
+
+
+def _ref_power_plus_constant(scale, t, gamma, d, prec):
+    """(value, exact) roots w - t of scale*(x + t)^d + gamma, w^d = -gamma/scale."""
+    radicand = -gamma / scale
+    base_exact = rational_nth_root(radicand, d)
+    base = nth_root(radicand, d, prec)
+    roots = []
+    for k in range(d):
+        if base_exact is not None and k == 0:
+            exact = -t + base_exact
+            roots.append((to_mpc(exact, prec), exact))
+        else:
+            roots.append((base * unit_root(d, k, prec) - to_mpc(t, prec), None))
+    return roots
+
+
+def _ref_reversed(eq, prec):
+    """c*x^d + power: invert the roots of the reversed power plus constant."""
+    a, d = eq.norm, eq.degree
+    u = a[d - 1] / a[d]
+    roots = _ref_power_plus_constant(a[d], u, a[0] - a[d] * u**d, d, prec)
+    return [
+        (to_mpc(1 / e, prec), 1 / e) if e is not None else (1 / v, None)
+        for v, e in roots
+    ]
+
+
+def _ref_two_powers(eq, inv, prec):
+    """(w*l1 - l2) / (D1*(1 - w)) over the d-th roots w of the eigenvalue ratio."""
+    d = eq.degree
+    a0, a1 = eq.norm[0], eq.norm[1]
+    ratio = (inv.lambda2 * a0 - inv.D1 * a1) / (inv.lambda1 * a0 - inv.D1 * a1)
+    delta_exact = rational_nth_root(ratio, d) if isinstance(ratio, F) else None
+    delta = nth_root(ratio, d, prec)
+    l1, l2, d1 = (to_mpc(x, prec) for x in (inv.lambda1, inv.lambda2, inv.D1))
+    ws = [delta * unit_root(d, i, prec) for i in range(d)]
+    near = min(range(d), key=lambda i: abs(1 - ws[i]))
+    roots = []
+    for i, w in enumerate(ws):
+        if delta_exact is not None and i == 0:
+            exact = (delta_exact * inv.lambda1 - inv.lambda2) / (
+                inv.D1 * (1 - delta_exact)
+            )
+            roots.append((to_mpc(exact, prec), exact))
+            continue
+        one_minus_w = (
+            to_mpc(1 - ratio, prec) / sum(w**j for j in range(d))
+            if i == near
+            else 1 - w
+        )
+        roots.append(((w * l1 - l2) / (d1 * one_minus_w), None))
+    return roots
+
+
+def _reference_solve(eq):
+    """The replaced routines under the same precision escalation."""
+    import centersolve.solver as solver
+
+    cls = classify(eq)
+    a, d = eq.norm, eq.degree
+
+    def evaluate(prec):
+        if cls.tag == "PowerPlusConstant":
+            t = a[1] / a[0]
+            pairs = _ref_power_plus_constant(a[0], t, a[d] - a[0] * t**d, d, prec)
+        elif cls.tag == "ConstantTimesPowerPlusPower":
+            pairs = _ref_reversed(eq, prec)
+        else:
+            pairs = _ref_two_powers(eq, cls.invariants, prec)
+        roots = tuple(RadicalRoot(mpc(v), 1, e, "") for v, e in pairs)
+        return RootSet(roots, "reference", (), eq)
+
+    return solver._escalate(evaluate, 64)
+
+
+def _relatively_close(a, b, tol=1e-9):
+    """A pairing of a with b in which each z is within tol*max(1, |z|)."""
+    remaining = list(b)
+    for x in a:
+        best = min(range(len(remaining)), key=lambda i: abs(x - remaining[i]))
+        if abs(x - remaining[best]) > tol * max(1.0, abs(x)):
+            return False
+        remaining.pop(best)
+    return not remaining
+
+
+def _assert_same_roots_as_the_replaced_routines(eq):
+    new, old = solve_by_radicals(eq), _reference_solve(eq)
+    assert new.method == "two-power-sum"
+    assert _relatively_close(as_multiset(new), as_multiset(old)), eq.plain
+    exact = [{r.exact for r in rs.roots if r.exact is not None} for rs in (new, old)]
+    if classify(eq).tag == "ConstantTimesPowerPlusPower" and eq.degree % 2 == 0:
+        # at even d both real d-th roots +-w of a rational ratio give rational
+        # roots; the reversal and the completion each flag one, not the same
+        assert len(exact[0]) == len(exact[1]), eq.plain
+        assert all(eq.evaluate_exact(x) == 0 for x in exact[0] | exact[1])
+    else:
+        assert exact[0] == exact[1], eq.plain
+    for rs in (new, old):
+        assert max_scaled_residual(rs, 256) <= 1e-10, eq.plain
+
+
+_nonzero = _small.filter(bool)
+
+
+@st.composite
+def _powers_plus_constants(draw):
+    """a*(x + t)^d + gamma."""
+    d = draw(st.integers(3, 12))
+    a, t, gamma = draw(_nonzero), draw(_small), draw(_nonzero)
+    plain = [math.comb(d, i) * a * t**i for i in range(d + 1)]
+    plain[-1] += gamma
+    return plain
+
+
+@st.composite
+def _constants_times_powers_plus_powers(draw):
+    """c*x^d + lam*(x + beta)^d."""
+    d = draw(st.integers(3, 12))
+    c, lam, beta = draw(_nonzero), draw(_nonzero), draw(_nonzero)
+    plain = [math.comb(d, i) * lam * beta**i for i in range(d + 1)]
+    plain[0] += c
+    return plain
+
+
+def _two_power_class(plain, tag):
+    assume(plain[0] != 0 and plain[-1] != 0)  # no x factored out
+    eq = cs.from_plain_coeffs(plain)
+    assume(classify(eq).tag == tag)
+    return eq
+
+
+@settings(max_examples=80, deadline=None)
+@given(plain=_powers_plus_constants())
+def test_power_plus_constant_matches_the_replaced_routine(plain):
+    eq = _two_power_class(plain, "PowerPlusConstant")
+    _assert_same_roots_as_the_replaced_routines(eq)
+
+
+@settings(max_examples=80, deadline=None)
+@given(plain=_constants_times_powers_plus_powers())
+def test_constant_times_power_plus_power_matches_the_reversal(plain):
+    eq = _two_power_class(plain, "ConstantTimesPowerPlusPower")
+    _assert_same_roots_as_the_replaced_routines(eq)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=_two_power_sums())
+def test_sum_of_two_powers_matches_the_replaced_routine(data):
+    d, norm = data
+    assume(norm[0] != 0)
+    plain = list(cs.from_norm_coeffs(norm).plain)
+    eq = _two_power_class(plain, "SumOfTwoPowers")
+    _assert_same_roots_as_the_replaced_routines(eq)
+
+
+def _planted(d, scale, t, gamma, tag):
+    """scale*(x + t)^d + gamma, or gamma*x^d + scale*(t*x + 1)^d."""
+    if tag == "PowerPlusConstant":
+        plain = [math.comb(d, i) * scale * t**i for i in range(d + 1)]
+        plain[-1] += gamma
+    else:
+        plain = [math.comb(d, i) * scale * t ** (d - i) for i in range(d + 1)]
+        plain[0] += gamma
+    return plain
+
+
+# a SumOfTwoPowers cubic whose replaced formula missed the contract at 64
+# bits (residual 2.1e-8) and which the Moebius form meets there (1.2e-12)
+_ONE_ROUND_CUBIC = [
+    F(-13207158443774, 6603579221899),
+    F(-9),
+    F(-130821775619450877991510239, 32),
+    F(-130821775619688606843498603, 64),
+]
+
+
+@pytest.mark.parametrize(
+    "plain",
+    [
+        _planted(25, F(-7), F(-38, 9), F(4), "PowerPlusConstant"),
+        _planted(4, F(1), F(-1), F(-16), "PowerPlusConstant"),
+        _planted(7, F(3), F(5, 4), -(9 * 10**399 + 7), "PowerPlusConstant"),
+        _planted(40, F(5), F(37, 8), F(-3), "ConstantTimesPowerPlusPower"),
+        _planted(4, F(1), F(-1), F(-16), "ConstantTimesPowerPlusPower"),
+        near_one_plain(),
+        _ONE_ROUND_CUBIC,
+    ],
+    ids=[
+        "ppc-d25",
+        "ppc-d4-negative-shift",
+        "ppc-d7-gamma400",
+        "ctppp-d40",
+        "ctppp-d4-two-rational-roots",
+        "near-one",
+        "one-round-cubic",
+    ],
+)
+def test_corpus_extremes_match_the_replaced_routines(plain):
+    _assert_same_roots_as_the_replaced_routines(cs.from_plain_coeffs(plain))
+
+
+def test_two_power_cubic_meets_the_contract_at_64_bits(monkeypatch):
+    import centersolve.solver as solver
+
+    rounds = []
+    original = solver.max_scaled_residual
+
+    def counting(root_set, prec):
+        rounds.append(original(root_set, prec))
+        return rounds[-1]
+
+    monkeypatch.setattr(solver, "max_scaled_residual", counting)
+    rs = solve_by_radicals(cs.from_plain_coeffs(_ONE_ROUND_CUBIC))
+    assert rs.method == "two-power-sum"
+    assert len(rounds) == 1 and rounds[0] <= 1e-10, rounds
