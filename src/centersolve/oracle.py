@@ -1,7 +1,7 @@
 """Independent numeric verification: root finding without radicals.
 
 An exact square-free split, then a simultaneous Aberth-Ehrlich iteration in
-three phases on each factor.  It reads only the coefficients, never the
+two phases on each factor.  It reads only the coefficients, never the
 radical formulas it is used to check.
 
 0. Square-free split.  The rational coefficients are cleared to a primitive
@@ -19,16 +19,11 @@ radical formulas it is used to check.
 2. Decimal ladder.  The same update in stdlib ``decimal`` (libmpdec), on
    pairs of Decimals, at 48 digits first.  The digits triple when every
    root is at the level's rounding floor or the largest relative step is
-   below eps^(1/3); no level reaches the working precision, and a factor
-   whose working precision is at most 48 digits has none (Bini and
-   Fiorentino, Numer. Algorithms 23, 2000: pay for full precision only at
-   the end).  Decimal contexts are per-thread, so the ladder leaves
-   mpmath's global precision alone.
-3. Multiprecision phase.  The same update in mpc at the working precision
-   until every root is at the rounding floor (and no longer updated) or
-   every step is below 256 eps.  Only this phase decides convergence; the
-   ladder just gives it closer seeds.  ``OracleRootSet.iterations`` counts
-   the rounds of phases 2 and 3, summed over the factors.
+   below eps^(1/3), up to a last level at the working precision (eps =
+   10^(1-digits) <= 2^-wprec), which alone decides convergence: every root
+   at the rounding floor or every step below 256 eps (Bini and Fiorentino,
+   Numer. Algorithms 23, 2000: pay for full precision only at the end).
+   Decimal contexts are per-thread, so mpmath's precision is left alone.
 
 Working precision scales with the degree of the factor iterated: its roots
 are simple, but a simple root's condition number can still grow
@@ -85,7 +80,7 @@ class OracleRoot(NamedTuple):
 @dataclass
 class OracleRootSet:
     roots: list  # of OracleRoot, multiplicities summing to the degree
-    iterations: int  # Aberth rounds at every level, decimal and mpc, over all factors
+    iterations: int  # Aberth rounds at every decimal level, over all factors
     converged: bool
     max_residual: float  # scaled residual max |f(z)| / (max|b| * max(1,|z|)^d)
 
@@ -124,14 +119,9 @@ def _start_circle(abs_b) -> list:
     """
     d = len(abs_b) - 1
     log_lead = _log2(abs_b[0])
-    logs = [
-        (_log2(c) - log_lead - (i == d)) / i
-        for i, c in enumerate(abs_b[1:], 1)
-        if c
-    ]
-    if not logs:  # b0 x^d: every root is 0
-        return [mpc(0)] * d
-    log_radius = 1 + max(logs)
+    log_radius = 1 + max(
+        (_log2(c) - log_lead - (i == d)) / i for i, c in enumerate(abs_b[1:], 1) if c
+    )
     e = math.floor(log_radius)
     radius = mp.ldexp(mpf(2.0 ** (log_radius - e)), e)
     return [
@@ -202,8 +192,8 @@ def numeric_roots(
     """All complex roots of a rational equation by Aberth-Ehrlich iteration.
 
     Each square-free factor gets the working precision of its degree, at
-    most ``max_iter`` rounds on the decimal ladder and at most ``max_iter``
-    at the working precision; ``iterations`` sums the rounds.
+    most ``max_iter`` rounds below it on the decimal ladder and at most
+    ``max_iter`` at it; ``iterations`` sums the rounds.
     ``max_residual`` is measured against the input.
     """
     d = eq.degree
@@ -243,8 +233,8 @@ def numeric_roots(
 def _aberth(coeffs, tol, prec, max_iter):
     """(roots, Aberth rounds at every level, converged) of one polynomial.
 
-    The float phase seeds the decimal ladder, whose iterates seed the
-    multiprecision rounds; only those decide ``converged``.
+    The float phase seeds the decimal ladder, whose last level, at the
+    working precision, decides ``converged``.
     """
     d = len(coeffs) - 1
     wprec = _working_prec(d, tol, prec)
@@ -252,57 +242,12 @@ def _aberth(coeffs, tol, prec, max_iter):
         b = [to_mpc(c, wprec) for c in coeffs]
         if d == 1:
             return [-b[1] / b[0]], 0, True
-        abs_b = [abs(c) for c in b]
-        circle = _start_circle(abs_b)
+        circle = _start_circle([abs(c) for c in b])
         seeds = _float_aberth(
             [complex(c / b[0]) for c in b], [complex(zk) for zk in circle]
         )
         z = circle if seeds is None else [mpc(zk) for zk in seeds]
-        z, climbed = _decimal_ladder(coeffs, z, wprec, max_iter)
-        z, finished, converged = _mpc_rounds(b, abs_b, z, wprec, max_iter)
-    return z, climbed + finished, converged
-
-
-def _mpc_rounds(b, abs_b, z, wprec, max_iter):
-    """(roots, rounds, converged): Aberth-Ehrlich at the working precision.
-
-    A root is quiet once |p(z)| is at the rounding floor, and is no longer
-    updated; the iteration has converged when every root is quiet or every
-    step is below 256 eps.
-    """
-    d = len(b) - 1
-    db = [(d - i) * b[i] for i in range(d)]
-    eps = mpf(2) ** (-wprec)
-    iterations = 0
-    converged = False
-    for iterations in range(1, max_iter + 1):
-        max_step = mpf(0)
-        all_quiet = True
-        for k in range(d):
-            p = _horner(b, z[k])
-            if abs(p) <= 8 * d * eps * _horner(abs_b, abs(z[k])):
-                continue  # quiet: at the rounding floor already
-            all_quiet = False
-            dp = _horner(db, z[k])
-            w = p / dp if dp != 0 else p
-            s = mpc(0)
-            for j in range(d):
-                if j == k:
-                    continue
-                diff = z[k] - z[j]
-                if diff == 0:
-                    diff = mpc(eps)
-                s += 1 / diff
-            denom = 1 - w * s
-            step = w / denom if denom != 0 else w
-            z[k] = z[k] - step
-            rel = abs(step) / (1 + abs(z[k]))
-            if rel > max_step:
-                max_step = rel
-        if all_quiet or max_step < eps * 256:
-            converged = True
-            break
-    return z, iterations, converged
+        return _decimal_ladder(coeffs, z, wprec, max_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +275,7 @@ def _to_mpf(x: Decimal):
 
 
 def _ladder_levels(wprec: int) -> list:
-    """Digits of each decimal level: 48, 144, 432, ... below ``wprec`` bits."""
+    """Digits of each lower decimal level: 48, 144, 432, ... below ``wprec`` bits."""
     levels = []
     digits = _LADDER_START
     while digits * _LOG2_10 < wprec:
@@ -339,61 +284,81 @@ def _ladder_levels(wprec: int) -> list:
     return levels
 
 
-def _decimal_ladder(coeffs, z, wprec, max_iter):
-    """(roots, rounds): Aberth-Ehrlich rounds in decimal on a precision ladder.
+def _finish_digits(wprec: int) -> int:
+    """Digits of the last level, whose eps = 10^(1 - digits) is at most 2^-wprec."""
+    return math.ceil(wprec / _LOG2_10) + 1
 
-    The digits triple when every root is quiet at the level, or when the
-    largest relative step is below eps^(1/3), so that the cubic convergence
-    of the next step would be cut off by the level's rounding.  The rounds
-    over all levels are capped at ``max_iter``.  The roots come back as mpc
-    at the caller's precision; with no level below ``wprec`` bits they
-    come back as they are.
+
+def _decimal_ladder(coeffs, z, wprec, max_iter):
+    """(mpc roots, rounds, converged): Aberth-Ehrlich on a decimal precision ladder.
+
+    Below the working precision the digits triple once every root is quiet
+    or the largest relative step s has s^3 < eps (the level's rounding would
+    cut off the next step's cubic convergence); those levels share
+    ``max_iter`` rounds.  ``_decimal_finish`` runs the last level.
     """
-    levels = _ladder_levels(wprec)
-    if not levels:
-        return z, 0
+    ladder = _ladder_levels(wprec) + [_finish_digits(wprec)]
     rounds = 0
-    with localcontext(Context(levels[0], Emax=MAX_EMAX, Emin=MIN_EMIN)) as ctx:
+    with localcontext(Context(ladder[0], Emax=MAX_EMAX, Emin=MIN_EMIN)) as ctx:
         zr = [_to_decimal(zk.real) for zk in z]
         zi = [_to_decimal(zk.imag) for zk in z]
-        for digits in levels:
+        for digits in ladder:
             ctx.prec = digits
             b = [+Decimal(c) for c in coeffs]
             abs_b = [abs(c) for c in b]
             eps = Decimal(1).scaleb(1 - digits)
-            while rounds < max_iter:
+            while digits < ladder[-1] and rounds < max_iter:
                 rounds += 1
                 max_step, all_quiet = _decimal_round(b, abs_b, zr, zi, eps)
                 if all_quiet or max_step**3 < eps:
                     break
-    return [mpc(_to_mpf(x), _to_mpf(y)) for x, y in zip(zr, zi)], rounds
+        finished, converged = _decimal_finish(b, abs_b, zr, zi, eps, max_iter)
+        z = [mpc(_to_mpf(x), _to_mpf(y)) for x, y in zip(zr, zi)]
+    return z, rounds + finished, converged
+
+
+def _decimal_finish(b, abs_b, zr, zi, eps, max_iter):
+    """(rounds, converged): the last level's rounds, in place on z = zr + i zi.
+
+    Converged once every root is quiet or every relative step is below 256 eps.
+    """
+    for rounds in range(1, max_iter + 1):
+        max_step, all_quiet = _decimal_round(b, abs_b, zr, zi, eps)
+        if all_quiet or max_step < 256 * eps:
+            return rounds, True
+    return max_iter, False
 
 
 def _decimal_round(b, abs_b, zr, zi, eps):
     """One Aberth-Ehrlich round in place on z = zr + i zi; (max step, all quiet).
 
-    The same update and quiet test as ``_mpc_rounds``, with p and p'
-    evaluated together on the real coefficients ``b``.
+    A root is quiet once |p(z)| <= 8 d eps H(|z|), H the Horner sum of the |b_i|
+    (a bound, so 16 digits); p' comes from the partial sums of p, if not quiet.
     """
     d = len(b) - 1
+    low = Context(16, Emax=MAX_EMAX, Emin=MIN_EMIN)
     floor_scale = 8 * d * eps
     zero = Decimal(0)
     max_step = zero
     all_quiet = True
     for k in range(d):
         xr, xi = zr[k], zi[k]
-        pr = pi = dr = di = zero
+        pr = pi = zero
+        partial = []
         for c in b:
-            dr, di = dr * xr - di * xi + pr, dr * xi + di * xr + pi
+            partial.append((pr, pi))
             pr, pi = pr * xr - pi * xi + c, pr * xi + pi * xr
-        r = (xr * xr + xi * xi).sqrt()
+        r = low.sqrt(low.fma(xr, xr, low.multiply(xi, xi)))
         floor = zero
         for c in abs_b:
-            floor = floor * r + c
+            floor = low.fma(floor, r, c)
         floor *= floor_scale
         if pr * pr + pi * pi <= floor * floor:
             continue  # quiet: at the rounding floor of this level
         all_quiet = False
+        dr = di = zero
+        for qr, qi in partial:
+            dr, di = dr * xr - di * xi + qr, dr * xi + di * xr + qi
         m = dr * dr + di * di
         if m:
             wr, wi = (pr * dr + pi * di) / m, (pi * dr - pr * di) / m

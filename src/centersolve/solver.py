@@ -385,8 +385,9 @@ def _power_sum_roots(dec: PowerSumDecomposition, prec: int, branch: int = 0):
     for i, w in enumerate(ws):
         k = (i + branch) % d
         exact = None
-        if w_exact is not None and k == 0:
-            exact = (w_exact * b1 - b2) / (a2 - w_exact * a1)
+        if w_exact is not None and 2 * k in (0, d):  # w = +-w_exact
+            we = w_exact if k == 0 else -w_exact
+            exact = (we * b1 - b2) / (a2 - we * a1)
             value = to_mpc(exact, prec)
         else:
             den = (

@@ -477,7 +477,7 @@ def test_compare_root_sets_matches_the_reference(seed):
 
 
 # ---------------------------------------------------------------------------
-# decimal ladder: the multiprecision rounds start from better seeds only
+# decimal ladder: the same roots and verdicts as mpc rounds at the working precision
 # ---------------------------------------------------------------------------
 
 
@@ -696,43 +696,57 @@ def test_ladder_levels_stop_below_the_working_precision():
 
 
 def test_the_multiprecision_rounds_decide(monkeypatch):
-    # every factor of degree >= 2 ends in the working-precision rounds, and
-    # their verdict is the oracle's
+    # every factor of degree >= 2 ends in the ladder's last level, at the
+    # working precision, and its verdict is the oracle's
+    from decimal import Decimal
+
     import centersolve.oracle as oracle
 
-    finish = oracle._mpc_rounds
+    finish = oracle._decimal_finish
     verdicts = []
 
-    def spy(b, abs_b, z, wprec, max_iter):
-        z, rounds, converged = finish(b, abs_b, z, wprec, max_iter)
-        verdicts.append((len(b) - 1, wprec, converged))
-        return z, rounds, converged
+    def spy(b, abs_b, zr, zi, eps, max_iter):
+        rounds, converged = finish(b, abs_b, zr, zi, eps, max_iter)
+        verdicts.append((len(b) - 1, eps, converged))
+        return rounds, converged
 
-    monkeypatch.setattr(oracle, "_mpc_rounds", spy)
+    def eps(degree):
+        wprec = oracle._working_prec(degree, 1e-12, 64)
+        return Decimal(10) ** (1 - oracle._finish_digits(wprec))
+
+    monkeypatch.setattr(oracle, "_decimal_finish", spy)
     # (x - 3)^2 (x^2 + 1)^3 (x^7 - 2) (2x - 1): square-free factors of
-    # degrees 1 (no rounds), 2 (no decimal level) and 8 (one level)
+    # degrees 1 (no rounds), 2 (only the last level) and 8 (one level below it)
     coeffs = _product([(1, -3)] * 2 + [(1, 0, 1)] * 3 + [(1, 0, 0, 0, 0, 0, 0, -2), (2, -1)])
     eq = cs.from_plain_coeffs(coeffs)
     assert numeric_roots(eq).converged
-    assert sorted(verdicts) == [
-        (2, oracle._working_prec(2, 1e-12, 64), True),
-        (8, oracle._working_prec(8, 1e-12, 64), True),
-    ]
+    assert sorted(verdicts) == [(2, eps(2), True), (8, eps(8), True)]
 
-    def refuse(b, abs_b, z, wprec, max_iter):
-        return finish(b, abs_b, z, wprec, max_iter)[:2] + (False,)
+    def refuse(b, abs_b, zr, zi, eps, max_iter):
+        return finish(b, abs_b, zr, zi, eps, max_iter)[0], False
 
-    monkeypatch.setattr(oracle, "_mpc_rounds", refuse)
+    monkeypatch.setattr(oracle, "_decimal_finish", refuse)
     assert oracle._aberth([1, 0, 0, 0, 0, 0, 0, -2], 1e-12, 64, 500)[2] is False
     with pytest.raises(NonConvergenceError):
         numeric_roots(eq)
 
 
+def test_the_last_level_reaches_the_working_precision():
+    # eps = 10^(1 - digits) <= 2^-wprec, with the fewest digits that give it,
+    # and every lower level below it
+    from centersolve.oracle import _finish_digits, _ladder_levels
+
+    for wprec in range(64, 5001):
+        digits = _finish_digits(wprec)
+        assert 10 ** (digits - 1) >= 2**wprec > 10 ** (digits - 2), wprec
+        assert all(level < digits for level in _ladder_levels(wprec))
+
+
 def test_wilkinson_20_roots_to_1e_140():
     # prod (x - k), k = 1..20: the worst root has condition ~1e13; the
-    # working-precision finish (544 bits) leaves every root within 2.1e-150
-    # of its integer (1.5e-150 without the ladder), roots left at the top
-    # decimal level (144 digits) are 1.9e-130 off
+    # ladder's last level (165 digits for 544 bits) leaves every root within
+    # 4.4e-331 of its integer (2.1e-150 after an mpc finish at 544 bits),
+    # roots left at the 144-digit level are 1.9e-130 off
     coeffs = _product([(1, -k) for k in range(1, 21)])
     result = numeric_roots(cs.from_plain_coeffs(coeffs))
     assert result.converged
@@ -744,24 +758,20 @@ def test_wilkinson_20_roots_to_1e_140():
 
 @pytest.mark.parametrize("d, ladder_rounds, finish_rounds", [(20, 4, 2), (40, 4, 2), (64, 13, 2)])
 def test_round_counts_of_the_two_power_sums(d, ladder_rounds, finish_rounds, monkeypatch):
-    # (x+2)^d + 3(x-1)^d: the ladder leaves the multiprecision rounds one
-    # step to the rounding floor and one round to confirm it
+    # (x+2)^d + 3(x-1)^d: the lower levels leave the last one a step to the
+    # rounding floor and a round to confirm it
     import centersolve.oracle as oracle
 
-    counts = {}
-    ladder, finish = oracle._decimal_ladder, oracle._mpc_rounds
+    finish = oracle._decimal_finish
+    finished = []
 
-    def count(name, run):
-        def spy(*args):
-            out = run(*args)
-            counts[name] = out[1]
-            return out
+    def spy(*args):
+        out = finish(*args)
+        finished.append(out[0])
+        return out
 
-        return spy
-
-    monkeypatch.setattr(oracle, "_decimal_ladder", count("ladder", ladder))
-    monkeypatch.setattr(oracle, "_mpc_rounds", count("finish", finish))
+    monkeypatch.setattr(oracle, "_decimal_finish", spy)
     coeffs = [math.comb(d, i) * (2**i + 3 * (-1) ** i) for i in range(d + 1)]
     result = numeric_roots(cs.from_plain_coeffs(coeffs))
-    assert counts == {"ladder": ladder_rounds, "finish": finish_rounds}
+    assert finished == [finish_rounds]
     assert result.iterations == ladder_rounds + finish_rounds

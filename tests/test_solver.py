@@ -817,13 +817,10 @@ def _assert_same_roots_as_the_replaced_routines(eq):
     assert new.method == "two-power-sum"
     assert _relatively_close(as_multiset(new), as_multiset(old)), eq.plain
     exact = [{r.exact for r in rs.roots if r.exact is not None} for rs in (new, old)]
-    if classify(eq).tag == "ConstantTimesPowerPlusPower" and eq.degree % 2 == 0:
-        # at even d both real d-th roots +-w of a rational ratio give rational
-        # roots; the reversal and the completion each flag one, not the same
-        assert len(exact[0]) == len(exact[1]), eq.plain
-        assert all(eq.evaluate_exact(x) == 0 for x in exact[0] | exact[1])
-    else:
-        assert exact[0] == exact[1], eq.plain
+    # at even d both real d-th roots +-w of a rational ratio give rational
+    # roots; the completion flags both, the replaced routines only one
+    assert exact[1] <= exact[0], eq.plain
+    assert all(eq.evaluate_exact(x) == 0 for x in exact[0]), eq.plain
     for rs in (new, old):
         assert max_scaled_residual(rs, 256) <= 1e-10, eq.plain
 
@@ -926,6 +923,22 @@ _ONE_ROUND_CUBIC = [
 )
 def test_corpus_extremes_match_the_replaced_routines(plain):
     _assert_same_roots_as_the_replaced_routines(cs.from_plain_coeffs(plain))
+
+
+@pytest.mark.parametrize(
+    "plain, rational",
+    [
+        ([-15, -4, 6, -4, 1], {F(-1), F(1, 3)}),  # -16x^4 + (x - 1)^4
+        ([1, -4, 6, -4, -15], {F(3), F(-1)}),  # (x - 1)^4 - 16
+        ([1, 0, 0, 0, 0, 0, -64], {F(2), F(-2)}),  # x^6 - 64
+    ],
+    ids=["ctppp-d4", "ppc-d4", "ppc-d6"],
+)
+def test_even_degree_flags_both_rational_roots(plain, rational):
+    rs = solve_by_radicals(cs.from_plain_coeffs(plain))
+    assert rs.method == "two-power-sum"
+    assert {r.exact for r in rs.roots if r.exact is not None} == rational
+    assert {r for r, _ in cs.rational_roots(plain)} == rational
 
 
 def test_two_power_cubic_meets_the_contract_at_64_bits(monkeypatch):
