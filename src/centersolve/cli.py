@@ -242,10 +242,11 @@ def _cmd_solve(args, text, out, err) -> tuple[dict, int]:
     doc["degree"] = eq.degree
     cls = _classify_into(doc, eq) if eq.degree >= 3 else None
     prec = args.precision
-    root_set = _solve_classified(eq, cls, prec)
+    root_set, dec = _solve_classified(eq, cls, prec)
     doc["roots"] = _roots_json(root_set)
     if doc["class"] == "SumOfTwoPowers":
-        dec = _complete_powers(eq.homogenize(), cls.invariants)
+        if root_set.pre_transform:  # x^k was split off: dec completes the rest
+            dec = _complete_powers(eq.homogenize(), cls.invariants)
         doc["decomposition"] = _decomposition_json(dec, ("x", "y"))
     residual = max_scaled_residual(root_set, prec + 64)
     verification = {

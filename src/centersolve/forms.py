@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from operator import add
 
 from mpmath import mp, mpc
 
@@ -56,7 +57,7 @@ def poly_mul(p, q):
     out = {}
     for ma, ca in p.items():
         for mb, cb in q.items():
-            mono = tuple(x + y for x, y in zip(ma, mb))
+            mono = tuple(map(add, ma, mb))
             s = out.get(mono, 0) + ca * cb
             if s == 0:
                 out.pop(mono, None)
@@ -66,13 +67,13 @@ def poly_mul(p, q):
 
 
 def poly_pow(p, k: int, nvars: int):
-    result = {(0,) * nvars: Fraction(1)}
-    base = p
+    result = {(0,) * nvars: 1}
     while k:
         if k & 1:
-            result = poly_mul(result, base)
-        base = poly_mul(base, base)
+            result = poly_mul(result, p)
         k >>= 1
+        if k:
+            p = poly_mul(p, p)
     return result
 
 

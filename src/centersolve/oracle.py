@@ -45,6 +45,7 @@ import math
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
+from functools import cached_property
 from itertools import zip_longest
 from typing import NamedTuple
 
@@ -82,7 +83,14 @@ class OracleRootSet:
     roots: list  # of OracleRoot, multiplicities summing to the degree
     iterations: int  # Aberth rounds at every decimal level, over all factors
     converged: bool
-    max_residual: float  # scaled residual max |f(z)| / (max|b| * max(1,|z|)^d)
+    equation: UnivariateEquation  # the input
+    wprec: int  # working precision of the input's degree
+
+    @cached_property
+    def max_residual(self) -> float:
+        """Scaled residual max |f(z)| / (max|b| * max(1,|z|)^d) against the
+        input at ``wprec``, computed on first read."""
+        return _scaled_residual(self.equation.plain, self.roots, self.wprec)
 
     def values_with_multiplicity(self):
         out = []
@@ -102,6 +110,19 @@ def _horner(coeffs, z):
     for c in coeffs[1:]:
         acc = acc * z + c
     return acc
+
+
+def _scaled_residual(plain, roots, wprec) -> float:
+    d = len(plain) - 1
+    with mp.workprec(wprec):
+        b = [to_mpc(c, wprec) for c in plain]
+        scale = max(abs(c) for c in b)
+        return float(
+            max(
+                abs(_horner(b, r.value)) / (scale * max(mpf(1), abs(r.value)) ** d)
+                for r in roots
+            )
+        )
 
 
 def _log2(x) -> float:
@@ -194,7 +215,7 @@ def numeric_roots(
     Each square-free factor gets the working precision of its degree, at
     most ``max_iter`` rounds below it on the decimal ladder and at most
     ``max_iter`` at it; ``iterations`` sums the rounds.
-    ``max_residual`` is measured against the input.
+    ``max_residual`` is measured against the input when it is first read.
     """
     d = eq.degree
     if d < 1:
@@ -205,29 +226,17 @@ def numeric_roots(
     iterations = sum(rounds for (_, rounds, _), _ in runs)
     converged = all(ok for (_, _, ok), _ in runs)
     wprec = _working_prec(d, tol, prec)
-    with mp.workprec(wprec):
-        b = [to_mpc(c, wprec) for c in eq.plain]
-        scale = max(abs(c) for c in b)
-        max_res = max(
-            abs(_horner(b, r.value)) / (scale * max(mpf(1), abs(r.value)) ** d)
-            for r in roots
+    if not converged:
+        raise NonConvergenceError(
+            f"no convergence after {max_iter} iterations"
+            f" (residual {_scaled_residual(eq.plain, roots, wprec):.3g})"
         )
-        if not converged:
-            raise NonConvergenceError(
-                f"no convergence after {max_iter} iterations"
-                f" (residual {float(max_res):.3g})"
-            )
     # real parts are compared to 9 digits of the largest modulus, so the two
     # members of a conjugate pair, whose real parts differ only by rounding
     # noise, come out in the same order at every precision
     top = max(mpf(1), max(abs(r.value) for r in roots))
     roots.sort(key=lambda r: (round(float(r.value.real / top), 9), r.value.imag))
-    return OracleRootSet(
-        roots=roots,
-        iterations=iterations,
-        converged=converged,
-        max_residual=float(max_res),
-    )
+    return OracleRootSet(roots, iterations, converged, eq, wprec)
 
 
 def _aberth(coeffs, tol, prec, max_iter):

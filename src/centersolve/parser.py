@@ -11,14 +11,19 @@ Grammar (precedence: ^ above unary minus above * above binary +/-):
 Literals are integers or rationals written p/q; '/' is only part of a
 rational literal, never a general operator.  Variables are ``x`` (with ``y``
 for binary forms) or ``x1`` .. ``x9``; multiplication is always explicit.
-Products and powers are expanded, so the result is a canonical sparse
-polynomial.
+Products and powers are expanded exactly, so the result is a canonical
+sparse polynomial.  Every operand holds integer coefficients over one
+denominator: a product or power of single terms adds or scales exponent
+tuples, and only the whole result becomes Fractions.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import add
 
 from .errors import CenterSolveError
 from .forms import (
@@ -26,14 +31,22 @@ from .forms import (
     NAryForm,
     UnivariateEquation,
     from_plain_coeffs,
-    poly_add,
     poly_mul,
     poly_pow,
-    poly_scale,
 )
 
-_VARIABLES = ("x", "y") + tuple(f"x{i}" for i in range(1, 10))
 _MAX_VARS = 9
+
+# slot 0 = x (== x1), slot 9 = y; x_k sits at slot k-1
+_SLOTS = {"x": 0, "y": _MAX_VARS, **{f"x{k}": k - 1 for k in range(1, _MAX_VARS + 1)}}
+#: Exponent tuple of each variable.
+_UNITS = {
+    name: tuple(int(s == slot) for s in range(_MAX_VARS + 1))
+    for name, slot in _SLOTS.items()
+}
+
+#: One token per match: an integer, a name, or any other single character.
+_TOKEN = re.compile(r"\s*(\d+|[^\W\d_]\w*|\S)")
 
 
 class PolyParseError(CenterSolveError):
@@ -47,184 +60,145 @@ class PolyParseError(CenterSolveError):
         super().__init__(f"{message} at line {line}, column {column}{hint}")
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # INT | VAR | OP | LPAREN | RPAREN | END
-    text: str
-    line: int
-    column: int
-
-
-def _tokenize(text: str):
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        start_col = col
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(Token("INT", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha():
-            j = i + 1
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("VAR", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in "+-*^/":
-            tokens.append(Token("OP", ch, line, start_col))
-        elif ch == "(":
-            tokens.append(Token("LPAREN", ch, line, start_col))
-        elif ch == ")":
-            tokens.append(Token("RPAREN", ch, line, start_col))
-        else:
-            raise PolyParseError(f"unexpected character {ch!r}", line, start_col)
-        col += 1
-        i += 1
-    tokens.append(Token("END", "", line, col))
-    return tokens
-
-
 class _Parser:
-    """Operands are sparse polynomials over the maximal variable set."""
+    """Operands are (terms, den): exponent tuples over the maximal variable
+    set mapped to nonzero integers, all over one denominator den > 0."""
 
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
+        self.text = text
+        self.toks = _TOKEN.findall(text) + [""]  # "" ends the input
+        self.i = 0
         self.seen: set[str] = set()
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
     def error(self, message, expected=()):
-        tok = self.peek()
-        raise PolyParseError(message, tok.line, tok.column, expected)
+        """Raise at the current token; a character that starts no token is
+        reported first, wherever it is."""
+        index = self.i
+        for j, tok in enumerate(self.toks[:-1]):
+            first = tok[0]
+            if first not in "+-*^/()" and not (first.isdecimal() or first.isalpha()):
+                message, expected, index = f"unexpected character {first!r}", (), j
+                break
+        text = self.text
+        offset = ([m.start(1) for m in _TOKEN.finditer(text)] + [len(text)])[index]
+        line = text.count("\n", 0, offset) + 1
+        column = offset - text.rfind("\n", 0, offset)
+        raise PolyParseError(message, line, column, expected)
 
     def parse(self):
-        poly = self.expr()
-        if self.peek().kind != "END":
+        terms, den = self.expr()
+        if self.toks[self.i]:
             self.error(
-                f"trailing input {self.peek().text!r}",
+                f"trailing input {self.toks[self.i]!r}",
                 expected=("+", "-", "*", "^", "end of input"),
             )
-        return poly
+        return terms, den
 
     def expr(self):
-        poly = self.term()
-        while self.peek().kind == "OP" and self.peek().text in "+-":
-            op = self.advance().text
-            rhs = self.term()
-            if op == "-":
-                rhs = poly_scale(Fraction(-1), rhs)
-            poly = poly_add(poly, rhs)
-        return poly
+        acc, den = self.term()  # a fresh dict, summed into in place
+        toks = self.toks
+        while (op := toks[self.i]) == "+" or op == "-":
+            self.i += 1
+            terms, tden = self.term()
+            common = lcm(den, tden)
+            if common != den:
+                for mono in acc:
+                    acc[mono] *= common // den
+                den = common
+            scale = den // tden if op == "+" else -(den // tden)
+            for mono, c in terms.items():
+                s = acc.get(mono, 0) + scale * c
+                if s:
+                    acc[mono] = s
+                else:
+                    del acc[mono]
+        return acc, den
 
     def term(self):
-        poly = self.unary()
-        while self.peek().kind == "OP" and self.peek().text == "*":
-            self.advance()
-            poly = poly_mul(poly, self.unary())
-        return poly
+        terms, den = self.unary()
+        while self.toks[self.i] == "*":
+            self.i += 1
+            rhs, rden = self.unary()
+            den *= rden
+            if len(terms) == 1 == len(rhs):
+                ((m, a),) = terms.items()
+                ((n, b),) = rhs.items()
+                terms = {tuple(map(add, m, n)): a * b}
+            else:
+                terms = poly_mul(terms, rhs)
+        return terms, den
 
     def unary(self):
-        if self.peek().kind == "OP" and self.peek().text == "-":
-            self.advance()
-            return poly_scale(Fraction(-1), self.unary())
+        if self.toks[self.i] == "-":
+            self.i += 1
+            terms, den = self.unary()
+            return {mono: -c for mono, c in terms.items()}, den
         return self.power()
 
     def power(self):
-        poly = self.atom()
-        while self.peek().kind == "OP" and self.peek().text == "^":
-            self.advance()
-            tok = self.peek()
-            if tok.kind != "INT":
+        terms, den = self.atom()
+        while self.toks[self.i] == "^":
+            self.i += 1
+            tok = self.toks[self.i]
+            if not tok.isdecimal():
                 self.error(
                     "exponent must be a nonnegative integer literal",
                     expected=("integer",),
                 )
-            self.advance()
-            poly = poly_pow(poly, int(tok.text), _MAX_VARS + 1)
-        return poly
+            self.i += 1
+            k = int(tok)
+            den **= k
+            if len(terms) == 1:
+                ((m, c),) = terms.items()
+                terms = {tuple([e * k for e in m]): c**k}
+            else:
+                terms = poly_pow(terms, k, _MAX_VARS + 1)
+        return terms, den
 
     def atom(self):
-        tok = self.peek()
-        if tok.kind == "INT":
-            self.advance()
-            value = Fraction(int(tok.text))
-            if self.peek().kind == "OP" and self.peek().text == "/":
-                self.advance()
-                den = self.peek()
-                if den.kind != "INT":
+        tok = self.toks[self.i]
+        unit = _UNITS.get(tok)
+        if unit is not None:
+            self.i += 1
+            self.seen.add(tok)
+            return {unit: 1}, 1
+        if tok.isdecimal():
+            self.i += 1
+            den = 1
+            if self.toks[self.i] == "/":
+                self.i += 1
+                if not self.toks[self.i].isdecimal():
                     self.error(
                         "denominator must be an integer literal",
                         expected=("integer",),
                     )
-                self.advance()
-                if int(den.text) == 0:
-                    raise PolyParseError(
-                        "zero denominator", den.line, den.column
-                    )
-                value = Fraction(int(tok.text), int(den.text))
-            if value == 0:
-                return {}
-            return {(0,) * (_MAX_VARS + 1): value}
-        if tok.kind == "VAR":
-            if tok.text not in _VARIABLES:
-                self.error(
-                    f"unknown variable {tok.text!r}",
-                    expected=("x", "y", "x1..x9"),
-                )
-            self.advance()
-            self.seen.add(tok.text)
-            mono = [0] * (_MAX_VARS + 1)
-            mono[_var_slot(tok.text)] = 1
-            return {tuple(mono): Fraction(1)}
-        if tok.kind == "LPAREN":
-            self.advance()
+                den = int(self.toks[self.i])
+                if den == 0:
+                    self.error("zero denominator")
+                self.i += 1
+            num = int(tok)
+            return ({(0,) * (_MAX_VARS + 1): num} if num else {}), den
+        if tok == "(":
+            self.i += 1
             poly = self.expr()
-            if self.peek().kind != "RPAREN":
+            if self.toks[self.i] != ")":
                 self.error("unbalanced parenthesis", expected=(")",))
-            self.advance()
+            self.i += 1
             return poly
-        if tok.kind == "OP" and tok.text == "/":
+        if tok == "/":
             self.error(
                 "'/' is only valid inside a rational literal p/q",
                 expected=("integer",),
             )
+        if tok[:1].isalnum():
+            self.error(
+                f"unknown variable {tok!r}",
+                expected=("x", "y", "x1..x9"),
+            )
         self.error(
-            f"unexpected token {tok.text!r}" if tok.text else "unexpected end of input",
+            f"unexpected token {tok!r}" if tok else "unexpected end of input",
             expected=("number", "variable", "("),
         )
-
-
-def _var_slot(name: str) -> int:
-    # slot 0 = x (== x1), slot 9 = y; x_k sits at slot k-1
-    if name == "x":
-        return 0
-    if name == "y":
-        return _MAX_VARS
-    return int(name[1:]) - 1
 
 
 @dataclass(frozen=True)
@@ -241,7 +215,8 @@ def parse_polynomial(text: str) -> ParsedInput:
     an n-ary form (x1..xn).  The n-ary and binary results must be
     homogeneous."""
     parser = _Parser(text)
-    poly = parser.parse()
+    terms, den = parser.parse()
+    poly = {mono: Fraction(c, den) for mono, c in terms.items()}
     seen = parser.seen
     indexed = {v for v in seen if v not in ("x", "y")}
     if indexed and "y" in seen:
@@ -292,7 +267,7 @@ def _as_binary(text, poly, seen) -> ParsedInput:
 
 
 def _as_nary(text, poly, seen) -> ParsedInput:
-    n = max(_var_slot(v) for v in seen) + 1
+    n = max(_SLOTS[v] for v in seen) + 1
     degrees = {sum(mono) for mono in poly}
     if len(degrees) != 1:
         raise PolyParseError("form must be homogeneous", 1, 1)

@@ -278,17 +278,17 @@ def solve_by_radicals(
     Hankel rank is 3 takes the sum-of-two-squares route; at any other degree
     that rank raises NoRadicalMethodError.
     """
-    return _solve_classified(eq, None, prec, branch)
+    return _solve_classified(eq, None, prec, branch)[0]
 
 
-def _solve_classified(
-    eq: UnivariateEquation, cls, prec: int, branch: int = 0
-) -> RootSet:
-    """solve_by_radicals, reusing ``cls = classify(eq)`` when the caller has it.
+def _solve_classified(eq: UnivariateEquation, cls, prec: int, branch: int = 0):
+    """(solve_by_radicals, completion), reusing ``cls = classify(eq)`` when
+    the caller has it.
 
     A factor x^k is split off first; the rest is classified, and a two-power
     class completed, once, here; only the root evaluation is repeated by the
-    escalation loop.
+    escalation loop.  The completion is of the x^k-free part, None for the
+    other classes.
     """
     work, zeros = eq, 0
     if eq.degree >= 3:
@@ -299,17 +299,18 @@ def _solve_classified(
         cls = classify(work)
     if work.degree >= 3 and cls.tag == "NoNontrivialCenter":
         if eq.degree == 4:
-            return solve_quartic_by_two_squares(eq, prec).root_set
+            return solve_quartic_by_two_squares(eq, prec).root_set, None
         raise NoRadicalMethodError(
             "Hankel rank 3: the center is trivial, no radical formula here"
         )
     dec = None  # the completion of a two-power class
     if work.degree >= 3 and cls.tag not in ("PerfectPower", "LinearTimesPowerD1"):
         dec = _complete_powers(work.homogenize(), cls.invariants)
-    return _escalate(
+    root_set = _escalate(
         lambda working: _radical_roots(eq, work, zeros, cls, dec, working, branch),
         prec,
     )
+    return root_set, dec
 
 
 def _radical_roots(eq, work, zeros, cls, dec, prec, branch) -> RootSet:

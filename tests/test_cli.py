@@ -1,5 +1,6 @@
 import io
 import json
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -70,6 +71,44 @@ class TestSolve:
             for r in doc["roots"]
         )
         assert doc["verification"]["passed"] is True
+
+    def test_one_completion_per_solve(self, monkeypatch):
+        # the roots and the printed decomposition share one completion of
+        # the README quintic (two before the completion was handed back)
+        import centersolve.cli as cli
+        import centersolve.solver as solver
+
+        forms = []
+        original = solver._complete_powers
+
+        def counting(form, inv):
+            forms.append(form)
+            return original(form, inv)
+
+        monkeypatch.setattr(solver, "_complete_powers", counting)
+        monkeypatch.setattr(cli, "_complete_powers", counting)
+        code, out, _ = run(
+            ["solve", "--input", "coeffs", "31 235 710 1070 805 242", "--format", "json"]
+        )
+        assert code == EXIT_OK
+        assert len(forms) == 1
+        want = json.loads(GOLDEN.read_text())["decomposition"]
+        assert json.loads(out)["decomposition"] == want
+
+    def test_decomposition_of_the_input_when_x_is_split_off(self):
+        # (x+1)^3 - (2x+1)^3 = x * (quadratic): the roots come from the
+        # quadratic, the printed completion is that of the cubic itself
+        code, out, _ = run(["solve", "(x+1)^3 - (2*x+1)^3", "--format", "json"])
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["class"] == "SumOfTwoPowers"
+        summands = doc["decomposition"]["summands"]
+        for x in range(-3, 4):
+            total = sum(
+                F(s["coefficient"]) * (F(s["linear_form"][0]) * x + F(s["linear_form"][1])) ** 3
+                for s in summands
+            )
+            assert total == (x + 1) ** 3 - (2 * x + 1) ** 3
 
     def test_schema_keys_stable(self):
         code, out, _ = run(

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -248,3 +249,22 @@ class TestHomogenization:
     def test_round_trip(self, quintic):
         assert quintic.homogenize().dehomogenize() == quintic
 
+
+
+def test_poly_pow_squares_only_up_to_its_last_bit(monkeypatch):
+    # k = 100 has 7 bits, 3 of them set: 6 squarings and 3 multiplications
+    # into the result; the 7th squaring (base^128) would never be used
+    import centersolve.forms as forms
+
+    calls = []
+    original = forms.poly_mul
+
+    def counting(p, q):
+        calls.append((len(p), len(q)))
+        return original(p, q)
+
+    monkeypatch.setattr(forms, "poly_mul", counting)
+    got = poly_pow({(1, 0): 1, (0, 1): 2}, 100, 2)
+    assert len(calls) == 9
+    assert got == {(100 - j, j): math.comb(100, j) * 2**j for j in range(101)}
+    assert poly_pow({(1, 0): 1}, 0, 2) == {(0, 0): 1}

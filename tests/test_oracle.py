@@ -140,6 +140,41 @@ class TestNumericRoots:
         assert residual == f"{float(residual):.3g}"
 
 
+    def test_the_residual_is_measured_when_first_read(self, monkeypatch):
+        # numeric_roots does not measure it; the first read measures it once,
+        # against the input at the working precision of its degree
+        from centersolve import oracle
+        from centersolve.scalars import DEFAULT_PREC, to_mpc
+
+        reads = []
+        original = oracle._scaled_residual
+
+        def counting(*args):
+            reads.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(oracle, "_scaled_residual", counting)
+        d = 12
+        eq = cs.from_plain_coeffs(
+            [math.comb(d, i) * (2**i + 3 * (-1) ** i) for i in range(d + 1)]
+        )
+        result = numeric_roots(eq)
+        assert reads == []
+        wprec = oracle._working_prec(d, 1e-12, DEFAULT_PREC)
+        with mp.workprec(wprec):
+            b = [to_mpc(c, wprec) for c in eq.plain]
+            worst = mpf(0)
+            for r in result.roots:
+                acc = mpc(0)
+                for c in b:
+                    acc = acc * r.value + c
+                bound = max(abs(c) for c in b) * max(mpf(1), abs(r.value)) ** d
+                worst = max(worst, abs(acc) / bound)
+        assert result.max_residual == float(worst)
+        assert result.max_residual == float(worst)
+        assert len(reads) == 1
+
+
 class TestCompareRootSets:
     def test_identical(self):
         values = [mpc(1), mpc(2), mpc(0, 1)]
