@@ -43,15 +43,14 @@ for coeff, linear in result.as_power_sum.summands:
 assert cs.expand(result.as_power_sum, 3) == f
 print("\nexpand-back check: exact")
 
-# P diagonalizes the generic element: P^-1 g P = diag(eigenvalues), exactly
-from centersolve.linalg import inverse, mat_mul
-
-g = [list(row) for row in prof.generic_element]
-p = [list(row) for row in result.p]
+# P diagonalizes the generic element: g P = P diag(eigenvalues), exactly,
+# so column j of P is an eigenvector of g for the j-th eigenvalue
 lams = sorted(v for v, _ in prof.eigenvalues)
-conjugated = mat_mul(mat_mul(inverse(p), g), p)
-assert conjugated == [[lams[i] if i == j else 0 for j in range(3)] for i in range(3)]
-print("P^-1 g P = diag(" + ", ".join(str(v) for v in lams) + "): exact")
+for j, lam in enumerate(lams):
+    col = [row[j] for row in result.p]
+    g_col = [sum(x * y for x, y in zip(row, col)) for row in prof.generic_element]
+    assert g_col == [lam * x for x in col]
+print("g P = P diag(" + ", ".join(str(v) for v in lams) + "): exact")
 
 # a binary example with an irrational spectrum: the same call splits it
 # numerically

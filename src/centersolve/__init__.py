@@ -12,7 +12,6 @@ from .center import (
     binary_center_system,
     binary_invariants,
     compute_center,
-    is_nondegenerate,
 )
 from .diagonalize import (
     AlgebraProfile,
@@ -63,7 +62,6 @@ from .solver import (
     classify,
     complete_powers,
     depress_quartic,
-    reversal_transform,
     shift_equation,
     solve_by_radicals,
     solve_quartic_by_two_squares,
@@ -115,14 +113,12 @@ __all__ = [
     "from_norm_coeffs",
     "from_plain_coeffs",
     "hessian",
-    "is_nondegenerate",
     "numeric_roots",
     "parse_polynomial",
     "profile",
     "rational_nth_root",
     "rational_roots",
     "render_polynomial",
-    "reversal_transform",
     "shift_equation",
     "solve_by_radicals",
     "solve_quartic_by_two_squares",

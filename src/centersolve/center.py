@@ -150,10 +150,3 @@ def binary_invariants(form: BinaryForm) -> BinaryInvariants:
     lam1, lam2 = (d2 + root) / 2, (d2 - root) / 2
     return BinaryInvariants(system_rank, d1, d2, d3, disc, lam1, lam2)
 
-
-def is_nondegenerate(f: NAryForm) -> bool:
-    """No variable is removable: the first partials are independent."""
-    partials = [f.derivative(i) for i in range(f.nvars)]
-    monomials = sorted(set().union(*(set(p.terms) for p in partials)) or set())
-    matrix = [[p.coefficient(m) for m in monomials] for p in partials]
-    return rank(matrix) == f.nvars

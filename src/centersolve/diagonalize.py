@@ -9,7 +9,9 @@ from the range of the primitive idempotent
     e_i = prod_{j != i} (g - l_j I) / (l_i - l_j),
 
 as its first nonzero column: e_i applied to a unit vector, n - 1
-matrix-vector steps, so no idempotent matrix is formed.  Then P^-1 g P is
+matrix-vector steps, so no idempotent matrix is formed.  e_i is that column
+times row i of P^-1, so row i of P^-1 is a row of e_i (the same steps on
+g^T) over one entry of the column: no matrix is inverted.  Then P^-1 g P is
 diagonal, and the diagonal coefficient of y_i^d in f(Py) is f evaluated at
 column i of P.  The result is checked once, by expanding it back to f.
 
@@ -41,7 +43,7 @@ from mpmath import mp
 from .center import CenterBasis, compute_center
 from .errors import NotDiagonalizableError
 from .forms import LinearForm, NAryForm, PowerSumDecomposition, from_plain_coeffs
-from .linalg import char_poly, inverse
+from .linalg import char_poly
 from .oracle import check_decomposition, numeric_roots, rational_roots
 from .scalars import DEFAULT_PREC, clear_denominators, to_mpc
 
@@ -136,27 +138,36 @@ def _freeze(m):
     return tuple(tuple(row) for row in m)
 
 
-def _eigen_column(g, eigenvalues, i, is_zero, exact):
-    """First nonzero column of e_i = prod_{j != i} (g - l_j I) / (l_i - l_j),
-    as ``(w, D)`` with the column equal to w / D.
+def _eigen_pair(g, eigenvalues, i, is_zero, exact):
+    """Column i of P and row i of P^-1 from the rank-one idempotent
+    e_i = prod_{j != i} (g - l_j I) / (l_i - l_j), as ``(w, D, row)`` with
+    the column equal to w / D.
 
     Column k of e_i is the product applied to the k-th unit vector, one
     factor at a time: n - 1 matrix-vector steps.  On integers (``exact``)
     the chain stays in integers and D = prod (l_i - l_j) divides once; on
-    mpc each step is scaled by its 1 / (l_i - l_j) and D = 1.  Some column
-    is nonzero, because the trace of e_i is 1.
+    mpc each step is scaled by its 1 / (l_i - l_j) and D = 1.  The column
+    is the first nonzero one (the trace of e_i is 1).  Since e_i is the
+    column times the row, row r of e_i over entry r of the column is the
+    row; the same chain on g^T from unit vector r gives D times row r of
+    e_i, and r is the largest entry of w, so no division is ill-scaled.
     """
     n = len(g)
     li = eigenvalues[i]
     others = [lj for j, lj in enumerate(eigenvalues) if j != i]
     steps = [(lj, 1 if exact else 1 / (li - lj)) for lj in others]
-    for k in range(n):
+
+    def apply(m, k):
         v = [int(r == k) for r in range(n)]
         for lj, c in steps:
-            v = [c * (sum(map(mul, row, v)) - lj * x) for row, x in zip(g, v)]
-        if not all(map(is_zero, v)):
-            break
-    return v, Fraction(prod(li - lj for lj in others)) if exact else 1
+            v = [c * (sum(map(mul, row, v)) - lj * x) for row, x in zip(m, v)]
+        return v
+
+    w = next(w for w in (apply(g, k) for k in range(n)) if not all(map(is_zero, w)))
+    r = max(range(n), key=lambda k: abs(w[k]))
+    pivot = Fraction(w[r]) if exact else w[r]
+    row = [x / pivot for x in apply(list(zip(*g)), r)]
+    return w, Fraction(prod(li - lj for lj in others)) if exact else 1, row
 
 
 def diagonalize_form(
@@ -246,16 +257,15 @@ def _split(form, g, eigenvalues, is_zero, cut, exact) -> DiagonalDecomposition:
     """
     big_f, den = form
     n, d = big_f.nvars, big_f.degree
-    p_cols, diagonal = [], []
+    p_cols, p_inv, diagonal = [], [], []
     for i in range(n):
-        w, div = _eigen_column(g, eigenvalues, i, is_zero, exact)
+        w, div, row = _eigen_pair(g, eigenvalues, i, is_zero, exact)
         p_cols.append([x / div for x in w])
+        p_inv.append(row)
         # evaluate_exact is generic in the scalar; on an irrational spectrum
         # it runs on mpc
         diagonal.append(big_f.evaluate_exact(w) / (den * div**d))
     p = [[p_cols[j][i] for j in range(n)] for i in range(n)]
-    # eigenvectors of distinct eigenvalues are independent, so P is invertible
-    p_inv = inverse(p)
     scale = max(abs(c) for c in diagonal)
     summands = tuple(
         (c, LinearForm(tuple(row)))

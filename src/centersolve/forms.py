@@ -301,15 +301,6 @@ class LinearForm:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def proportional_to(self, other: "LinearForm") -> bool:
-        """Exact cross-product test for proportionality."""
-        n = len(self.coeffs)
-        return all(
-            self.coeffs[i] * other.coeffs[j] == self.coeffs[j] * other.coeffs[i]
-            for i in range(n)
-            for j in range(i + 1, n)
-        )
-
 
 @dataclass(frozen=True)
 class PowerSumDecomposition:

@@ -1,4 +1,4 @@
-"""Exact linear algebra over the rationals, and the one matrix inverse.
+"""Exact linear algebra over the rationals.
 
 Matrices are plain lists of lists of ``Fraction``.  The exact kernels are
 fraction-free: they clear denominators (``scalars.clear_denominators``),
@@ -12,9 +12,7 @@ also run in integers.
 ``nullspace`` eliminates only the rows that are independent mod 2^61 - 1
 (one sparse pass over pivot rows kept in reduced echelon form), checks
 every basis vector exactly against every row, and eliminates all rows if a
-check fails, so no modular step decides the answer.  ``mat_mul`` is
-rational-only, like the other exact kernels; ``inverse`` is Gauss-Jordan
-with largest-entry pivoting over Fractions or ``mpc``.
+check fails, so no modular step decides the answer.
 """
 
 from __future__ import annotations
@@ -24,16 +22,7 @@ from itertools import islice
 from math import gcd
 from operator import mul
 
-from mpmath import mpc
-
 from .scalars import as_fraction, clear_denominators
-
-Matrix = "list[list[Fraction]]"
-
-
-def identity(n: int):
-    return [[Fraction(i == j) for j in range(n)] for i in range(n)]
-
 
 def _cleared(a):
     """``(integer matrix, den)`` with ``a == ints / den``, or None if not rational."""
@@ -57,14 +46,6 @@ def _integer_rows(rows):
         row if all(isinstance(x, int) for x in row) else _rational_matrix([row])[0][0]
         for row in rows
     ]
-
-
-def mat_mul(a, b):
-    """Exact matrix product over Q, in integers over one denominator."""
-    (ia, da), (ib, db) = _rational_matrix(a), _rational_matrix(b)
-    den = da * db
-    cols = list(zip(*ib))
-    return [[Fraction(sum(map(mul, row, col)), den) for col in cols] for row in ia]
 
 
 def row_echelon(rows):
@@ -209,32 +190,6 @@ def nullspace(rows, n_cols: int | None = None):
     return [[Fraction(x, v[f]) for x in v] for v, f in basis]
 
 
-def inverse(a):
-    """Gauss-Jordan inverse, pivoting on the largest entry; ValueError if singular.
-
-    Exact entries (int, str, Fraction) give the exact inverse over Q; mpc
-    entries are eliminated at the caller's working precision.
-    """
-    n = len(a)
-    aug = [
-        [x if isinstance(x, mpc) else as_fraction(x) for x in row]
-        + [Fraction(i == j) for j in range(n)]
-        for i, row in enumerate(a)
-    ]
-    for c in range(n):
-        pivot_row = max(range(c, n), key=lambda i: abs(aug[i][c]))
-        if aug[pivot_row][c] == 0:
-            raise ValueError("matrix is singular")
-        aug[c], aug[pivot_row] = aug[pivot_row], aug[c]
-        p = aug[c][c]
-        aug[c] = [x / p for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return [row[n:] for row in aug]
-
-
 def char_poly(a):
     """Characteristic polynomial det(xI - A), monic, descending coefficients.
 
@@ -258,9 +213,3 @@ def char_poly(a):
         m = bm
     return [Fraction(c, den**k) for k, c in enumerate(coeffs)]
 
-
-def span_equal(vectors_a, vectors_b) -> bool:
-    """Do two lists of rational vectors span the same subspace?"""
-    ra = rank(vectors_a)
-    rb = rank(vectors_b)
-    return ra == rb == rank(vectors_a + vectors_b)

@@ -15,9 +15,9 @@ reads one record, the invariants of the Hankel matrix with rows
     image (w*b1 - b2) / (a2 - w*a1) of a d-th root w of -c1/c2, where
     L_j = a_j*x + b_j.
 
-Quartics with trivial center take the sum-of-two-squares route: depress,
-find a root of the resolvent cubic (by completing the cube when no root is
-rational), split into two quadratics.
+Quartics with trivial center (after a factor x^k is split off) take the
+sum-of-two-squares route: depress, find a root of the resolvent cubic (by
+completing the cube when no root is rational), split into two quadratics.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .errors import (
     CenterRankError,
     DegreeError,
     NoRadicalMethodError,
-    PivotError,
     RepeatedEigenvalueError,
 )
 from .forms import (
@@ -211,13 +210,6 @@ def shift_equation(eq: UnivariateEquation, c: Fraction) -> UnivariateEquation:
     return from_plain_coeffs(b)
 
 
-def reversal_transform(eq: UnivariateEquation) -> UnivariateEquation:
-    """Reverse the coefficients; roots map to their reciprocals."""
-    if eq.plain[-1] == 0:
-        raise PivotError("constant term is zero; factor out x first")
-    return from_plain_coeffs(tuple(reversed(eq.plain)))
-
-
 #: Internal residual target, one order under the 1e-9 verification contract.
 _RESIDUAL_TARGET = 1e-10
 _MAX_ESCALATIONS = 6
@@ -258,13 +250,11 @@ def _escalate(evaluate, prec: int):
 
 
 def _mk_root(value, multiplicity=1, exact=None, expr=None):
-    if exact is not None and expr is None:
-        expr = _prefix(exact)
     return RadicalRoot(
         value=mpc(value),
         multiplicity=multiplicity,
         exact=exact,
-        expr=expr or str(value),
+        expr=_prefix(exact) if expr is None else expr,
     )
 
 
@@ -274,9 +264,9 @@ def solve_by_radicals(
     """Radical roots of an equation whose homogenization has a usable center.
 
     ``branch`` rotates the principal d-th root by the branch-th root of
-    unity; any choice yields the same root multiset.  A quartic whose
-    Hankel rank is 3 takes the sum-of-two-squares route; at any other degree
-    that rank raises NoRadicalMethodError.
+    unity; any choice yields the same root multiset.  When the x^k-free
+    part has Hankel rank 3, a quartic takes the sum-of-two-squares route;
+    at any other degree that rank raises NoRadicalMethodError.
     """
     return _solve_classified(eq, None, prec, branch)[0]
 
@@ -288,7 +278,7 @@ def _solve_classified(eq: UnivariateEquation, cls, prec: int, branch: int = 0):
     A factor x^k is split off first; the rest is classified, and a two-power
     class completed, once, here; only the root evaluation is repeated by the
     escalation loop.  The completion is of the x^k-free part, None for the
-    other classes.
+    other classes and the two-squares quartic.
     """
     work, zeros = eq, 0
     if eq.degree >= 3:
@@ -297,14 +287,16 @@ def _solve_classified(eq: UnivariateEquation, cls, prec: int, branch: int = 0):
             work = from_plain_coeffs(work.plain[:-1])
     if work.degree >= 3 and (cls is None or zeros):
         cls = classify(work)
-    if work.degree >= 3 and cls.tag == "NoNontrivialCenter":
-        if eq.degree == 4:
-            return solve_quartic_by_two_squares(eq, prec).root_set, None
+    if work.degree >= 3 and cls.tag == "NoNontrivialCenter" and work.degree != 4:
         raise NoRadicalMethodError(
             "Hankel rank 3: the center is trivial, no radical formula here"
         )
     dec = None  # the completion of a two-power class
-    if work.degree >= 3 and cls.tag not in ("PerfectPower", "LinearTimesPowerD1"):
+    if work.degree >= 3 and cls.tag not in (
+        "PerfectPower",
+        "LinearTimesPowerD1",
+        "NoNontrivialCenter",
+    ):
         dec = _complete_powers(work.homogenize(), cls.invariants)
     root_set = _escalate(
         lambda working: _radical_roots(eq, work, zeros, cls, dec, working, branch),
@@ -316,6 +308,7 @@ def _solve_classified(eq: UnivariateEquation, cls, prec: int, branch: int = 0):
 def _radical_roots(eq, work, zeros, cls, dec, prec, branch) -> RootSet:
     """One evaluation of the roots of eq = x^zeros * work at precision prec."""
     d = work.degree
+    pre_transform = ()
     if d == 1:
         root = -work.plain[1] / work.plain[0]
         roots = [_mk_root(to_mpc(root, prec), 1, exact=root)]
@@ -334,15 +327,20 @@ def _radical_roots(eq, work, zeros, cls, dec, prec, branch) -> RootSet:
             _mk_root(to_mpc(simple, prec), 1, exact=simple),
         ]
         method = "repeated-linear-factor"
+    elif cls.tag == "NoNontrivialCenter":  # a quartic
+        quartic = _solve_quartic(work, prec).root_set
+        roots, method = list(quartic.roots), quartic.method
+        pre_transform = quartic.pre_transform
     else:  # a two-power class, completed once by the caller
         roots = _power_sum_roots(dec, prec, branch)
         method = "two-power-sum"
     if zeros:
         roots.append(_mk_root(mpc(0), zeros, exact=Fraction(0)))
+        pre_transform = (f"factored out x^{zeros}",) + pre_transform
     return RootSet(
         roots=tuple(roots),
         method=method,
-        pre_transform=(f"factored out x^{zeros}",) if zeros else (),
+        pre_transform=pre_transform,
         equation=eq,
     )
 
@@ -418,59 +416,57 @@ def cardano(p, q, prec: int = DEFAULT_PREC) -> RootSet:
     The two cube roots are paired so their product is -p/3; the remaining
     roots rotate the pair by the primitive cube roots of unity.
     """
-    p = Fraction(p) if not isinstance(p, Fraction) else p
-    q = Fraction(q) if not isinstance(q, Fraction) else q
+    p, q = Fraction(p), Fraction(q)
     return _escalate(lambda working: _cardano(p, q, working), prec)
 
 
 def _cardano(p: Fraction, q: Fraction, prec: int) -> RootSet:
     eq = from_plain_coeffs((1, 0, p, q))
-    with mp.workprec(max(prec, 64)):
-        if p == 0 and q == 0:
-            roots = (_mk_root(mpc(0), 3, exact=Fraction(0)),)
-        elif p == 0:
-            base = nth_root(-q, 3, prec)
-            base_exact = rational_nth_root(-q, 3)
-            roots = []
-            for i in range(3):
-                exact = base_exact if (base_exact is not None and i == 0) else None
-                roots.append(
-                    _mk_root(
-                        base * unit_root(3, i, prec),
-                        1,
-                        exact=exact,
-                        expr=f"mul(root({_prefix(-q)},3),zeta(3,{i}))",
-                    )
-                )
-        elif q == 0:
-            s = exact_sqrt(-p)
-            roots = [
-                _mk_root(mpc(0), 1, exact=Fraction(0)),
-                _mk_root(to_mpc(s, prec), 1, exact=s, expr=f"sqrt({_prefix(-p)})"),
+    if p == 0 and q == 0:
+        roots = (_mk_root(mpc(0), 3, exact=Fraction(0)),)
+    elif p == 0:
+        base = nth_root(-q, 3, prec)
+        base_exact = rational_nth_root(-q, 3)
+        roots = []
+        for i in range(3):
+            exact = base_exact if (base_exact is not None and i == 0) else None
+            roots.append(
                 _mk_root(
-                    -to_mpc(s, prec), 1, exact=-s, expr=f"neg(sqrt({_prefix(-p)}))"
-                ),
-            ]
-        else:
-            radicand = q * q / 4 + p * p * p / 27
-            s = mp.sqrt(to_mpc(radicand, prec))
-            u = nth_root(to_mpc(-q, prec) / 2 + s, 3, prec)
-            v = to_mpc(-p, prec) / 3 / u
-            omega = unit_root(3, 1, prec)
-            omega2 = unit_root(3, 2, prec)
-            exprs = [
-                (u + v, "add(u,v)"),
-                (omega * u + omega2 * v, "add(mul(zeta(3,1),u),mul(zeta(3,2),v))"),
-                (omega2 * u + omega * v, "add(mul(zeta(3,2),u),mul(zeta(3,1),v))"),
-            ]
-            stem = (
-                f"u=root(add({-q}/2,sqrt({_prefix(radicand)})),3); "
-                f"v=div({-p}/3,u)"
+                    base * unit_root(3, i, prec),
+                    1,
+                    exact=exact,
+                    expr=f"mul(root({_prefix(-q)},3),zeta(3,{i}))",
+                )
             )
-            roots = [
-                _mk_root(val, 1, expr=f"{expr} where {stem}")
-                for val, expr in exprs
-            ]
+    elif q == 0:
+        s = exact_sqrt(-p)
+        roots = [
+            _mk_root(mpc(0), 1, exact=Fraction(0)),
+            _mk_root(to_mpc(s, prec), 1, exact=s, expr=f"sqrt({_prefix(-p)})"),
+            _mk_root(
+                -to_mpc(s, prec), 1, exact=-s, expr=f"neg(sqrt({_prefix(-p)}))"
+            ),
+        ]
+    else:
+        radicand = q * q / 4 + p * p * p / 27
+        s = mp.sqrt(to_mpc(radicand, prec))
+        u = nth_root(to_mpc(-q, prec) / 2 + s, 3, prec)
+        v = to_mpc(-p, prec) / 3 / u
+        omega = unit_root(3, 1, prec)
+        omega2 = unit_root(3, 2, prec)
+        exprs = [
+            (u + v, "add(u,v)"),
+            (omega * u + omega2 * v, "add(mul(zeta(3,1),u),mul(zeta(3,2),v))"),
+            (omega2 * u + omega * v, "add(mul(zeta(3,2),u),mul(zeta(3,1),v))"),
+        ]
+        stem = (
+            f"u=root(add({-q}/2,sqrt({_prefix(radicand)})),3); "
+            f"v=div({-p}/3,u)"
+        )
+        roots = [
+            _mk_root(val, 1, expr=f"{expr} where {stem}")
+            for val, expr in exprs
+        ]
     return RootSet(
         roots=tuple(roots), method="cardano", pre_transform=(), equation=eq
     )
@@ -558,25 +554,24 @@ def _solve_quartic(eq: UnivariateEquation, prec: int) -> QuarticSolution:
         gamma=to_mpc(v, prec) * mpc(0, 1),
     )
     roots = []
-    with mp.workprec(max(prec, 64)):
-        for _, bq, cq in factors:
-            bqn = to_mpc(bq, prec)
-            cqn = to_mpc(cq, prec)
-            disc = bqn * bqn - 4 * cqn
-            sq = mp.sqrt(disc)
-            for sign in (1, -1):
-                y = (-bqn + sign * sq) / 2
-                x = y - to_mpc(dq.shift, prec)
-                roots.append(
-                    _mk_root(
-                        x,
-                        1,
-                        expr=(
-                            f"sub(div(add(neg({bq}),mul({sign},sqrt(sub(mul({bq},{bq}),"
-                            f"mul(4,{cq}))))),2),{dq.shift})"
-                        ),
-                    )
+    for _, bq, cq in factors:
+        bqn = to_mpc(bq, prec)
+        cqn = to_mpc(cq, prec)
+        disc = bqn * bqn - 4 * cqn
+        sq = mp.sqrt(disc)
+        for sign in (1, -1):
+            y = (-bqn + sign * sq) / 2
+            x = y - to_mpc(dq.shift, prec)
+            roots.append(
+                _mk_root(
+                    x,
+                    1,
+                    expr=(
+                        f"sub(div(add(neg({bq}),mul({sign},sqrt(sub(mul({bq},{bq}),"
+                        f"mul(4,{cq}))))),2),{dq.shift})"
+                    ),
                 )
+            )
     root_set = RootSet(
         roots=tuple(roots),
         method="quartic-two-squares",

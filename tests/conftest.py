@@ -7,6 +7,7 @@ import pytest
 from mpmath import mp, mpf
 
 import centersolve as cs
+from centersolve.linalg import rank
 
 QUINTIC_PLAIN = (31, 235, 710, 1070, 805, 242)
 QUINTIC_NORM = (31, 47, 71, 107, 161, 242)
@@ -97,15 +98,10 @@ def rand_nonzero_fraction(rng, lo=-9, hi=9, max_den=4):
 
 
 def rand_invertible_matrix(rng, n, lo=-5, hi=5):
-    from centersolve.linalg import inverse
-
     while True:
         m = [[F(rng.randint(lo, hi)) for _ in range(n)] for _ in range(n)]
-        try:
-            inverse([row[:] for row in m])
-        except ValueError:
-            continue
-        return m
+        if rank(m) == n:
+            return m
 
 
 def planted_diagonalizable(rng, n, d):
@@ -117,3 +113,42 @@ def planted_diagonalizable(rng, n, d):
         d,
     )
     return cs.expand(dec, n), dec
+
+
+# ---------------------------------------------------------------------------
+# plain Fraction references for matrix checks
+# ---------------------------------------------------------------------------
+
+
+def identity(n):
+    return [[F(i == j) for j in range(n)] for i in range(n)]
+
+
+def naive_mat_mul(a, b):
+    return [
+        [sum((F(a[i][t]) * F(b[t][j]) for t in range(len(b))), F(0)) for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
+def fraction_inverse(a):
+    """Gauss-Jordan in Fractions, pivoting on the largest entry."""
+    n = len(a)
+    aug = [[F(x) for x in row] + [F(i == j) for j in range(n)] for i, row in enumerate(a)]
+    for c in range(n):
+        pivot_row = max(range(c, n), key=lambda i: abs(aug[i][c]))
+        if aug[pivot_row][c] == 0:
+            raise ValueError("matrix is singular")
+        aug[c], aug[pivot_row] = aug[pivot_row], aug[c]
+        p = aug[c][c]
+        aug[c] = [x / p for x in aug[c]]
+        for i in range(n):
+            if i != c and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
+    return [row[n:] for row in aug]
+
+
+def span_equal(vectors_a, vectors_b) -> bool:
+    """Do two lists of rational vectors span the same subspace?"""
+    return rank(vectors_a) == rank(vectors_b) == rank(vectors_a + vectors_b)

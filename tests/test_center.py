@@ -12,16 +12,19 @@ from centersolve import (
     binary_invariants,
     compute_center,
     hessian,
-    is_nondegenerate,
 )
 from centersolve.center import CenterBasis
 from centersolve.diagonalize import _generic_element
-from centersolve.linalg import identity, rank, span_equal
+from centersolve.linalg import rank
 from conftest import (
     TERNARY_CENTER_BASIS,
+    fraction_inverse,
+    identity,
+    naive_mat_mul,
     planted_diagonalizable,
     rand_invertible_matrix,
     rand_nonzero_fraction,
+    span_equal,
 )
 
 
@@ -90,12 +93,11 @@ class TestComputeCenter:
             assert satisfies_center_condition(ternary_cubic, x)
 
     def test_commutativity_for_nondegenerate_randoms(self):
+        # n powers of independent linear forms: nondegenerate by construction
         rng = random.Random(101)
         for _ in range(10):
             n = rng.randint(2, 3)
             f, _ = planted_diagonalizable(rng, n, 3)
-            if not is_nondegenerate(f):
-                continue
             assert compute_center(f).is_commutative()
 
     def test_conjugation_covariance(self):
@@ -105,12 +107,10 @@ class TestComputeCenter:
             f, _ = planted_diagonalizable(rng, n, 3)
             basis = compute_center(f)
             p = rand_invertible_matrix(rng, n)
-            from centersolve.linalg import inverse, mat_mul
-
-            p_inv = inverse(p)
+            p_inv = fraction_inverse(p)
             g = f.substitute_linear(p)
             conjugated = [
-                mat_mul(mat_mul(p_inv, b), p) for b in basis.basis
+                naive_mat_mul(naive_mat_mul(p_inv, b), p) for b in basis.basis
             ]
             basis_g = compute_center(g)
             assert span_equal(

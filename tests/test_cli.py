@@ -152,8 +152,15 @@ class TestSolve:
         doc = json.loads(out)
         assert doc["class"] == "NoNontrivialCenter"
         assert len(doc["roots"]) == 4
-        # x times a trivial-center quartic is of degree 5: no method
-        code, _, err = run(["solve", "x^5 + x^2 + x"])
+        # x times a trivial-center quartic: the x-free part takes that route
+        for text in ("x^5 + x^2 + x", "x^6 + x^3 + x^2"):
+            code, out, err = run(["solve", text, "--format", "json"])
+            assert code == EXIT_OK, err
+            doc = json.loads(out)
+            assert doc["verification"]["passed"]
+            assert sum(r["multiplicity"] for r in doc["roots"]) == doc["degree"]
+        # a trivial center of degree 5: no method
+        code, _, err = run(["solve", "x^5 + x + 1"])
         assert code == EXIT_NO_METHOD
         assert "not applicable" in err
 

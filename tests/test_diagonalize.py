@@ -16,9 +16,16 @@ from centersolve import (
     profile,
 )
 from centersolve.forms import from_plain_coeffs
-from centersolve.linalg import inverse, mat_mul
+from centersolve.linalg import rank
 from centersolve.scalars import to_mpc
-from conftest import TERNARY_CUBIC_DEC, planted_diagonalizable, rand_nonzero_fraction
+from conftest import (
+    TERNARY_CUBIC_DEC,
+    fraction_inverse,
+    identity,
+    naive_mat_mul,
+    planted_diagonalizable,
+    rand_nonzero_fraction,
+)
 
 
 def two_var_form(terms, d):
@@ -36,12 +43,8 @@ def planted_conjugate_pairs(rng, n, d):
     """
     while True:
         rows = [[F(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
-        if any(x == 0 for row in rows for x in row):
-            try:
-                inverse(rows)
-                break
-            except ValueError:
-                pass
+        if any(x == 0 for row in rows for x in row) and rank(rows) == n:
+            break
     summands = []
     for k in range(n // 2):
         disc = rng.choice([-3, -1, 2, 3, 5, 6, 7])
@@ -127,7 +130,7 @@ class TestDiagonalizeExact:
         p = [list(row) for row in result.p]
         lams = sorted(value for value, _ in prof.eigenvalues)
         expected = [[lams[r] if r == c else F(0) for c in range(3)] for r in range(3)]
-        assert mat_mul(mat_mul(inverse(p), g), p) == expected
+        assert naive_mat_mul(naive_mat_mul(fraction_inverse(p), g), p) == expected
 
     def test_hessian_diagonal_after_substitution(self, ternary_cubic):
         result = diagonalize_form(ternary_cubic)
@@ -227,7 +230,7 @@ def fraction_split(f):
         diagonal.append(acc)
     p = tuple(tuple(col[r] for col in cols) for r in range(n))
     summands = tuple(
-        (c, cs.LinearForm(tuple(row))) for c, row in zip(diagonal, inverse(p)) if c
+        (c, cs.LinearForm(tuple(row))) for c, row in zip(diagonal, fraction_inverse(p)) if c
     )
     return p, tuple(diagonal), cs.PowerSumDecomposition(summands, f.degree)
 
@@ -279,6 +282,38 @@ class TestEigenColumns:
         for c in range(n):
             scale = max(abs(row[c]) for row in expected)
             assert all(abs(a[c] - b[c]) <= 1e-20 * scale for a, b in zip(result.p, expected))
+
+
+class TestInverseRows:
+    """Row i of P^-1 is read off the idempotent that gives column i of P."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_exact_rows_are_the_inverse_of_p(self, n, d):
+        f, _ = planted_diagonalizable(random.Random(100 * n + d), n, d)
+        result = diagonalize_form(f)
+        assert result.exact
+        rows = [list(form.coeffs) for _, form in result.as_power_sum.summands]
+        assert all(type(x) is F for row in rows for x in row)
+        assert rows == fraction_inverse(result.p)
+        assert naive_mat_mul(rows, result.p) == identity(n)
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_numeric_rows_invert_p_at_the_working_precision(self, n, d):
+        f = planted_conjugate_pairs(random.Random(1000 * n + d), n, d)
+        result = diagonalize_form(f)
+        assert not result.exact
+        wprec = 96  # max(prec, 96) at the default precision
+        rows = [form.coeffs for _, form in result.as_power_sum.summands]
+        assert len(rows) == n
+        with mp.workprec(wprec):
+            worst = max(
+                abs(sum(a * b for a, b in zip(row, col)) - (i == j))
+                for i, row in enumerate(rows)
+                for j, col in enumerate(zip(*result.p))
+            )
+            assert worst < mp.mpf(2) ** (-wprec // 2)
 
 
 class TestDiagonalizeNumeric:

@@ -1,31 +1,15 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
-from mpmath import mp, mpc
+from hypothesis import given, settings, strategies as st
 
 from centersolve import linalg
-from centersolve.linalg import (
-    char_poly,
-    identity,
-    inverse,
-    mat_mul,
-    nullspace,
-    rank,
-    row_echelon,
-    span_equal,
-)
+from centersolve.linalg import char_poly, nullspace, rank, row_echelon
+from conftest import identity, naive_mat_mul
 
 # ---------------------------------------------------------------------------
 # references: the plain Fraction algorithms the fraction-free kernels replace
 # ---------------------------------------------------------------------------
-
-
-def naive_mat_mul(a, b):
-    return [
-        [sum((F(a[i][t]) * F(b[t][j]) for t in range(len(b))), F(0)) for j in range(len(b[0]))]
-        for i in range(len(a))
-    ]
 
 
 def fraction_nullspace(rows, n_cols):
@@ -71,21 +55,6 @@ def matrices(rows, cols, zero_rows=True):
     if zero_rows:
         row = st.one_of(row, st.just([0] * cols))
     return st.lists(row, min_size=rows, max_size=rows)
-
-
-@st.composite
-def product_pairs(draw):
-    n, k, m = (draw(st.integers(1, 5)) for _ in range(3))
-    return draw(matrices(n, k)), draw(matrices(k, m))
-
-
-@settings(max_examples=60, deadline=None)
-@given(product_pairs())
-def test_mat_mul_matches_fraction_triple_loop(pair):
-    a, b = pair
-    product = mat_mul(a, b)
-    assert product == naive_mat_mul(a, b)
-    assert all(type(x) is F for row in product for x in row)
 
 
 @st.composite
@@ -214,63 +183,6 @@ def test_independent_rows_are_the_rank_profile_mod_p(case):
     assert rank([rows[i] for i in keep]) == len(keep)  # independent over Q too
 
 
-def fraction_inverse(a):
-    """Gauss-Jordan in Fractions, pivoting on the largest entry."""
-    n = len(a)
-    aug = [[F(x) for x in row] + [F(i == j) for j in range(n)] for i, row in enumerate(a)]
-    for c in range(n):
-        pivot_row = max(range(c, n), key=lambda i: abs(aug[i][c]))
-        if aug[pivot_row][c] == 0:
-            raise ValueError("matrix is singular")
-        aug[c], aug[pivot_row] = aug[pivot_row], aug[c]
-        p = aug[c][c]
-        aug[c] = [x / p for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return [row[n:] for row in aug]
-
-
-@st.composite
-def invertible_rational_matrices(draw):
-    """Matrices over per-column denominators, zeros often, so that pivots
-    need row swaps."""
-    n = draw(st.integers(1, 6))
-    a = draw(matrices(n, n, zero_rows=False))
-    dens = draw(st.lists(st.integers(1, 10**6), min_size=n, max_size=n))
-    a = [[F(x) / d for x, d in zip(row, dens)] for row in a]
-    assume(rank(a) == n)
-    return a
-
-
-@settings(max_examples=100, deadline=None)
-@given(invertible_rational_matrices())
-def test_inverse_matches_fraction_gauss_jordan(a):
-    inv = inverse(a)
-    assert inv == fraction_inverse(a)
-    assert all(type(x) is F for row in inv for x in row)
-    assert mat_mul(a, inv) == identity(len(a))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(2, 5).flatmap(lambda n: matrices(n, n)))
-def test_inverse_of_a_singular_matrix_raises(a):
-    # the last row a combination of the others
-    a = a[:-1] + [[sum((F(x) for x in col), F(0)) for col in zip(*a[:-1])]]
-    with pytest.raises(ValueError):
-        inverse(a)
-
-
-def test_inverse_reads_str_entries():
-    a = [["1/2", "3"], ["-2/3", "0"]]
-    inv = inverse(a)
-    assert inv == fraction_inverse([[F(x) for x in row] for row in a])
-    assert mat_mul([[F(x) for x in row] for row in a], inv) == identity(2)
-    with pytest.raises(ValueError):
-        inverse([["1/2", "1"], ["1", "2"]])
-
-
 def test_rank_basic():
     assert rank([[F(1), F(2)], [F(2), F(4)]]) == 1
     assert rank([[F(1), F(0)], [F(0), F(1)]]) == 2
@@ -335,33 +247,6 @@ def test_row_echelon_pivots():
     assert pivots == [0, 1]
 
 
-def test_inverse():
-    m = [[F(1), F(2)], [F(3), F(4)]]
-    inv = inverse(m)
-    assert mat_mul(m, inv) == identity(2)
-    with pytest.raises(ValueError):
-        inverse([[F(1), F(2)], [F(2), F(4)]])
-
-
-def test_inverse_of_mpc_matrix_at_working_precision():
-    with mp.workprec(128):
-        tiny = mp.mpf(2) ** -70  # a small leading entry needs the largest pivot
-        m = [
-            [mpc(tiny, tiny / 3), mpc(1, -2), mpc(0)],
-            [mpc(3, 1) / 7, mpc(0), mpc(-5, 2)],
-            [mpc(0, 1), mpc(2, 0) / 3, mpc(1, 1)],
-        ]
-        inv = inverse(m)
-        product = [
-            [sum((m[i][t] * inv[t][j] for t in range(3)), mpc(0)) for j in range(3)]
-            for i in range(3)
-        ]
-        worst = max(abs(product[i][j] - (i == j)) for i in range(3) for j in range(3))
-        assert worst < mp.mpf(2) ** -100
-        with pytest.raises(ValueError):
-            inverse([[mpc(1, 1), mpc(2, 2)], [mpc(1), mpc(2)]])
-
-
 def test_char_poly_companion():
     # [[0, -6], [1, 5]] has characteristic polynomial x^2 - 5x + 6
     m = [[F(0), F(-6)], [F(1), F(5)]]
@@ -373,9 +258,3 @@ def test_char_poly_diagonal():
     # (x-2)(x-3)(x-5) = x^3 - 10x^2 + 31x - 30
     assert char_poly(m) == [F(1), F(-10), F(31), F(-30)]
 
-
-def test_span_equal():
-    a = [[F(1), F(0)], [F(0), F(1)]]
-    b = [[F(1), F(1)], [F(1), F(-1)]]
-    assert span_equal(a, b)
-    assert not span_equal(a, [[F(1), F(0)]])

@@ -21,7 +21,6 @@ from centersolve import (
     complete_powers,
     depress_quartic,
     expand,
-    reversal_transform,
     shift_equation,
     solve_by_radicals,
     solve_quartic_by_two_squares,
@@ -41,6 +40,11 @@ from conftest import (
     rand_fraction,
     rand_nonzero_fraction,
 )
+
+
+def reversed_equation(eq):
+    """The coefficients reversed: roots map to their reciprocals."""
+    return cs.from_plain_coeffs(tuple(reversed(eq.plain)))
 
 
 def as_multiset(root_set):
@@ -154,7 +158,7 @@ class TestClassify:
         for _ in range(20):
             norm = tuple(rand_nonzero_fraction(rng) for _ in range(5))
             eq = cs.from_norm_coeffs(norm)
-            rev = reversal_transform(eq)
+            rev = reversed_equation(eq)
             assert classify(eq).tag == classify(rev).tag
 
 
@@ -237,8 +241,8 @@ class TestCompletePowers:
         form = BinaryForm((1, 1, 1, 5))
         dec = complete_powers(form)
         assert expand(dec, 2) == form.to_nary()
-        (c1, l1), (c2, l2) = dec.summands
-        assert not l1.proportional_to(l2)
+        (a1, b1), (a2, b2) = (form.coeffs for _, form in dec.summands)
+        assert a1 * b2 != b1 * a2  # not proportional
 
     def test_diagonal_split(self):
         form = BinaryForm((2, 0, 0, 0, 3))
@@ -319,9 +323,32 @@ class TestSolveByRadicals:
         rs = solve_by_radicals(eq)
         assert rs.method == "quartic-two-squares"
         assert rs == solve_quartic_by_two_squares(eq).root_set
-        # x times that quartic is not a quartic: its trivial center has no method
+        # x times that quartic: the x-free part takes the same route
+        times_x = solve_by_radicals(cs.from_plain_coeffs([1, 1, 1, 1, 5, 0]))
+        assert times_x.method == "quartic-two-squares"
+        assert times_x.roots == rs.roots + (times_x.roots[-1],)
+        assert times_x.roots[-1].exact == 0
+        # a trivial center of degree 5 has no method
         with pytest.raises(NoRadicalMethodError):
-            solve_by_radicals(cs.from_plain_coeffs([1, 1, 1, 1, 5, 0]))
+            solve_by_radicals(cs.from_plain_coeffs([1, 0, 0, 0, 1, 1]))
+
+    @pytest.mark.parametrize(
+        "plain, zeros",
+        [([1, 0, 0, 1, 1, 0], 1), ([1, 0, 0, 1, 1, 0, 0], 2)],  # x^5+x^2+x, x^6+x^3+x^2
+    )
+    def test_x_power_times_trivial_center_quartic(self, plain, zeros):
+        eq = cs.from_plain_coeffs(plain)
+        rs = solve_by_radicals(eq)
+        assert rs.method == "quartic-two-squares"
+        assert rs.pre_transform == (
+            f"factored out x^{zeros}",
+            "depressed with x = y - 0",
+        )
+        assert rs.equation == eq
+        assert (rs.roots[-1].exact, rs.roots[-1].multiplicity) == (0, zeros)
+        assert max_scaled_residual(rs, 128) <= 1e-10
+        oracle = cs.numeric_roots(eq)
+        assert cs.compare_root_sets(rs, oracle, tol=1e-9).passed
 
     def test_quadratic_convenience(self):
         rs = solve_by_radicals(cs.from_plain_coeffs([1, -3, 2]))
@@ -374,8 +401,8 @@ class TestTwoCubesCriterion:
                 success = False
             if success:
                 assert expand(dec, 2) == form.to_nary()
-                (c1, l1), (c2, l2) = dec.summands
-                assert not l1.proportional_to(l2)
+                (a1, b1), (a2, b2) = (form.coeffs for _, form in dec.summands)
+                assert a1 * b2 != b1 * a2  # not proportional
             assert success == (disc != 0), (norm, disc)
             checked += 1
         assert checked >= 150
@@ -493,21 +520,6 @@ class TestQuartics:
             assert abs(beta * beta - complex(p - 2 * alpha)) < 1e-12
             assert abs(gamma * gamma - complex(r - alpha * alpha)) < 1e-12
             assert abs(2 * beta * gamma - complex(q)) < 1e-12
-
-
-class TestReversal:
-    def test_reverse_of_reverse_is_identity(self, quintic):
-        assert reversal_transform(reversal_transform(quintic)) == quintic
-
-    def test_cube_reversal(self):
-        eq = cs.from_plain_coeffs([1, 6, 12, 8])  # (x+2)^3
-        rev = reversal_transform(eq)
-        assert rev.plain == (8, 12, 6, 1)  # (2x+1)^3
-        assert classify(rev).tag == "PerfectPower"
-
-    def test_zero_constant_term(self):
-        with pytest.raises(PivotError):
-            reversal_transform(cs.from_plain_coeffs([1, 1, 0]))
 
 
 def test_every_cubic_is_radical_solvable():
@@ -691,7 +703,7 @@ def test_reversal_path_matches_solving_the_reversed_equation():
     eq = cs.from_plain_coeffs([3, 3, 3, 1])
     rs = solve_by_radicals(eq)
     assert rs.method == "two-power-sum"
-    reversed_roots = solve_by_radicals(reversal_transform(eq)).roots
+    reversed_roots = solve_by_radicals(reversed_equation(eq)).roots
     inverted = [complex(1 / r.value) for r in reversed_roots]
     assert multisets_close(as_multiset(rs), inverted)
 
