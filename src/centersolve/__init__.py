@@ -27,7 +27,6 @@ from .errors import (
     NonConvergenceError,
     NonRationalCoefficientError,
     NotDiagonalizableError,
-    PivotError,
     RepeatedEigenvalueError,
 )
 from .forms import (
@@ -89,7 +88,6 @@ __all__ = [
     "NotDiagonalizableError",
     "OracleRootSet",
     "ParsedInput",
-    "PivotError",
     "PolyParseError",
     "PowerSumDecomposition",
     "QuadExt",

@@ -9,10 +9,6 @@ class DegreeError(CenterSolveError):
     """Degree precondition violated (zero leading coefficient, d too small)."""
 
 
-class PivotError(CenterSolveError):
-    """A reversal needs a nonzero constant term."""
-
-
 class CenterRankError(CenterSolveError):
     """The binary center system does not have the rank the operation needs."""
 

@@ -7,19 +7,20 @@ work in integers and build one ``Fraction`` per output entry.
 system is built in integers) and clear any other row by its own
 denominators.  Elimination is one-step Bareiss with a fixed column order
 and row swaps only, so ranks, nullspaces and the bases built from them are
-fully deterministic; nullspace back-substitution and Faddeev-LeVerrier
-also run in integers.
-``nullspace`` eliminates only the rows that are independent mod 2^61 - 1
-(one sparse pass over pivot rows kept in reduced echelon form), checks
-every basis vector exactly against every row, and eliminates all rows if a
-check fails, so no modular step decides the answer.
+fully deterministic; Faddeev-LeVerrier also runs in integers.
+``nullspace`` eliminates the rows once, mod the Mersenne prime 2^127 - 1
+(one sparse pass that keeps the pivot rows in reduced echelon form), reads
+the basis mod p off those pivot rows and lifts it to Q by rational
+reconstruction.  Every lifted vector is checked exactly against every row;
+if a lift or a check fails, Bareiss over Z computes the basis instead, so
+no modular step decides the answer.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
-from math import gcd
+from math import gcd, isqrt
 from operator import mul
 
 from .scalars import as_fraction, clear_denominators
@@ -99,19 +100,22 @@ def rank(rows) -> int:
     return len(pivots)
 
 
-_PRIME = 2**61 - 1
+_PRIME = 2**127 - 1
+_BOUND = isqrt((_PRIME - 1) // 2)  # Wang's bound on |numerator| and denominator
 
 
 def _independent_rows(rows, n_cols: int):
-    """Indices of the rows independent mod p = 2^61 - 1 of all rows before
-    them: the row rank profile mod p, in one sparse pass.
+    """``(keep, pivot_rows)``: the indices of the rows independent mod p of
+    all rows before them (the row rank profile mod p, in one sparse pass),
+    and the reduced echelon form mod p of those rows.
 
-    The pivot rows are kept in reduced echelon form (pivot entry 1, zero in
-    every other pivot column), so a new row is reduced by one subtraction
-    per pivot column it meets, with no fill-in in another pivot column.
-    Rows independent mod p are independent over Q.
+    ``pivot_rows`` maps each pivot column c to its row without the pivot
+    entry 1, as {column: entry mod p}; every entry lies right of c and in
+    no other pivot column.  So a new row is reduced by one subtraction per
+    pivot column it meets, with no fill-in in another pivot column.  Rows
+    independent mod p are independent over Q.
     """
-    pivot_rows = {}  # pivot column -> {non-pivot column: entry mod p}
+    pivot_rows = {}
     keep = []
     for index, row in enumerate(rows):
         r = {c: x % _PRIME for c, x in enumerate(row) if x % _PRIME}
@@ -129,7 +133,7 @@ def _independent_rows(rows, n_cols: int):
         keep.append(index)
         if len(keep) == n_cols:
             break
-    return keep
+    return keep, pivot_rows
 
 
 def _subtract_mod_p(r, t, b):
@@ -140,6 +144,50 @@ def _subtract_mod_p(r, t, b):
             r[k] = y
         else:
             del r[k]
+
+
+def _reconstruct(a):
+    """``(n, d)`` with n = a * d mod p, |n| <= _BOUND, 0 < d <= _BOUND and
+    gcd(n, d) = 1, or None if there is none; it is unique when it exists
+    (Wang's rational reconstruction by the extended Euclidean algorithm)."""
+    r0, r1, t0, t1 = _PRIME, a, 0, 1
+    while r1 > _BOUND:  # invariant: r_i = t_i * a mod p
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if abs(t1) > _BOUND or gcd(r1, t1) != 1:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def _lifted_nullspace(pivot_rows, n_cols: int):
+    """``_integer_nullspace`` read off the reduced pivot rows mod p, or None
+    if an entry has no rational reconstruction.
+
+    The basis vector of free column f is 1 at f and -pivot_rows[c][f] at
+    each pivot column c.  Its entries are lifted one by one over a running
+    common denominator ``den``: x * den mod p is reconstructed as n / d, the
+    vector so far is scaled by d, and v[f] ends as ``den``.
+    """
+    basis = []
+    for f in reversed(range(n_cols)):
+        if f in pivot_rows:
+            continue
+        v = [0] * n_cols
+        den = 1
+        for c, row in pivot_rows.items():
+            if f in row:
+                lifted = _reconstruct(-row[f] * den % _PRIME)
+                if lifted is None:
+                    return None
+                n, d = lifted
+                if d != 1:
+                    v = [x * d for x in v]
+                    den *= d
+                v[c] = n
+        v[f] = den
+        basis.append((v, f))
+    return basis
 
 
 def _integer_nullspace(rows, n_cols: int):
@@ -172,22 +220,30 @@ def nullspace(rows, n_cols: int | None = None):
     """Exact basis of the right nullspace.
 
     Free columns are assigned the value 1 in reverse column order, one basis
-    vector per free column.  This basis depends only on the row space, so
-    it is computed from the rows independent mod 2^61 - 1 and accepted only
-    if every vector is exactly orthogonal to every row; otherwise (the rows
-    have a larger rank over Q than mod p) it is computed from all rows.
+    vector per free column.  This basis depends only on the row space.  It
+    is lifted from the reduced echelon form mod 2^127 - 1 of the rows
+    independent mod p (``_lifted_nullspace``) and accepted only if every
+    vector is exactly orthogonal to every row.  Otherwise (an entry beyond
+    the reconstruction bound, or a larger rank over Q than mod p) Bareiss
+    computes it from the rows independent mod p and, if that basis fails
+    the same check, from all rows.
     """
     if not rows and not n_cols:
         return []
     n_cols = n_cols or len(rows[0])
     ints = _integer_rows(rows)
-    keep = _independent_rows(ints, n_cols)
-    basis = _integer_nullspace([ints[i] for i in keep], n_cols)
-    if len(keep) < len(ints) and any(
-        sum(map(mul, row, v)) for v, _ in basis for row in ints
-    ):
-        basis = _integer_nullspace(ints, n_cols)
+    keep, pivot_rows = _independent_rows(ints, n_cols)
+    basis = _lifted_nullspace(pivot_rows, n_cols)
+    if basis is None or not _is_kernel(basis, ints):
+        basis = _integer_nullspace([ints[i] for i in keep], n_cols)
+        if not _is_kernel(basis, ints):
+            basis = _integer_nullspace(ints, n_cols)
     return [[Fraction(x, v[f]) for x in v] for v, f in basis]
+
+
+def _is_kernel(basis, rows) -> bool:
+    """Every basis vector is exactly orthogonal to every row."""
+    return not any(sum(map(mul, row, v)) for v, _ in basis for row in rows)
 
 
 def char_poly(a):

@@ -1,11 +1,14 @@
+import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from centersolve import linalg
+from centersolve.center import center_system
 from centersolve.linalg import char_poly, nullspace, rank, row_echelon
-from conftest import identity, naive_mat_mul
+from conftest import identity, naive_mat_mul, planted_diagonalizable
 
 # ---------------------------------------------------------------------------
 # references: the plain Fraction algorithms the fraction-free kernels replace
@@ -123,11 +126,11 @@ def test_char_poly_matches_fraction_faddeev_leverrier(a):
     assert char_poly(a) == fraction_char_poly(a)
 
 
-_P = 2**61 - 1
+_P = linalg._PRIME
 
 
 def _rank_mod_p(rows):
-    """Dense Gaussian elimination mod 2^61 - 1."""
+    """Dense Gaussian elimination mod p."""
     m = [[x % _P for x in row] for row in rows]
     r = 0
     for c in range(len(m[0]) if m else 0):
@@ -153,8 +156,8 @@ def dense_independent_rows(rows):
 @st.composite
 def center_like_rows(draw):
     """Tall, sparse integer rows of low rank, like the center systems: integer
-    combinations of a few base rows, rows that vanish mod 2^61 - 1, and rows
-    equal mod 2^61 - 1 to a combination but not over Q."""
+    combinations of a few base rows, rows that vanish mod p, and rows equal
+    mod p to a combination but not over Q."""
     cols = draw(st.integers(1, 10))
     sparse = st.one_of(st.just(0), st.integers(-9, 9))
     base = draw(
@@ -178,9 +181,102 @@ def center_like_rows(draw):
 @given(center_like_rows())
 def test_independent_rows_are_the_rank_profile_mod_p(case):
     rows, cols = case
-    keep = linalg._independent_rows(rows, cols)
+    keep, pivot_rows = linalg._independent_rows(rows, cols)
     assert keep == dense_independent_rows(rows)
     assert rank([rows[i] for i in keep]) == len(keep)  # independent over Q too
+    # reduced echelon form: the pivot rows span the kept rows mod p, and each
+    # entry lies right of its pivot and in no other pivot column
+    assert len(pivot_rows) == len(keep)
+    for c, row in pivot_rows.items():
+        assert all(k > c and k not in pivot_rows and 0 < x < _P for k, x in row.items())
+    assert _rank_mod_p(
+        [rows[i] for i in keep] + [_dense_pivot_row(c, row, cols) for c, row in pivot_rows.items()]
+    ) == len(keep)
+
+
+def _dense_pivot_row(c, row, cols):
+    return [1 if k == c else row.get(k, 0) for k in range(cols)]
+
+
+_B = linalg._BOUND
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-_B, _B), st.integers(1, _B))
+def test_reconstruct_round_trips_within_the_bound(n, d):
+    g = gcd(n, d)
+    n, d = n // g, d // g
+    assert linalg._reconstruct(n * pow(d, -1, _P) % _P) == (n, d)
+
+
+beyond = st.integers(_B + 1, 2**100)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.tuples(beyond, st.integers(1, 2**100)),
+    st.tuples(st.integers(-(2**100), 2**100), beyond),
+    st.tuples(beyond.map(lambda x: -x), st.integers(1, 2**100)),
+))
+def test_reconstruct_beyond_the_bound_is_rejected(case):
+    # no reconstruction, or a wrong one that the exact check rejects: the
+    # nullspace of the row (d, -n) is still n/d
+    n, d = case
+    g = gcd(n, d)
+    n, d = n // g, d // g
+    assume(max(abs(n), d) > _B)
+    assert linalg._reconstruct(n * pow(d, -1, _P) % _P) != (n, d)
+    assert nullspace([[d, -n]]) == [[F(n, d), F(1)]]
+
+
+@pytest.mark.parametrize(
+    "rows, lifted",
+    [
+        # x0 = 10^20 x1: the lift reconstructs a wrong fraction within the
+        # bound, and the exact check rejects it
+        ([[1, -(10**20)]], True),
+        # an entry with no reconstruction at all
+        ([[1, 2**64 + 1, 0, 3**50], [0, 3, 10**20 + 7, 1], [1, 2**64 + 4, 10**20 + 7, 3**50 + 1]], False),
+    ],
+)
+def test_nullspace_falls_back_to_bareiss_beyond_the_bound(rows, lifted, monkeypatch):
+    # basis entries above 2^63, beyond the reconstruction bound mod 2^127 - 1
+    n_cols = len(rows[0])
+    _, pivot_rows = linalg._independent_rows(rows, n_cols)
+    assert (linalg._lifted_nullspace(pivot_rows, n_cols) is not None) == lifted
+    calls = _count_integer_nullspace(monkeypatch)
+    assert nullspace(rows, n_cols=n_cols) == fraction_nullspace(rows, n_cols)
+    assert len(calls) >= 1
+
+
+def _count_integer_nullspace(monkeypatch):
+    """Record the row count of every ``_integer_nullspace`` call."""
+    calls = []
+    original = linalg._integer_nullspace
+
+    def counting(rows, n_cols):
+        calls.append(len(rows))
+        return original(rows, n_cols)
+
+    monkeypatch.setattr(linalg, "_integer_nullspace", counting)
+    return calls
+
+
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("n", range(3, 9))
+def test_planted_centers_are_lifted_within_the_bound(n, d, monkeypatch):
+    # up to n = 6 (the benchmark's forms) every center basis entry fits the
+    # bound and no Bareiss runs; at n = 7 and 8 the entries reach 50-120 bits
+    # and the lift may fail, but never changes the basis
+    f, _ = planted_diagonalizable(random.Random(1000 * n + d), n, d)
+    rows = center_system(f)
+    calls = _count_integer_nullspace(monkeypatch)
+    basis = nullspace(rows, n_cols=n * n)
+    assert len(basis) == n
+    if n <= 6:
+        assert calls == []
+    else:
+        assert basis == fraction_nullspace(rows, n * n)
 
 
 def test_rank_basic():
@@ -212,26 +308,20 @@ def test_nullspace_deterministic_free_order():
 @pytest.mark.parametrize(
     "rows, eliminations",
     [
-        # the second row is the first one mod 2^61 - 1, but independent over
-        # Q: the basis from the rows independent mod p fails the exact check
-        ([[1, 0, 0], [1, 2**61 - 1, 0]], 2),
+        # the second row is the first one mod p, but independent over Q: the
+        # lifted basis and the one from the rows independent mod p both fail
+        # the exact check
+        ([[1, 0, 0], [1, _P, 0]], 2),
         # a row that vanishes mod p leaves no row to eliminate
-        ([[0, 2**61 - 1, 0], [0, 0, 0]], 2),
-        # a dependent row over Q is dependent mod p: one elimination
-        ([[1, 0, 0], [2, 0, 0], [0, 1, 1]], 1),
+        ([[0, _P, 0], [0, 0, 0]], 2),
+        # a dependent row over Q is dependent mod p: the lifted basis passes
+        ([[1, 0, 0], [2, 0, 0], [0, 1, 1]], 0),
     ],
 )
 def test_nullspace_reruns_on_all_rows_when_the_mod_p_rank_drops(
     rows, eliminations, monkeypatch
 ):
-    calls = []
-    original = linalg._integer_nullspace
-
-    def counting(rows, n_cols):
-        calls.append(len(rows))
-        return original(rows, n_cols)
-
-    monkeypatch.setattr(linalg, "_integer_nullspace", counting)
+    calls = _count_integer_nullspace(monkeypatch)
     assert nullspace(rows, n_cols=3) == fraction_nullspace(rows, 3)
     assert len(calls) == eliminations
     if eliminations == 2:

@@ -1,15 +1,17 @@
 """Compare the CLI's answers of two checkouts on the benchmark corpus.
 
-    python3 tools/compare_cli.py OLD_ROOT NEW_ROOT [--seed 7] [--block 0]
+    python3 tools/compare_cli.py OLD_ROOT NEW_ROOT [--seed 7 ...] [--block 0 ...]
 
-Every input of one block of each benchmark workload (perfbench/corpus.py of
-this checkout) runs through `centersolve.cli.run_command` of each root, in
-a fresh interpreter per root.  Two runs agree when the exit codes are equal
+Every input of each given block and seed of each benchmark workload
+(perfbench/corpus.py of this checkout) runs through
+`centersolve.cli.run_command` of each root, in a fresh interpreter per root
+and block.  Two runs agree when the exit codes are equal
 and the JSON documents are equal, float leaves within 1e-12 relative.  A
 complex number ([re, im] pair, or a root's re/im keys) is one leaf, compared
 by modulus, so round-off in a part that should be zero does not count.  An
 exception escaping run_command is recorded by its type name.  Prints one
-line per disagreement and a summary; exits 1 if any input disagrees.
+line per disagreement and a summary per seed and block; exits 1 if any
+input disagrees.
 """
 
 from __future__ import annotations
@@ -84,23 +86,27 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("roots", nargs="*", metavar="ROOT")
     ap.add_argument("--dump", metavar="ROOT", help=argparse.SUPPRESS)
-    ap.add_argument("--seed", type=int, default=7)
-    ap.add_argument("--block", type=int, default=0)
+    ap.add_argument("--seed", type=int, nargs="+", default=[7])
+    ap.add_argument("--block", type=int, nargs="+", default=[0])
     args = ap.parse_args(argv)
     if args.dump:
-        json.dump(dump(Path(args.dump), args.seed, args.block), sys.stdout)
+        json.dump(dump(Path(args.dump), args.seed[0], args.block[0]), sys.stdout)
         return 0
     if len(args.roots) != 2:
         ap.error("give OLD_ROOT and NEW_ROOT")
-    old, new = (run_root(r, args.seed, args.block) for r in args.roots)
-    differ = 0
-    for a, b in zip(old, new):
-        if a["code"] != b["code"] or not same(a["doc"], b["doc"]):
-            differ += 1
-            print(f"DIFFER {a['workload']} {' '.join(a['argv'][:3])[:80]}: "
-                  f"exit {a['code']} -> {b['code']}")
-    print(f"{len(old)} inputs compared, {differ} differ")
-    return 1 if differ else 0
+    total = 0
+    for seed in args.seed:
+        for block in args.block:
+            old, new = (run_root(r, seed, block) for r in args.roots)
+            differ = 0
+            for a, b in zip(old, new):
+                if a["code"] != b["code"] or not same(a["doc"], b["doc"]):
+                    differ += 1
+                    print(f"DIFFER {a['workload']} {' '.join(a['argv'][:3])[:80]}: "
+                          f"exit {a['code']} -> {b['code']}")
+            print(f"seed {seed} block {block}: {len(old)} inputs compared, {differ} differ")
+            total += differ
+    return 1 if total else 0
 
 
 if __name__ == "__main__":
