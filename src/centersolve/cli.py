@@ -34,11 +34,10 @@ from .parser import ParsedInput, PolyParseError, parse_polynomial
 from .scalars import DEFAULT_PREC, is_exact, scalar_str
 from .solver import (
     RootSet,
-    _complete_powers,
-    _solve_classified,
     classify,
     complete_powers,
     max_scaled_residual,
+    solve_by_radicals,
 )
 
 EXIT_OK = 0
@@ -183,9 +182,8 @@ def _fill_invariants(doc, inv):
     }
 
 
-def _classify_into(doc, eq: UnivariateEquation):
-    """Classify eq once (degree >= 3) and copy its class and invariants to doc."""
-    cls = classify(eq)
+def _fill_class(doc, cls):
+    """Copy a class and its invariants to doc."""
     doc["class"] = cls.tag
     _fill_invariants(doc, cls.invariants)
     return cls
@@ -240,14 +238,14 @@ def _cmd_solve(args, text, out, err) -> tuple[dict, int]:
     eq = _require_equation(parsed)
     doc = _empty_document(text)
     doc["degree"] = eq.degree
-    cls = _classify_into(doc, eq) if eq.degree >= 3 else None
     prec = args.precision
-    root_set, dec = _solve_classified(eq, cls, prec)
+    root_set = solve_by_radicals(eq, prec)
+    cls = root_set.classification
+    if cls is not None:
+        _fill_class(doc, cls)
     doc["roots"] = _roots_json(root_set)
     if doc["class"] == "SumOfTwoPowers":
-        if root_set.pre_transform:  # x^k was split off: dec completes the rest
-            dec = _complete_powers(eq.homogenize(), cls.invariants)
-        doc["decomposition"] = _decomposition_json(dec, ("x", "y"))
+        doc["decomposition"] = _decomposition_json(cls.completion, ("x", "y"))
     residual = max_scaled_residual(root_set, prec + 64)
     verification = {
         "max_residual": residual,
@@ -277,7 +275,7 @@ def _cmd_classify(args, text, out, err) -> tuple[dict, int]:
     eq = _require_equation(parsed)
     doc = _empty_document(text)
     doc["degree"] = eq.degree
-    _classify_into(doc, eq)
+    _fill_class(doc, classify(eq))
     return doc, EXIT_OK
 
 
@@ -351,9 +349,8 @@ def _cmd_decompose(args, text, out, err) -> tuple[dict, int]:
         }
         return doc, EXIT_OK
     if parsed.equation is not None:
-        binary = parsed.equation.homogenize()
-        cls = _classify_into(doc, parsed.equation)
-        dec = _complete_powers(binary, cls.invariants)
+        cls = _fill_class(doc, classify(parsed.equation))
+        binary, dec = cls.form, cls.completion
     else:
         binary = parsed.binary
         dec = complete_powers(binary)

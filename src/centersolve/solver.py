@@ -18,12 +18,19 @@ reads one record, the invariants of the Hankel matrix with rows
 Quartics with trivial center (after a factor x^k is split off) take the
 sum-of-two-squares route: depress, find a root of the resolvent cubic (by
 completing the cube when no root is rational), split into two quadratics.
+
+Every route builds each root once as a radical expression tree over Q; the
+tree's text is the printed ``expr`` and its value at a precision is the
+root, so precision escalation only evaluates the trees.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import operator
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 
 from mpmath import mp, mpc
 
@@ -66,10 +73,16 @@ class EquationClass:
     # whose data complete_powers carries
     witness: dict
     invariants: BinaryInvariants  # of the homogenization
+    form: BinaryForm = field(repr=False, compare=False)  # the homogenization
 
     @property
     def hankel_rank(self) -> int:
         return self.invariants.hankel_rank
+
+    @cached_property
+    def completion(self) -> PowerSumDecomposition:
+        """The two-power completion of the homogenization, computed once."""
+        return _complete_powers(self.form, self.invariants)
 
 
 def classify(eq: UnivariateEquation) -> EquationClass:
@@ -86,7 +99,8 @@ def classify(eq: UnivariateEquation) -> EquationClass:
         raise DegreeError("classification needs degree >= 3")
     a = eq.norm
     d = eq.degree
-    inv = binary_invariants(eq.homogenize())
+    form = eq.homogenize()
+    inv = binary_invariants(form)
     if inv.hankel_rank == 1:
         tag, witness = "PerfectPower", {"scale": a[0], "shift": a[1] / a[0]}
     elif inv.hankel_rank == 3:
@@ -103,7 +117,7 @@ def classify(eq: UnivariateEquation) -> EquationClass:
         tag, witness = "ConstantTimesPowerPlusPower", {}
     else:
         tag, witness = "SumOfTwoPowers", {}
-    return EquationClass(tag=tag, witness=witness, invariants=inv)
+    return EquationClass(tag=tag, witness=witness, invariants=inv, form=form)
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +182,58 @@ def _complete_powers(form: BinaryForm, inv: BinaryInvariants) -> PowerSumDecompo
 # ---------------------------------------------------------------------------
 
 
+class _Node:
+    """A radical expression: an op of ``_OPS`` applied to sub-trees, exact
+    leaves (Fraction or QuadExt) and integers (degrees and small factors,
+    which enter the arithmetic as they are).  Its text, rendered once at
+    construction, is the printed ``expr``; a shared sub-tree is rendered
+    once and printed in full wherever it occurs.  ``_value`` evaluates it.
+    """
+
+    __slots__ = ("op", "args", "text")
+
+    def __init__(self, op, *args):
+        self.op, self.args = op, args
+        self.text = f"{op}({','.join(map(_prefix, args))})"
+
+    def __str__(self):
+        return self.text
+
+
+_OPS = {
+    "add": operator.add, "sub": operator.sub, "neg": operator.neg,
+    "mul": operator.mul, "div": operator.truediv, "sqrt": mp.sqrt,
+    "root": lambda x, d: nth_root(x, d, mp.prec),  # the real branch for x < 0, odd d
+    "zeta": lambda d, k: unit_root(d, k, mp.prec),  # exp(2 pi i k/d)
+    "geom": lambda x, y, d: sum(x ** (d - 1 - j) * y**j for j in range(d)),
+}
+
+
+def _value(x, memo):
+    """Value of a tree or exact leaf at the working precision, memoised by
+    id (one memo per round, so a shared sub-tree is evaluated once); the
+    memo keeps x, so no later object takes its id."""
+    hit = memo.get(id(x))
+    if hit is None:
+        if isinstance(x, _Node):
+            args = [a if isinstance(a, int) else _value(a, memo) for a in x.args]
+            out = _OPS[x.op](*args)
+        else:
+            out = to_mpc(x, mp.prec)
+        hit = memo[id(x)] = (out, x)
+    return hit[0]
+
+
+def _evaluator(prec: int, memo: dict):
+    """value(x) of trees and leaves at prec, sharing memo."""
+
+    def value(x):
+        with mp.workprec(prec):
+            return _value(x, memo)
+
+    return value
+
+
 @dataclass(frozen=True)
 class RadicalRoot:
     value: mpc
@@ -182,6 +248,8 @@ class RootSet:
     method: str
     pre_transform: tuple  # human-readable notes of transforms applied
     equation: UnivariateEquation
+    # the input's class (None below degree 3)
+    classification: EquationClass | None = field(default=None, compare=False)
 
     @property
     def degree(self) -> int:
@@ -228,34 +296,29 @@ def max_scaled_residual(root_set: "RootSet", prec: int) -> float:
     return worst
 
 
-def _escalate(evaluate, prec: int):
-    """Re-evaluate the roots at doubled precision until the residual contract holds.
+def _escalate(roots, template: RootSet, prec: int):
+    """Evaluate the root trees at doubled precision until the residual contract holds.
 
-    Callers analyze the equation once, before this loop; each round only
-    evaluates the radical expressions at the working precision.
-    Near-degenerate inputs (huge or nearly cancelling coefficients) lose
-    digits in the root formulas; the radical expressions are exact, so
-    raising the evaluation precision always recovers the contract.
+    ``roots`` holds (tree, multiplicity, exact) triples, built once; each
+    round only evaluates them (an exact root, its exact scalar).  Near-
+    degenerate inputs lose digits in the root formulas; the radical
+    expressions are exact, so raising the precision always recovers the
+    contract.  Returns ``template`` with the roots, and the last evaluator.
     """
+    exprs = [_prefix(tree) for tree, _, _ in roots]
     working = max(prec, DEFAULT_PREC)
-    result = None
     for _ in range(_MAX_ESCALATIONS):
+        memo = {}
         with mp.workprec(working):
-            result = evaluate(working)
-        root_set = result if isinstance(result, RootSet) else result.root_set
+            evaluated = tuple(
+                RadicalRoot(_value(t if e is None else e, memo), m, e, expr)
+                for (t, m, e), expr in zip(roots, exprs)
+            )
+        root_set, value = replace(template, roots=evaluated), _evaluator(working, memo)
         if max_scaled_residual(root_set, working + 64) <= _RESIDUAL_TARGET:
             break
         working *= 2
-    return result
-
-
-def _mk_root(value, multiplicity=1, exact=None, expr=None):
-    return RadicalRoot(
-        value=mpc(value),
-        multiplicity=multiplicity,
-        exact=exact,
-        expr=_prefix(exact) if expr is None else expr,
-    )
+    return root_set, value
 
 
 def solve_by_radicals(
@@ -264,108 +327,64 @@ def solve_by_radicals(
     """Radical roots of an equation whose homogenization has a usable center.
 
     ``branch`` rotates the principal d-th root by the branch-th root of
-    unity; any choice yields the same root multiset.  When the x^k-free
-    part has Hankel rank 3, a quartic takes the sum-of-two-squares route;
-    at any other degree that rank raises NoRadicalMethodError.
-    """
-    return _solve_classified(eq, None, prec, branch)[0]
-
-
-def _solve_classified(eq: UnivariateEquation, cls, prec: int, branch: int = 0):
-    """(solve_by_radicals, completion), reusing ``cls = classify(eq)`` when
-    the caller has it.
-
-    A factor x^k is split off first; the rest is classified, and a two-power
-    class completed, once, here; only the root evaluation is repeated by the
-    escalation loop.  The completion is of the x^k-free part, None for the
-    other classes and the two-squares quartic.
+    unity; any choice yields the same root multiset.  A factor x^k is split
+    off; the input and the rest are classified, and every root built as a
+    tree, once.  When the rest has Hankel rank 3, a quartic takes the
+    sum-of-two-squares route; at any other degree that rank raises
+    NoRadicalMethodError.
     """
     work, zeros = eq, 0
     if eq.degree >= 3:
         while work.degree > 1 and work.plain[-1] == 0:
             zeros += 1
             work = from_plain_coeffs(work.plain[:-1])
-    if work.degree >= 3 and (cls is None or zeros):
-        cls = classify(work)
-    if work.degree >= 3 and cls.tag == "NoNontrivialCenter" and work.degree != 4:
-        raise NoRadicalMethodError(
-            "Hankel rank 3: the center is trivial, no radical formula here"
-        )
-    dec = None  # the completion of a two-power class
-    if work.degree >= 3 and cls.tag not in (
-        "PerfectPower",
-        "LinearTimesPowerD1",
-        "NoNontrivialCenter",
-    ):
-        dec = _complete_powers(work.homogenize(), cls.invariants)
-    root_set = _escalate(
-        lambda working: _radical_roots(eq, work, zeros, cls, dec, working, branch),
-        prec,
-    )
-    return root_set, dec
-
-
-def _radical_roots(eq, work, zeros, cls, dec, prec, branch) -> RootSet:
-    """One evaluation of the roots of eq = x^zeros * work at precision prec."""
+    cls = classify(eq) if eq.degree >= 3 else None
+    part = classify(work) if zeros and work.degree >= 3 else cls
     d = work.degree
     pre_transform = ()
     if d == 1:
         root = -work.plain[1] / work.plain[0]
-        roots = [_mk_root(to_mpc(root, prec), 1, exact=root)]
-        method = "linear"
+        roots, method = [(root, 1, root)], "linear"
     elif d == 2:
-        roots = _quadratic_roots(work, prec)
+        b0, b1, b2 = work.plain
+        s = exact_sqrt(b1 * b1 - 4 * b0 * b2)
+        pair = ((-b1 + s) / (2 * b0), (-b1 - s) / (2 * b0))
+        roots = [(pair[0], 2, pair[0])] if s == 0 else [(r, 1, r) for r in pair]
         method = "quadratic"
-    elif cls.tag == "PerfectPower":
+    elif part.tag == "PerfectPower":
         root = -work.norm[1] / work.norm[0]
-        roots = [_mk_root(to_mpc(root, prec), d, exact=root)]
-        method = "perfect-power"
-    elif cls.tag == "LinearTimesPowerD1":
-        repeated, simple = cls.witness["repeated_root"], cls.witness["simple_root"]
-        roots = [
-            _mk_root(to_mpc(repeated, prec), d - 1, exact=repeated),
-            _mk_root(to_mpc(simple, prec), 1, exact=simple),
-        ]
+        roots, method = [(root, d, root)], "perfect-power"
+    elif part.tag == "LinearTimesPowerD1":
+        repeated, simple = part.witness["repeated_root"], part.witness["simple_root"]
+        roots = [(repeated, d - 1, repeated), (simple, 1, simple)]
         method = "repeated-linear-factor"
-    elif cls.tag == "NoNontrivialCenter":  # a quartic
-        quartic = _solve_quartic(work, prec).root_set
-        roots, method = list(quartic.roots), quartic.method
-        pre_transform = quartic.pre_transform
-    else:  # a two-power class, completed once by the caller
-        roots = _power_sum_roots(dec, prec, branch)
-        method = "two-power-sum"
+    elif part.tag == "NoNontrivialCenter":
+        if d != 4:
+            raise NoRadicalMethodError(
+                "Hankel rank 3: the center is trivial, no radical formula here"
+            )
+        dq, *_, roots = _two_squares(work)
+        method = "quartic-two-squares"
+        pre_transform = (f"depressed with x = y - {dq.shift}",)
+    else:  # a two-power class, completed once
+        roots, method = _power_sum_roots(part.completion, branch), "two-power-sum"
     if zeros:
-        roots.append(_mk_root(mpc(0), zeros, exact=Fraction(0)))
+        roots.append((Fraction(0), zeros, Fraction(0)))
         pre_transform = (f"factored out x^{zeros}",) + pre_transform
-    return RootSet(
-        roots=tuple(roots),
-        method=method,
-        pre_transform=pre_transform,
-        equation=eq,
-    )
+    return _escalate(roots, RootSet((), method, pre_transform, eq, cls), prec)[0]
 
 
-def _quadratic_roots(eq: UnivariateEquation, prec):
-    b0, b1, b2 = eq.plain
-    disc = b1 * b1 - 4 * b0 * b2
-    if disc == 0:
-        root = -b1 / (2 * b0)
-        return [_mk_root(to_mpc(root, prec), 2, exact=root)]
-    s = exact_sqrt(disc)
-    r1 = (-b1 + s) / (2 * b0)
-    r2 = (-b1 - s) / (2 * b0)
-    return [_mk_root(to_mpc(r, prec), 1, exact=r) for r in (r1, r2)]
-
-
-def _power_sum_roots(dec: PowerSumDecomposition, prec: int, branch: int = 0):
+def _power_sum_roots(dec: PowerSumDecomposition, branch: int = 0):
     """Every root of c1*L1^d + c2*L2^d = 0, L_j = a_j*x + b_j, by one Moebius map.
 
     L2 = w*L1 with w^d = ratio = -c1/c2, so x = (w*b1 - b2) / (a2 - w*a1).
     Each form with a_j != 0 is scaled to a_j = 1 (c_j absorbs a_j^d) and a
     y^d summand goes first, so a0*(x + t*y)^d + gamma*y^d gives x = w - t.
-    a2 - w*a1 cancels for the w nearest a2/a1; there it is taken as
-    (a2^d - ratio*a1^d) / sum_j a2^(d-1-j) (w*a1)^j, whose numerator is exact
-    and nonzero: c2 times it is the leading coefficient.
+    a2 - w*a1 cancels for the w nearest a2/a1 = 1 (when a1 != 0): the one
+    whose angle arg(w_0) + 2*pi*k/d is nearest 0.  There it is taken as
+    (a2^d - ratio*a1^d) / geom(a2, w*a1, d), with an exact and nonzero
+    numerator: c2 times it is the leading coefficient.  Returns (tree, 1,
+    exact) triples; an exact root keeps the plain Moebius template.
     """
     d = dec.degree
     scaled = []
@@ -375,33 +394,27 @@ def _power_sum_roots(dec: PowerSumDecomposition, prec: int, branch: int = 0):
     (c1, a1, b1), (c2, a2, b2) = sorted(scaled, key=lambda s: s[1] != 0)
     ratio = -c1 / c2
     w_exact = rational_nth_root(ratio, d) if isinstance(ratio, Fraction) else None
-    base = nth_root(ratio, d, prec)
-    a1n, b1n, a2n, b2n = (to_mpc(x, prec) for x in (a1, b1, a2, b2))
-    ws = [base * unit_root(d, (i + branch) % d, prec) for i in range(d)]
-    near = min(range(d), key=lambda i: abs(a2n - ws[i] * a1n))
-    delta = f"root({_prefix(ratio)},{d})"
+    near = None
+    if a1 != 0:
+        turns = float(mp.arg(nth_root(ratio, d, 53))) / (2 * math.pi)
+        near = (round(-turns * d) - branch) % d
+    delta = _Node("root", ratio, d)
     roots = []
-    for i, w in enumerate(ws):
+    for i in range(d):
         k = (i + branch) % d
+        w = delta if k == 0 else _Node("mul", delta, _Node("zeta", d, k))
         exact = None
         if w_exact is not None and 2 * k in (0, d):  # w = +-w_exact
             we = w_exact if k == 0 else -w_exact
             exact = (we * b1 - b2) / (a2 - we * a1)
-            value = to_mpc(exact, prec)
-        else:
-            den = (
-                to_mpc(a2**d - ratio * a1**d, prec)
-                / sum(a2n ** (d - 1 - j) * (w * a1n) ** j for j in range(d))
-                if i == near
-                else a2n - w * a1n
-            )
-            value = (w * b1n - b2n) / den
-        wk = delta if k == 0 else f"mul({delta},zeta({d},{k}))"
-        expr = (
-            f"div(sub(mul({wk},{_prefix(b1)}),{_prefix(b2)}),"
-            f"sub({_prefix(a2)},mul({wk},{_prefix(a1)})))"
+        wa1 = _Node("mul", w, a1)
+        den = (
+            _Node("div", a2**d - ratio * a1**d, _Node("geom", a2, wa1, d))
+            if i == near and exact is None
+            else _Node("sub", a2, wa1)
         )
-        roots.append(_mk_root(value, 1, exact=exact, expr=expr))
+        num = _Node("sub", _Node("mul", w, b1), b2)
+        roots.append((_Node("div", num, den), 1, exact))
     return roots
 
 
@@ -417,59 +430,31 @@ def cardano(p, q, prec: int = DEFAULT_PREC) -> RootSet:
     roots rotate the pair by the primitive cube roots of unity.
     """
     p, q = Fraction(p), Fraction(q)
-    return _escalate(lambda working: _cardano(p, q, working), prec)
-
-
-def _cardano(p: Fraction, q: Fraction, prec: int) -> RootSet:
     eq = from_plain_coeffs((1, 0, p, q))
+    return _escalate(_cardano(p, q), RootSet((), "cardano", (), eq), prec)[0]
+
+
+def _cardano(p: Fraction, q: Fraction):
+    """(tree, multiplicity, exact) roots; u and v print in full in each root."""
     if p == 0 and q == 0:
-        roots = (_mk_root(mpc(0), 3, exact=Fraction(0)),)
-    elif p == 0:
-        base = nth_root(-q, 3, prec)
-        base_exact = rational_nth_root(-q, 3)
-        roots = []
-        for i in range(3):
-            exact = base_exact if (base_exact is not None and i == 0) else None
-            roots.append(
-                _mk_root(
-                    base * unit_root(3, i, prec),
-                    1,
-                    exact=exact,
-                    expr=f"mul(root({_prefix(-q)},3),zeta(3,{i}))",
-                )
-            )
-    elif q == 0:
-        s = exact_sqrt(-p)
-        roots = [
-            _mk_root(mpc(0), 1, exact=Fraction(0)),
-            _mk_root(to_mpc(s, prec), 1, exact=s, expr=f"sqrt({_prefix(-p)})"),
-            _mk_root(
-                -to_mpc(s, prec), 1, exact=-s, expr=f"neg(sqrt({_prefix(-p)}))"
-            ),
-        ]
-    else:
-        radicand = q * q / 4 + p * p * p / 27
-        s = mp.sqrt(to_mpc(radicand, prec))
-        u = nth_root(to_mpc(-q, prec) / 2 + s, 3, prec)
-        v = to_mpc(-p, prec) / 3 / u
-        omega = unit_root(3, 1, prec)
-        omega2 = unit_root(3, 2, prec)
-        exprs = [
-            (u + v, "add(u,v)"),
-            (omega * u + omega2 * v, "add(mul(zeta(3,1),u),mul(zeta(3,2),v))"),
-            (omega2 * u + omega * v, "add(mul(zeta(3,2),u),mul(zeta(3,1),v))"),
-        ]
-        stem = (
-            f"u=root(add({-q}/2,sqrt({_prefix(radicand)})),3); "
-            f"v=div({-p}/3,u)"
-        )
-        roots = [
-            _mk_root(val, 1, expr=f"{expr} where {stem}")
-            for val, expr in exprs
-        ]
-    return RootSet(
-        roots=tuple(roots), method="cardano", pre_transform=(), equation=eq
-    )
+        return [(Fraction(0), 3, Fraction(0))]
+    if p == 0:
+        base, exact = _Node("root", -q, 3), rational_nth_root(-q, 3)
+        roots = [_Node("mul", base, _Node("zeta", 3, i)) for i in range(3)]
+        return [(root, 1, None if i else exact) for i, root in enumerate(roots)]
+    if q == 0:
+        s, root = exact_sqrt(-p), _Node("sqrt", -p)
+        zero = Fraction(0)
+        return [(zero, 1, zero), (root, 1, s), (_Node("neg", root), 1, -s)]
+    s = _Node("sqrt", q * q / 4 + p * p * p / 27)
+    u = _Node("root", _Node("add", _Node("div", -q, 2), s), 3)
+    v = _Node("div", _Node("div", -p, 3), u)
+    omega, omega2 = _Node("zeta", 3, 1), _Node("zeta", 3, 2)
+    return [
+        (_Node("add", u, v), 1, None),
+        (_Node("add", _Node("mul", omega, u), _Node("mul", omega2, v)), 1, None),
+        (_Node("add", _Node("mul", omega2, u), _Node("mul", omega, v)), 1, None),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -513,19 +498,61 @@ def depress_quartic(eq: UnivariateEquation) -> DepressedQuartic:
     return DepressedQuartic(p=p, q=q, r=r, shift=s)
 
 
-def _resolvent_alpha(p, q, r, prec):
-    """A root of 8a^3 - 4p a^2 - 8r a + (4pr - q^2) = 0; rational preferred.
+def _resolvent_alpha(p, q, r, value):
+    """A root of 8a^3 - 4p a^2 - 8r a + (4pr - q^2) = 0: rational when one
+    is, else a tree.
 
     Without a rational root the resolvent is irreducible, so its roots are
-    distinct and no cube: its binary form completes into two cubes.
+    distinct and no cube: its binary form completes into two cubes, and the
+    root that is largest by (re, im) under ``value`` is chosen, once.
     """
     coeffs = [Fraction(8), -4 * p, -8 * r, 4 * p * r - q * q]
     rational = rational_roots(coeffs)
     if rational:
         return max(root for root, _ in rational)
     cubes = complete_powers(from_plain_coeffs(coeffs).homogenize())
-    candidates = [root.value for root in _power_sum_roots(cubes, prec)]
-    return max(candidates, key=lambda z: (z.real, z.imag))
+    trees = [tree for tree, _, _ in _power_sum_roots(cubes)]
+    return max(trees, key=lambda t: (value(t).real, value(t).imag))
+
+
+def _sqrt(x, value):
+    """sqrt(x), as +-i*sqrt(-x) (the sign of im(x)) when re(x) < 0 under
+    ``value``: the same root off the negative reals, and on them, where a
+    tree real in exact arithmetic has noise in im(x), the branch taken under
+    ``value`` rather than one taken anew at each precision."""
+    z = value(x)
+    if z.real >= 0:
+        return _Node("sqrt", x)
+    root = _Node("mul", _Node("zeta", 4, 1), _Node("sqrt", _Node("neg", x)))
+    return root if z.imag >= 0 else _Node("neg", root)
+
+
+def _two_squares(eq: UnivariateEquation):
+    """The depression, the resolvent root alpha, u, v, the two quadratic
+    factors (b, c) of the depressed quartic and the root trees; alpha, u, v,
+    b and c are exact scalars when alpha is rational and trees otherwise."""
+    dq = depress_quartic(eq)
+    p, q, r = dq.p, dq.q, dq.r
+    value = _evaluator(DEFAULT_PREC, {})  # each choice below is made once, at 64 bits
+    alpha = _resolvent_alpha(p, q, r, value)
+    if isinstance(alpha, Fraction):
+        u = exact_sqrt(2 * alpha - p)
+        v = -q / (2 * u) if u != 0 else exact_sqrt(alpha * alpha - r)
+        factors = ((u, alpha + v), (-u, alpha - v))
+    else:  # 2*alpha - p is irrational, so u != 0
+        u = _sqrt(_Node("sub", _Node("mul", 2, alpha), p), value)
+        v = _Node("div", -q, _Node("mul", 2, u))
+        factors = (
+            (u, _Node("add", alpha, v)),
+            (_Node("neg", u), _Node("sub", alpha, v)),
+        )
+    roots = []
+    for b, c in factors:
+        sq = _sqrt(_Node("sub", _Node("mul", b, b), _Node("mul", 4, c)), value)
+        for sign in (1, -1):
+            y = _Node("div", _Node("add", _Node("neg", b), _Node("mul", sign, sq)), 2)
+            roots.append((_Node("sub", y, dq.shift), 1, None))
+    return dq, alpha, u, v, factors, roots
 
 
 def solve_quartic_by_two_squares(
@@ -535,49 +562,20 @@ def solve_quartic_by_two_squares(
 
     Writes the depressed quartic as (y^2 + a)^2 - (u y + v)^2 with
     u^2 = 2a - p and u v = -q/2, splits into two quadratics, and undoes the
-    shift.  Exact data is kept whenever the resolvent root is rational.
+    shift.  Exact data is kept whenever the resolvent root is rational;
+    otherwise alpha and the factors are their values at the final precision.
     """
-    return _escalate(lambda working: _solve_quartic(eq, working), prec)
-
-
-def _solve_quartic(eq: UnivariateEquation, prec: int) -> QuarticSolution:
-    dq = depress_quartic(eq)
-    p, q, r = dq.p, dq.q, dq.r
-    alpha = _resolvent_alpha(p, q, r, prec)
-    sqrt = exact_sqrt if isinstance(alpha, Fraction) else mp.sqrt
-    u = sqrt(2 * alpha - p)
-    v = -q / (2 * u) if u != 0 else sqrt(alpha * alpha - r)
-    factors = ((Fraction(1), u, alpha + v), (Fraction(1), -u, alpha - v))
-    resolvent = ResolventData(
-        alpha=alpha,
-        beta=to_mpc(u, prec) * mpc(0, 1),
-        gamma=to_mpc(v, prec) * mpc(0, 1),
-    )
-    roots = []
-    for _, bq, cq in factors:
-        bqn = to_mpc(bq, prec)
-        cqn = to_mpc(cq, prec)
-        disc = bqn * bqn - 4 * cqn
-        sq = mp.sqrt(disc)
-        for sign in (1, -1):
-            y = (-bqn + sign * sq) / 2
-            x = y - to_mpc(dq.shift, prec)
-            roots.append(
-                _mk_root(
-                    x,
-                    1,
-                    expr=(
-                        f"sub(div(add(neg({bq}),mul({sign},sqrt(sub(mul({bq},{bq}),"
-                        f"mul(4,{cq}))))),2),{dq.shift})"
-                    ),
-                )
-            )
-    root_set = RootSet(
-        roots=tuple(roots),
-        method="quartic-two-squares",
-        pre_transform=(f"depressed with x = y - {dq.shift}",),
-        equation=eq,
-    )
+    dq, alpha, u, v, factors, roots = _two_squares(eq)
+    note = (f"depressed with x = y - {dq.shift}",)
+    template = RootSet((), "quartic-two-squares", note, eq)
+    root_set, value = _escalate(roots, template, prec)
+    keep = (lambda x: x) if isinstance(alpha, Fraction) else value
+    i = _Node("zeta", 4, 1)
+    beta, gamma = _Node("mul", u, i), _Node("mul", v, i)
+    resolvent = ResolventData(alpha=keep(alpha), beta=value(beta), gamma=value(gamma))
     return QuarticSolution(
-        root_set=root_set, depressed=dq, resolvent=resolvent, factors=factors
+        root_set=root_set,
+        depressed=dq,
+        resolvent=resolvent,
+        factors=tuple((Fraction(1), keep(b), keep(c)) for b, c in factors),
     )

@@ -1,6 +1,8 @@
 """Shared fixtures: worked examples and seeded random generators."""
 
 import math
+import operator
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -152,3 +154,59 @@ def fraction_inverse(a):
 def span_equal(vectors_a, vectors_b) -> bool:
     """Do two lists of rational vectors span the same subspace?"""
     return rank(vectors_a) == rank(vectors_b) == rank(vectors_a + vectors_b)
+
+
+# ---------------------------------------------------------------------------
+# an independent reader of the printed root expressions
+# ---------------------------------------------------------------------------
+
+_PREFIX_TOKEN = re.compile(r"([a-z]+)\(|(-?\d+(?:/\d+)?)")
+
+
+def _real_branch_root(x, d):
+    if mp.im(x) == 0 and mp.re(x) < 0 and d % 2:
+        return -mp.root(-x, d)
+    return mp.root(x, d)
+
+
+_PREFIX_OPS = {
+    "add": operator.add, "sub": operator.sub, "mul": operator.mul,
+    "div": operator.truediv, "neg": operator.neg, "sqrt": mp.sqrt,
+    "root": lambda x, d: _real_branch_root(x, int(d)),
+    "zeta": lambda d, k: mp.expjpi(2 * k / d),
+    "geom": lambda x, y, d: sum(x ** (int(d) - 1 - j) * y**j for j in range(int(d))),
+}
+
+
+def read_prefix(expr, prec=256):
+    """Value of a root's printed ``expr`` at prec bits, read on its own.
+
+    The language: integer and p/q literals, add, sub, mul, div, neg, sqrt,
+    root(x, d) (the real branch for x < 0 at odd d), zeta(d, k) =
+    exp(2 pi i k/d) and geom(x, y, d) = sum_{j<d} x^(d-1-j) y^j.  Anything
+    else raises ValueError.
+    """
+    pos = 0
+
+    def read():
+        nonlocal pos
+        token = _PREFIX_TOKEN.match(expr, pos)
+        if token is None or token[1] not in (None, *_PREFIX_OPS):
+            raise ValueError(f"no literal or op at {pos} of {expr!r}")
+        pos = token.end()
+        if token[1] is None:
+            return mp.mpmathify(F(token[2]))
+        args = [read()]
+        while expr.startswith(",", pos):
+            pos += 1
+            args.append(read())
+        if not expr.startswith(")", pos):
+            raise ValueError(f"no ')' at {pos} of {expr!r}")
+        pos += 1
+        return _PREFIX_OPS[token[1]](*args)
+
+    with mp.workprec(prec):
+        value = read()
+    if pos != len(expr):
+        raise ValueError(f"trailing text at {pos} of {expr!r}")
+    return value

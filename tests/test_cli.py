@@ -75,7 +75,6 @@ class TestSolve:
     def test_one_completion_per_solve(self, monkeypatch):
         # the roots and the printed decomposition share one completion of
         # the README quintic (two before the completion was handed back)
-        import centersolve.cli as cli
         import centersolve.solver as solver
 
         forms = []
@@ -86,7 +85,6 @@ class TestSolve:
             return original(form, inv)
 
         monkeypatch.setattr(solver, "_complete_powers", counting)
-        monkeypatch.setattr(cli, "_complete_powers", counting)
         code, out, _ = run(
             ["solve", "--input", "coeffs", "31 235 710 1070 805 242", "--format", "json"]
         )
@@ -429,14 +427,14 @@ class TestBatch:
         # known input raises one); the second line must still be solved
         import centersolve.cli as cli
 
-        original = cli._solve_classified
+        original = cli.solve_by_radicals
 
-        def failing(eq, cls, prec):
+        def failing(eq, prec):
             if eq.degree == 4:
                 raise ZeroDivisionError
-            return original(eq, cls, prec)
+            return original(eq, prec)
 
-        monkeypatch.setattr(cli, "_solve_classified", failing)
+        monkeypatch.setattr(cli, "solve_by_radicals", failing)
         batch = tmp_path / "inputs.txt"
         batch.write_text(NEAR_ONE_RADICAND + "\n1 0 0 -8\n")
         code, out, err = run(

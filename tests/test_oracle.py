@@ -518,7 +518,12 @@ def test_compare_root_sets_matches_the_reference(seed):
 
 def _parent_aberth(coeffs, tol, prec, max_iter):
     """``oracle._aberth`` without the decimal ladder (test-only copy): the
-    float phase, then every round at the working precision."""
+    float phase, then every round at the working precision.
+
+    It gets the budget ``numeric_roots`` documents, ``max_iter`` rounds
+    below the working precision plus ``max_iter`` at it, so 2 * max_iter
+    rounds here: a degree-24 integer polynomial with two coefficients near
+    10^34 takes 662 rounds in both."""
     from centersolve.oracle import _float_aberth, _horner, _start_circle, _working_prec
     from centersolve.scalars import to_mpc
 
@@ -538,7 +543,7 @@ def _parent_aberth(coeffs, tol, prec, max_iter):
         eps = mpf(2) ** (-wprec)
         iterations = 0
         converged = False
-        for iterations in range(1, max_iter + 1):
+        for iterations in range(1, 2 * max_iter + 1):
             max_step = mpf(0)
             all_quiet = True
             for k in range(d):

@@ -1,10 +1,11 @@
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from mpmath import mpc
+from mpmath import mp, mpc
 
 import centersolve as cs
 from centersolve import (
@@ -34,10 +35,12 @@ from centersolve.scalars import (
 )
 from centersolve.solver import RadicalRoot, RootSet, max_scaled_residual
 from conftest import (
+    QUINTIC_PLAIN,
     near_one_plain,
     near_one_planted_roots,
     rand_fraction,
     rand_nonzero_fraction,
+    read_prefix,
 )
 
 
@@ -792,9 +795,9 @@ def _ref_two_powers(eq, inv, prec):
 
 
 def _reference_solve(eq):
-    """The replaced routines under the same precision escalation."""
-    import centersolve.solver as solver
-
+    """The replaced routines under the same precision escalation: doubled
+    from 64 bits, at most six rounds, until the scaled residual at 64 bits
+    more is 1e-10 or less."""
     cls = classify(eq)
     a, d = eq.norm, eq.degree
 
@@ -809,7 +812,14 @@ def _reference_solve(eq):
         roots = tuple(RadicalRoot(mpc(v), 1, e, "") for v, e in pairs)
         return RootSet(roots, "reference", (), eq)
 
-    return solver._escalate(evaluate, 64)
+    working = 64
+    for _ in range(6):
+        with mp.workprec(working):
+            root_set = evaluate(working)
+        if max_scaled_residual(root_set, working + 64) <= 1e-10:
+            break
+        working *= 2
+    return root_set
 
 
 def _relatively_close(a, b, tol=1e-9):
@@ -966,3 +976,55 @@ def test_two_power_cubic_meets_the_contract_at_64_bits(monkeypatch):
     rs = solve_by_radicals(cs.from_plain_coeffs(_ONE_ROUND_CUBIC))
     assert rs.method == "two-power-sum"
     assert len(rounds) == 1 and rounds[0] <= 1e-10, rounds
+
+
+# ---------------------------------------------------------------------------
+# the printed expr is the evaluated root
+# ---------------------------------------------------------------------------
+
+_RADICAL_EXPR = re.compile(r"[a-z0-9(),/-]+")
+_TINY_QUARTIC = [F(1, 10**30), 1, 0, 1, 1]  # 10^-30 x^4 + x^3 + x + 1
+
+
+def _printed_root_sets():
+    for plain in (
+        QUINTIC_PLAIN,
+        [1, 0, 0, 1, 1],  # x^4 + x + 1: the resolvent is completed into two cubes
+        [1, 0, 0, 1, 1, 0],  # x^5 + x^2 + x
+        _TINY_QUARTIC,
+        near_one_plain(),
+    ):
+        yield solve_by_radicals(cs.from_plain_coeffs(plain))
+    for p, q in ((1, 1), (6, -20), (0, -8), (-4, 0)):
+        yield cardano(p, q)
+    rng = random.Random(90210)  # the quartics of test_random_quartics_match_oracle
+    for _ in range(25):
+        b = [F(1)] + [rand_fraction(rng) for _ in range(4)]
+        yield solve_quartic_by_two_squares(cs.from_plain_coeffs(b)).root_set
+
+
+def test_printed_roots_are_the_evaluated_radical_expressions():
+    # no float or complex literal, no 'where' clause: each expr is read back
+    # at 256 bits by a reader that shares no code with the solver
+    for rs in _printed_root_sets():
+        for r in rs.roots:
+            assert _RADICAL_EXPR.fullmatch(r.expr), r.expr
+            got = read_prefix(r.expr)
+            assert abs(got - r.value) <= 1e-9 * abs(r.value), (rs.equation.plain, r.expr)
+
+
+def test_the_quartic_is_analysed_once_across_escalation_rounds(monkeypatch):
+    import centersolve.solver as solver
+
+    calls, rounds = [], []
+    rational, residual = solver.rational_roots, solver.max_scaled_residual
+    monkeypatch.setattr(solver, "rational_roots", lambda c: calls.append(c) or rational(c))
+    monkeypatch.setattr(
+        solver,
+        "max_scaled_residual",
+        lambda rs, prec: rounds.append(prec) or residual(rs, prec),
+    )
+    rs = solve_by_radicals(cs.from_plain_coeffs(_TINY_QUARTIC))
+    assert rs.method == "quartic-two-squares"
+    assert rounds == [128, 192, 320]
+    assert len(calls) == 1

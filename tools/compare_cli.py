@@ -1,6 +1,7 @@
 """Compare the CLI's answers of two checkouts on the benchmark corpus.
 
     python3 tools/compare_cli.py OLD_ROOT NEW_ROOT [--seed 7 ...] [--block 0 ...]
+        [--ignore KEY ...]
 
 Every input of each given block and seed of each benchmark workload
 (perfbench/corpus.py of this checkout) runs through
@@ -8,7 +9,9 @@ Every input of each given block and seed of each benchmark workload
 and block.  Two runs agree when the exit codes are equal
 and the JSON documents are equal, float leaves within 1e-12 relative.  A
 complex number ([re, im] pair, or a root's re/im keys) is one leaf, compared
-by modulus, so round-off in a part that should be zero does not count.  An
+by modulus, so round-off in a part that should be zero does not count.
+``--ignore KEY`` (repeatable) skips that document key at any depth, e.g.
+``--ignore expr --ignore max_residual``; by default nothing is skipped.  An
 exception escaping run_command is recorded by its type name.  Prints one
 line per disagreement and a summary per seed and block; exits 1 if any
 input disagrees.
@@ -76,6 +79,15 @@ def same(a, b) -> bool:
     return a == b
 
 
+def without(x, keys):
+    """x with every dict key in keys dropped, at any depth."""
+    if isinstance(x, dict):
+        return {k: without(v, keys) for k, v in x.items() if k not in keys}
+    if isinstance(x, list):
+        return [without(v, keys) for v in x]
+    return x
+
+
 def run_root(root: str, seed: int, block: int) -> list:
     cmd = [sys.executable, __file__, "--dump", root, "--seed", str(seed), "--block", str(block)]
     done = subprocess.run(cmd, capture_output=True, text=True, check=True)
@@ -88,6 +100,8 @@ def main(argv=None) -> int:
     ap.add_argument("--dump", metavar="ROOT", help=argparse.SUPPRESS)
     ap.add_argument("--seed", type=int, nargs="+", default=[7])
     ap.add_argument("--block", type=int, nargs="+", default=[0])
+    ap.add_argument("--ignore", action="append", default=[], metavar="KEY",
+                    help="skip this document key at any depth (repeatable)")
     args = ap.parse_args(argv)
     if args.dump:
         json.dump(dump(Path(args.dump), args.seed[0], args.block[0]), sys.stdout)
@@ -100,7 +114,8 @@ def main(argv=None) -> int:
             old, new = (run_root(r, seed, block) for r in args.roots)
             differ = 0
             for a, b in zip(old, new):
-                if a["code"] != b["code"] or not same(a["doc"], b["doc"]):
+                docs = (without(x["doc"], args.ignore) for x in (a, b))
+                if a["code"] != b["code"] or not same(*docs):
                     differ += 1
                     print(f"DIFFER {a['workload']} {' '.join(a['argv'][:3])[:80]}: "
                           f"exit {a['code']} -> {b['code']}")
