@@ -6,8 +6,10 @@ the integer coefficients writes the polynomial as a product of powers of
 square-free factors, so the multiplicity-6 root below is the one root of
 the sixth-power factor, and only simple roots are iterated.  Each factor is
 iterated in hardware complex, then in stdlib decimal at 48, 144, ... digits,
-and finished in mpmath at the working precision, which alone decides
-convergence; ``iterations`` counts the decimal and mpmath rounds.
+until an inclusion certificate proves a disk of radius at most tol/4 around
+each root, disjoint from the others; that certificate alone decides
+convergence.  ``iterations`` counts the decimal rounds, and each root
+carries its proved ``radius``.
 """
 
 from fractions import Fraction as F
@@ -21,7 +23,10 @@ eq = cs.from_plain_coeffs(
 result = cs.numeric_roots(eq)
 print("converged:", result.converged, "after", result.iterations, "iterations")
 for root in result.roots:
-    print(f"  {complex(root.value):.15g}   multiplicity {root.multiplicity}")
+    print(
+        f"  {complex(root.value):.15g}   multiplicity {root.multiplicity}"
+        f"   radius {root.radius:.3g}"
+    )
 print(f"max scaled residual: {result.max_residual:.3g}")
 
 # comparison reports locate the worst pair

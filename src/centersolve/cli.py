@@ -250,6 +250,7 @@ def _cmd_solve(args, text, out, err) -> tuple[dict, int]:
     verification = {
         "max_residual": residual,
         "oracle_max_distance": None,
+        "oracle_max_radius": None,
         "passed": residual <= _VERIFY_TOL,
     }
     doc["verification"] = verification
@@ -263,6 +264,7 @@ def _cmd_solve(args, text, out, err) -> tuple[dict, int]:
         return doc, EXIT_VERIFY
     report = compare_root_sets(root_set, oracle_set, tol=_VERIFY_TOL)
     verification["oracle_max_distance"] = report.max_distance
+    verification["oracle_max_radius"] = max(r.radius for r in oracle_set.roots)
     verification["passed"] = verification["passed"] and report.passed
     if not report.passed:
         print("verification failed: radical and oracle roots differ", file=err)
@@ -297,6 +299,7 @@ def _cmd_oracle(args, text, out, err) -> tuple[dict, int]:
     doc["verification"] = {
         "max_residual": oracle_set.max_residual,
         "oracle_max_distance": None,
+        "oracle_max_radius": max(r.radius for r in oracle_set.roots),
         "passed": oracle_set.converged,
     }
     return doc, EXIT_OK
@@ -345,6 +348,7 @@ def _cmd_decompose(args, text, out, err) -> tuple[dict, int]:
         doc["verification"] = {
             "max_residual": None,
             "oracle_max_distance": None,
+            "oracle_max_radius": None,
             "passed": True,
         }
         return doc, EXIT_OK
@@ -360,6 +364,7 @@ def _cmd_decompose(args, text, out, err) -> tuple[dict, int]:
     doc["verification"] = {
         "max_residual": None,
         "oracle_max_distance": None,
+        "oracle_max_radius": None,
         "passed": ok,
     }
     if not ok:

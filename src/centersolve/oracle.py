@@ -1,33 +1,31 @@
 """Independent numeric verification: root finding without radicals.
 
 An exact square-free split, then a simultaneous Aberth-Ehrlich iteration in
-two phases on each factor.  It reads only the coefficients, never the
-radical formulas it is used to check.
+two phases on each factor, ended by a proof.  It reads only the
+coefficients, never the radical formulas it is used to check.
 
 0. Square-free split.  The rational coefficients are cleared to a primitive
    integer polynomial f, and Yun's algorithm (SYMSAC 1976), on gcds from a
    primitive pseudo-remainder sequence, writes f = c * prod g_m^m with the
    g_m square-free and coprime.  A root of g_m is simple there, so Aberth
-   converges quadratically, and its multiplicity in f is exactly m.  A linear
-   factor's root is its quotient, rounded once.
-1. Float phase.  Perturbed-circle guesses on Fujiwara's root bound are
-   iterated in hardware ``complex`` on the monic coefficients, each root
-   until |p(z)| is under the double-precision rounding floor, the phase until
-   every root is there or the steps stall.  When a monic coefficient or an
-   iterate is not a finite double (inputs beyond ~1e308) or two results
-   coincide, the circle itself seeds the next phase.
+   converges quadratically, and its multiplicity in f is exactly m.
+1. Float phase.  Seeds on the circles of the Newton polygon of the integer
+   coefficients are iterated in hardware ``complex`` on the monic
+   coefficients, each root until |p(z)| is under the double-precision
+   rounding floor, the phase until every root is there or the steps stall.
+   When a monic coefficient or an iterate is not a finite double (inputs
+   beyond ~1e308) or two results coincide, the seeds themselves go on.
 2. Decimal ladder.  The same update in stdlib ``decimal`` (libmpdec), on
-   pairs of Decimals, at 48 digits first.  The digits triple when every
-   root is at the level's rounding floor or the largest relative step is
-   below eps^(1/3), up to a last level at the working precision (eps =
-   10^(1-digits) <= 2^-wprec), which alone decides convergence: every root
-   at the rounding floor or every step below 256 eps (Bini and Fiorentino,
-   Numer. Algorithms 23, 2000: pay for full precision only at the end).
-   Decimal contexts are per-thread, so mpmath's precision is left alone.
-
-Working precision scales with the degree of the factor iterated: its roots
-are simple, but a simple root's condition number can still grow
-exponentially with the degree (Wilkinson's polynomial).
+   pairs of Decimals, at 48, 144, 432, ... digits.  A level's rounds end
+   once every root is at the level's rounding floor, the largest relative
+   step is below eps^(1/3), or the steps stall; then its iterates are
+   offered to an inclusion certificate (Braess and Hadeler, Numer. Math.
+   21, 1973): a disk about each iterate, of radius at most tol/4, the disks
+   pairwise disjoint, so each holds exactly one root.  The first level that
+   certifies ends the factor; one that does not hands its iterates to the
+   next (Bini and Fiorentino, Numer. Algorithms 23, 2000: pay for digits
+   only where the proof needs them).  Decimal contexts are per-thread, so
+   mpmath's precision is left alone.
 
 Rational roots (``rational_roots``) share the square-free split and have no
 numeric phase: the rational roots of each factor are the integer roots of a
@@ -43,7 +41,15 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
+from decimal import (
+    MAX_EMAX,
+    MIN_EMIN,
+    ROUND_DOWN,
+    ROUND_UP,
+    Context,
+    Decimal,
+    localcontext,
+)
 from fractions import Fraction
 from functools import cached_property
 from itertools import zip_longest
@@ -61,11 +67,11 @@ from .forms import (
 )
 from .scalars import DEFAULT_PREC, as_fraction, clear_denominators, is_exact, to_mpc
 
-#: Fixed irrational angular offset for the initial circle (radians).
+#: Fixed irrational angular offset for the seed circles (radians).
 _ANGLE_OFFSET = 0.7071067811865476
 
-#: Rounds without progress that end the float phase (see _float_aberth).
-_FLOAT_STALL = 8
+#: Rounds without progress that end the float phase and a decimal level.
+_STALL = 8
 
 #: Digits of the first decimal level; each level has three times as many.
 _LADDER_START = 48
@@ -76,6 +82,7 @@ _LOG2_10 = math.log2(10)
 class OracleRoot(NamedTuple):
     value: mpc
     multiplicity: int
+    radius: float  # the disk of this radius about value holds exactly this root
 
 
 @dataclass
@@ -84,24 +91,20 @@ class OracleRootSet:
     iterations: int  # Aberth rounds at every decimal level, over all factors
     converged: bool
     equation: UnivariateEquation  # the input
-    wprec: int  # working precision of the input's degree
+    digits: list  # the certifying decimal level of each square-free factor
+    prec: int  # bits of the values: the final precision
 
     @cached_property
     def max_residual(self) -> float:
         """Scaled residual max |f(z)| / (max|b| * max(1,|z|)^d) against the
-        input at ``wprec``, computed on first read."""
-        return _scaled_residual(self.equation.plain, self.roots, self.wprec)
+        input at ``prec``, computed on first read."""
+        return _scaled_residual(self.equation.plain, self.roots, self.prec)
 
     def values_with_multiplicity(self):
         out = []
         for r in self.roots:
             out.extend([r.value] * r.multiplicity)
         return out
-
-
-def _working_prec(degree: int, tol: float, prec: int) -> int:
-    bits_for_tol = int(-math.log2(tol)) + 48 if tol > 0 else 128
-    return max(prec, 24 * degree + 64, bits_for_tol)
 
 
 def _horner(coeffs, z):
@@ -112,10 +115,10 @@ def _horner(coeffs, z):
     return acc
 
 
-def _scaled_residual(plain, roots, wprec) -> float:
+def _scaled_residual(plain, roots, prec) -> float:
     d = len(plain) - 1
-    with mp.workprec(wprec):
-        b = [to_mpc(c, wprec) for c in plain]
+    with mp.workprec(prec):
+        b = [to_mpc(c, prec) for c in plain]
         scale = max(abs(c) for c in b)
         return float(
             max(
@@ -125,30 +128,46 @@ def _scaled_residual(plain, roots, wprec) -> float:
         )
 
 
-def _log2(x) -> float:
-    """log2 of a positive mpf from its mantissa and exponent."""
-    _, man, exp, _ = x._mpf_
-    return exp + math.log2(int(man))
+def _start_circle(coeffs) -> list:
+    """Seeds on the circles of the Newton polygon (Bini, Numer. Algorithms
+    13, 1996), as 53-bit mpc values, whose exponents have no bound.
 
-
-def _start_circle(abs_b) -> list:
-    """Deterministic perturbed-circle guesses on Fujiwara's root bound.
-
-    Every root modulus is at most 2 max_i |b_i/b_0|^(1/i), with b_d halved.
-    The radius is computed in float logs of the moduli: mpmath's log and
-    power at working precision would grow its caches on every call.
+    Each edge (k1, k2) of the upper convex hull of the points
+    (k, log2 |a_k|), a_k the integer coefficient of x^k, gets m = k2 - k1
+    seeds on the circle of radius (|a_k1| / |a_k2|)^(1/m), about where m
+    roots lie.  A zero root (a_0 = 0) gets its seed inside the smallest
+    circle.  The logs are floats (math.log2 takes any int).
     """
-    d = len(abs_b) - 1
-    log_lead = _log2(abs_b[0])
-    log_radius = 1 + max(
-        (_log2(c) - log_lead - (i == d)) / i for i, c in enumerate(abs_b[1:], 1) if c
-    )
-    e = math.floor(log_radius)
-    radius = mp.ldexp(mpf(2.0 ** (log_radius - e)), e)
-    return [
-        radius * mpc(cmath.rect(1 + k / (997 * d), 2 * math.pi * k / d + _ANGLE_OFFSET))
-        for k in range(d)
+    n = len(coeffs) - 1
+    hull = []
+    for k, c in enumerate(reversed(coeffs)):
+        if c:
+            point = (k, math.log2(abs(c)))
+            while len(hull) > 1 and _turn(hull[-2], hull[-1], point) >= 0:
+                hull.pop()
+            hull.append(point)
+    circles = [
+        (k2 - k1, (y1 - y2) / (k2 - k1)) for (k1, y1), (k2, y2) in zip(hull, hull[1:])
     ]
+    zero_seeds = hull[0][0]
+    if zero_seeds:
+        circles.insert(0, (zero_seeds, min((y for _, y in circles), default=0.0) - 1))
+    seeds = []
+    with mp.workprec(53):
+        for m, log_radius in circles:
+            e = math.floor(log_radius)
+            radius = mp.ldexp(mpf(2.0 ** (log_radius - e)), e)
+            for j in range(m):
+                bump = 1 + len(seeds) / (997 * n)
+                seeds.append(
+                    radius * mpc(cmath.rect(bump, 2 * math.pi * j / m + _ANGLE_OFFSET))
+                )
+    return seeds
+
+
+def _turn(a, b, c) -> float:
+    """Cross product of b - a and c - a: positive for a left turn."""
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
 
 def _float_aberth(coeffs, z):
@@ -156,7 +175,7 @@ def _float_aberth(coeffs, z):
 
     ``coeffs`` are the monic coefficients.  A root stops moving once |p(z)|
     is under the double-precision rounding floor.  The phase ends when every
-    root has, or when the steps stall: _FLOAT_STALL rounds in a row without
+    root has, or when the steps stall: _STALL rounds in a row without
     the summed log2 of |p(z)| / floor over the moving roots falling by a
     bit.  None when a coefficient or an iterate is not a finite double, or
     two results coincide.
@@ -168,7 +187,7 @@ def _float_aberth(coeffs, z):
     floor_scale = 8 * d * 2.0**-53
     active = list(range(d))
     best, stalled = math.inf, 0
-    while active and stalled < _FLOAT_STALL:
+    while active and stalled < _STALL:
         moving = []
         excess = 0.0
         for k in active:
@@ -210,53 +229,70 @@ def numeric_roots(
     prec: int = DEFAULT_PREC,
     max_iter: int = 500,
 ) -> OracleRootSet:
-    """All complex roots of a rational equation by Aberth-Ehrlich iteration.
+    """All complex roots of a rational equation by Aberth-Ehrlich iteration,
+    each proved to lie within its ``radius`` <= tol/4 of its value.
 
-    Each square-free factor gets the working precision of its degree, at
-    most ``max_iter`` rounds below it on the decimal ladder and at most
-    ``max_iter`` at it; ``iterations`` sums the rounds.
-    ``max_residual`` is measured against the input when it is first read.
+    Each square-free factor climbs the decimal ladder until its iterates
+    certify, in at most ``max_iter`` rounds; ``iterations`` sums the
+    rounds.  The values carry at least ``prec`` bits, more when a last
+    level has more digits; ``max_residual`` is measured against the input
+    at that precision when it is first read.
     """
     d = eq.degree
     if d < 1:
         raise NonConvergenceError("degree must be >= 1")
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     factors = _squarefree(clear_denominators(eq.plain)[0])
-    runs = [(_aberth(g, tol, prec, max_iter), m) for g, m in factors]
-    roots = [OracleRoot(zk, m) for (z, _, _), m in runs for zk in z]
-    iterations = sum(rounds for (_, rounds, _), _ in runs)
-    converged = all(ok for (_, _, ok), _ in runs)
-    wprec = _working_prec(d, tol, prec)
+    runs = [(_aberth(g, tol, max_iter), m) for g, m in factors]
+    digits = [run[4] for run, _ in runs]
+    bits = max(prec, *(math.ceil(level * _LOG2_10) for level in digits))
+    with mp.workprec(bits):
+        roots = [
+            OracleRoot(mpc(_to_mpf(x), _to_mpf(y)), m, radius)
+            for (zr, zi, radii, _, _), m in runs
+            for x, y, radius in zip(zr, zi, radii or [math.inf] * len(zr))
+        ]
+    iterations = sum(run[3] for run, _ in runs)
+    converged = all(run[2] is not None for run, _ in runs)
     if not converged:
         raise NonConvergenceError(
             f"no convergence after {max_iter} iterations"
-            f" (residual {_scaled_residual(eq.plain, roots, wprec):.3g})"
+            f" (residual {_scaled_residual(eq.plain, roots, bits):.3g})"
         )
     # real parts are compared to 9 digits of the largest modulus, so the two
     # members of a conjugate pair, whose real parts differ only by rounding
     # noise, come out in the same order at every precision
     top = max(mpf(1), max(abs(r.value) for r in roots))
     roots.sort(key=lambda r: (round(float(r.value.real / top), 9), r.value.imag))
-    return OracleRootSet(roots, iterations, converged, eq, wprec)
+    return OracleRootSet(roots, iterations, converged, eq, digits, bits)
 
 
-def _aberth(coeffs, tol, prec, max_iter):
-    """(roots, Aberth rounds at every level, converged) of one polynomial.
+def _aberth(coeffs, tol, max_iter):
+    """(zr, zi, radii, rounds, digits) of one integer polynomial: its
+    iterates as pairs of Decimals, their inclusion radii as floats (None
+    without a certificate), the Aberth rounds and the digits of the last
+    decimal level.
 
-    The float phase seeds the decimal ladder, whose last level, at the
-    working precision, decides ``converged``.
+    The float phase runs on the monic coefficients, each the quotient of
+    two integers rounded once; its results seed the decimal ladder, or the
+    circle does when a quotient overflows or the phase returns None.
     """
-    d = len(coeffs) - 1
-    wprec = _working_prec(d, tol, prec)
-    with mp.workprec(wprec):
-        b = [to_mpc(c, wprec) for c in coeffs]
-        if d == 1:
-            return [-b[1] / b[0]], 0, True
-        circle = _start_circle([abs(c) for c in b])
-        seeds = _float_aberth(
-            [complex(c / b[0]) for c in b], [complex(zk) for zk in circle]
-        )
-        z = circle if seeds is None else [mpc(zk) for zk in seeds]
-        return _decimal_ladder(coeffs, z, wprec, max_iter)
+    circle = _start_circle(coeffs)
+    try:
+        monic = [c / coeffs[0] for c in coeffs]
+    except OverflowError:
+        seeds = None
+    else:
+        seeds = _float_aberth(monic, [complex(zk) for zk in circle])
+    with localcontext(Context(_LADDER_START, Emax=MAX_EMAX, Emin=MIN_EMIN)):
+        if seeds is None:
+            zr = [_to_decimal(zk.real) for zk in circle]
+            zi = [_to_decimal(zk.imag) for zk in circle]
+        else:
+            zr = [+Decimal(zk.real) for zk in seeds]
+            zi = [+Decimal(zk.imag) for zk in seeds]
+        return _decimal_ladder(coeffs, zr, zi, tol, max_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -283,73 +319,55 @@ def _to_mpf(x: Decimal):
     return mp.make_mpf(from_rational(*x.as_integer_ratio(), mp.prec, round_nearest))
 
 
-def _ladder_levels(wprec: int) -> list:
-    """Digits of each lower decimal level: 48, 144, 432, ... below ``wprec`` bits."""
-    levels = []
-    digits = _LADDER_START
-    while digits * _LOG2_10 < wprec:
-        levels.append(digits)
-        digits *= 3
-    return levels
+def _decimal_ladder(coeffs, zr, zi, tol, max_iter):
+    """(zr, zi, radii, rounds, digits): Aberth-Ehrlich on the decimal ladder
+    from z = zr + i zi until the iterates certify.
 
-
-def _finish_digits(wprec: int) -> int:
-    """Digits of the last level, whose eps = 10^(1 - digits) is at most 2^-wprec."""
-    return math.ceil(wprec / _LOG2_10) + 1
-
-
-def _decimal_ladder(coeffs, z, wprec, max_iter):
-    """(mpc roots, rounds, converged): Aberth-Ehrlich on a decimal precision ladder.
-
-    Below the working precision the digits triple once every root is quiet
-    or the largest relative step s has s^3 < eps (the level's rounding would
-    cut off the next step's cubic convergence); those levels share
-    ``max_iter`` rounds.  ``_decimal_finish`` runs the last level.
+    A level's rounds stop once every root is quiet or the largest relative
+    step s has s^3 < eps (the level's rounding would cut off the next
+    step's cubic convergence), or after _STALL rounds in a row without the
+    summed excess of |p(z)| over the floor falling by a decade; then
+    ``_inclusion_radii`` judges the iterates.  A level that does not
+    certify hands them to one with three times the digits; the levels share
+    ``max_iter`` rounds.
     """
-    ladder = _ladder_levels(wprec) + [_finish_digits(wprec)]
-    rounds = 0
-    with localcontext(Context(ladder[0], Emax=MAX_EMAX, Emin=MIN_EMIN)) as ctx:
-        zr = [_to_decimal(zk.real) for zk in z]
-        zi = [_to_decimal(zk.imag) for zk in z]
-        for digits in ladder:
+    rounds, digits = 0, _LADDER_START
+    with localcontext(Context(digits, Emax=MAX_EMAX, Emin=MIN_EMIN)) as ctx:
+        while True:
             ctx.prec = digits
             b = [+Decimal(c) for c in coeffs]
             abs_b = [abs(c) for c in b]
             eps = Decimal(1).scaleb(1 - digits)
-            while digits < ladder[-1] and rounds < max_iter:
+            best, stalled = math.inf, 0
+            while rounds < max_iter and stalled < _STALL:
                 rounds += 1
-                max_step, all_quiet = _decimal_round(b, abs_b, zr, zi, eps)
-                if all_quiet or max_step**3 < eps:
+                max_step, excess = _decimal_round(b, abs_b, zr, zi, eps)
+                if max_step**3 < eps:
                     break
-        finished, converged = _decimal_finish(b, abs_b, zr, zi, eps, max_iter)
-        z = [mpc(_to_mpf(x), _to_mpf(y)) for x, y in zip(zr, zi)]
-    return z, rounds + finished, converged
-
-
-def _decimal_finish(b, abs_b, zr, zi, eps, max_iter):
-    """(rounds, converged): the last level's rounds, in place on z = zr + i zi.
-
-    Converged once every root is quiet or every relative step is below 256 eps.
-    """
-    for rounds in range(1, max_iter + 1):
-        max_step, all_quiet = _decimal_round(b, abs_b, zr, zi, eps)
-        if all_quiet or max_step < 256 * eps:
-            return rounds, True
-    return max_iter, False
+                if excess < best - 1:
+                    best, stalled = excess, 0
+                else:
+                    stalled += 1
+            radii = _inclusion_radii(coeffs[0], b, abs_b, zr, zi, eps, tol)
+            if radii is not None or rounds >= max_iter:
+                return zr, zi, radii, rounds, digits
+            digits *= 3
 
 
 def _decimal_round(b, abs_b, zr, zi, eps):
-    """One Aberth-Ehrlich round in place on z = zr + i zi; (max step, all quiet).
+    """One Aberth-Ehrlich round in place on z = zr + i zi; (max step, excess).
 
     A root is quiet once |p(z)| <= 8 d eps H(|z|), H the Horner sum of the |b_i|
     (a bound, so 16 digits); p' comes from the partial sums of p, if not quiet.
+    The max step is 0 when every root is quiet; ``excess`` sums the decimal
+    exponent of |p(z)|^2 over the floor's square for the others.
     """
     d = len(b) - 1
     low = Context(16, Emax=MAX_EMAX, Emin=MIN_EMIN)
     floor_scale = 8 * d * eps
     zero = Decimal(0)
     max_step = zero
-    all_quiet = True
+    excess = 0
     for k in range(d):
         xr, xi = zr[k], zi[k]
         pr = pi = zero
@@ -362,9 +380,10 @@ def _decimal_round(b, abs_b, zr, zi, eps):
         for c in abs_b:
             floor = low.fma(floor, r, c)
         floor *= floor_scale
-        if pr * pr + pi * pi <= floor * floor:
+        size, limit = pr * pr + pi * pi, floor * floor
+        if size <= limit:
             continue  # quiet: at the rounding floor of this level
-        all_quiet = False
+        excess += size.adjusted() - limit.adjusted()
         dr = di = zero
         for qr, qi in partial:
             dr, di = dr * xr - di * xi + qr, dr * xi + di * xr + qi
@@ -394,7 +413,61 @@ def _decimal_round(b, abs_b, zr, zi, eps):
         rel = (hr * hr + hi * hi).sqrt() / (1 + (xr * xr + xi * xi).sqrt())
         if rel > max_step:
             max_step = rel
-    return max_step, all_quiet
+    return max_step, excess
+
+
+def _inclusion_radii(lead, b, abs_b, zr, zi, eps, tol):
+    """Inclusion radii (floats, rounded up) of the iterates z = zr + i zi of
+    the integer polynomial g with leading coefficient ``lead``, or None
+    unless each is at most tol/4 and the disks are pairwise disjoint.
+
+    r_k = n (|g(z_k)| + E_k) / (|lead| prod_{j != k} |z_k - z_j|): the
+    disks D(z_k, r_k) cover the roots of g, and a disk disjoint from the
+    others holds exactly one (Braess and Hadeler).  E_k = 8 n eps H(|z_k|)
+    bounds the rounding of g(z_k) at the level, where b is g rounded once.
+    In 16 digits, numerators are rounded up and denominators down, each
+    difference z_k - z_j toward zero; Decimal's sqrt rounds to nearest, so
+    its result is moved one unit outward.  Each radius also covers the
+    rounding of z_k to a binary value of at least digits * log2(10) bits,
+    at most |z_k| 10^-digits.  2 r_k below the distance from z_k to every
+    other iterate makes the disks disjoint.
+    """
+    n = len(b) - 1
+    up = Context(16, rounding=ROUND_UP, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    down = Context(16, rounding=ROUND_DOWN, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    lead = down.abs(Decimal(lead))
+    floor_scale = 8 * n * eps
+    ulp = eps / 10
+    zero = Decimal(0)
+    radii = []
+    for k in range(n):
+        xr, xi = zr[k], zi[k]
+        pr = pi = zero
+        for c in b:
+            pr, pi = pr * xr - pi * xi + c, pr * xi + pi * xr
+        r = up.next_plus(up.sqrt(up.fma(xr, xr, up.multiply(xi, xi))))
+        h = zero
+        for c in abs_b:
+            h = up.fma(h, r, c)
+        size = up.next_plus(up.sqrt(up.fma(pr, pr, up.multiply(pi, pi))))
+        num = up.multiply(n, up.fma(h, floor_scale, size))
+        prod, near = Decimal(1), None
+        for j in range(n):
+            if j != k:
+                dr, di = down.subtract(xr, zr[j]), down.subtract(xi, zi[j])
+                gap = down.fma(dr, dr, down.multiply(di, di))
+                prod = down.multiply(prod, gap)
+                near = gap if near is None or gap < near else near
+        if not prod:
+            return None
+        den = down.multiply(lead, down.next_minus(down.sqrt(prod)))
+        radius = up.fma(r, ulp, up.divide(num, den))
+        if up.multiply(4, radius) > Decimal(tol):
+            return None
+        if near is not None and up.multiply(2, radius) >= down.next_minus(down.sqrt(near)):
+            return None
+        radii.append(math.nextafter(float(radius), math.inf))
+    return radii
 
 
 # ---------------------------------------------------------------------------
@@ -486,13 +559,23 @@ def _expanded_values(obj):
     return [mpc(v) for v in obj]
 
 
+def _expanded_radii(obj) -> list:
+    """The inclusion radius of each value (0 where none is known)."""
+    out = []
+    for r in getattr(obj, "roots", obj):
+        out.extend([getattr(r, "radius", 0.0)] * getattr(r, "multiplicity", 1))
+    return out
+
+
 def compare_root_sets(a, b, tol: float = 1e-9) -> MatchReport:
     """Match two root multisets greedily and report the worst pair distance.
 
     A cardinality mismatch is a structural failure, reported rather than
     raised.  The greedy nearest-neighbor matching is followed by a swap
     refinement pass so near-ties cannot manufacture a spurious failure.
-    The pair distances are computed once, at the caller's precision.
+    The pair distances are computed once, at the caller's precision.  A
+    pair passes when its distance plus the inclusion radii of its values
+    (an ``OracleRoot``'s; 0 for any other value) is at most ``tol``.
     """
     va = _expanded_values(a)
     vb = _expanded_values(b)
@@ -527,8 +610,9 @@ def compare_root_sets(a, b, tol: float = 1e-9) -> MatchReport:
     pairs = [(va[i], vb[match[i]], float(dist[i][match[i]])) for i in range(n)]
     max_distance = max((p[2] for p in pairs), default=0.0)
     worst_index = max(range(n), key=lambda i: pairs[i][2]) if n else None
+    ra, rb = _expanded_radii(a), _expanded_radii(b)
     return MatchReport(
-        passed=max_distance <= tol,
+        passed=all(p[2] + ra[i] + rb[match[i]] <= tol for i, p in enumerate(pairs)),
         structural_ok=True,
         max_distance=max_distance,
         worst_index=worst_index,

@@ -185,18 +185,21 @@ def _complete_powers(form: BinaryForm, inv: BinaryInvariants) -> PowerSumDecompo
 class _Node:
     """A radical expression: an op of ``_OPS`` applied to sub-trees, exact
     leaves (Fraction or QuadExt) and integers (degrees and small factors,
-    which enter the arithmetic as they are).  Its text, rendered once at
-    construction, is the printed ``expr``; a shared sub-tree is rendered
-    once and printed in full wherever it occurs.  ``_value`` evaluates it.
+    which enter the arithmetic as they are).  Its text, rendered on the
+    first ``str()`` and kept, is the printed ``expr``, so a tree that is
+    never printed (a resolvent root not chosen) is never rendered; a shared
+    sub-tree is rendered once and printed in full wherever it occurs.
+    ``_value`` evaluates it.
     """
 
     __slots__ = ("op", "args", "text")
 
     def __init__(self, op, *args):
-        self.op, self.args = op, args
-        self.text = f"{op}({','.join(map(_prefix, args))})"
+        self.op, self.args, self.text = op, args, None
 
     def __str__(self):
+        if self.text is None:
+            self.text = f"{self.op}({','.join(map(_prefix, self.args))})"
         return self.text
 
 
@@ -498,13 +501,17 @@ def depress_quartic(eq: UnivariateEquation) -> DepressedQuartic:
     return DepressedQuartic(p=p, q=q, r=r, shift=s)
 
 
-def _resolvent_alpha(p, q, r, value):
+def _resolvent_alpha(p, q, r):
     """A root of 8a^3 - 4p a^2 - 8r a + (4pr - q^2) = 0: rational when one
     is, else a tree.
 
     Without a rational root the resolvent is irreducible, so its roots are
     distinct and no cube: its binary form completes into two cubes, and the
-    root that is largest by (re, im) under ``value`` is chosen, once.
+    root with the largest real part is chosen, once, the first in branch
+    order of a conjugate pair.  The candidates are valued at 64 and 128
+    bits, then 128 and 256, ..., until the choice holds by more than twice
+    the change between the two plus the coarser rounding, so roots that
+    agree to 64 bits are not ordered by rounding noise.
     """
     coeffs = [Fraction(8), -4 * p, -8 * r, 4 * p * r - q * q]
     rational = rational_roots(coeffs)
@@ -512,7 +519,23 @@ def _resolvent_alpha(p, q, r, value):
         return max(root for root, _ in rational)
     cubes = complete_powers(from_plain_coeffs(coeffs).homogenize())
     trees = [tree for tree, _, _ in _power_sum_roots(cubes)]
-    return max(trees, key=lambda t: (value(t).real, value(t).imag))
+    prec = DEFAULT_PREC
+    while True:
+        coarse, fine = ([_evaluator(bits, {})(t) for t in trees] for bits in (prec, 2 * prec))
+        with mp.workprec(2 * prec):
+            noise = 2 * max(abs(x - y) + abs(y) * 2.0**-prec for x, y in zip(coarse, fine))
+
+            def above(i, j):
+                x, y = fine[i], fine[j]
+                gap = x.real - y.real
+                return gap > noise or (
+                    abs(gap) <= noise and abs(x - y.conjugate()) <= noise and i < j
+                )
+
+            for i, tree in enumerate(trees):
+                if all(above(i, j) for j in range(len(trees)) if j != i):
+                    return tree
+        prec *= 2
 
 
 def _sqrt(x, value):
@@ -534,7 +557,7 @@ def _two_squares(eq: UnivariateEquation):
     dq = depress_quartic(eq)
     p, q, r = dq.p, dq.q, dq.r
     value = _evaluator(DEFAULT_PREC, {})  # each choice below is made once, at 64 bits
-    alpha = _resolvent_alpha(p, q, r, value)
+    alpha = _resolvent_alpha(p, q, r)
     if isinstance(alpha, Fraction):
         u = exact_sqrt(2 * alpha - p)
         v = -q / (2 * u) if u != 0 else exact_sqrt(alpha * alpha - r)

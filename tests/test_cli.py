@@ -571,14 +571,24 @@ class TestRegressions:
         assert "verification: passed" in out
 
     def test_decompose_closer_conjugate_pair_fails_the_expand_back_check(self):
-        # a^2 = 2e-40: the numeric split at 96 bits does not expand back to
+        # a^2 = 2e-60: the numeric split at 96 bits does not expand back to
         # f, and the one check of the power sum reports it as not applicable
-        code, out, err = run(
-            ["decompose", "2*x1^3 + 12/10000000000000000000000000000000000000000*x1*x2^2"]
-        )
+        # (at 2e-40 the certified eigenvalues, 160 bits, now let it split)
+        code, out, err = run(["decompose", f"2*x1^3 + 12/1{'0' * 60}*x1*x2^2"])
         assert code == EXIT_NO_METHOD
         assert out == ""
         assert "not applicable: the power sum does not expand back to the form" in err
+
+    def test_quartic_real_root_prints_real(self):
+        # 10^-30 x^4 + x^3 + x + 1: the three resolvent candidates agree to
+        # 64 bits, and that noise once chose a complex alpha, so the real
+        # root -0.6823278038280193 printed with im = -9.7e-19
+        text = f"1/1{'0' * 30}*x^4 + x^3 + x + 1"
+        code, out, err = run(["solve", "--format", "json", text])
+        assert code == EXIT_OK, err
+        roots = json.loads(out)["roots"]
+        real = [r for r in roots if abs(r["re"] + 0.6823278038280193) < 1e-15]
+        assert len(real) == 1 and abs(real[0]["im"]) < 1e-30, roots
 
     def test_decompose_repeated_rational_next_to_irrational_pair(self):
         # the first generic element has char poly (x - 7)^2 (x^2 - 4x + 25/4)

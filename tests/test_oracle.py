@@ -95,7 +95,9 @@ class TestNumericRoots:
         coeffs = [
             math.comb(d, i) * (2**i + 3 * (-1) ** i) for i in range(d + 1)
         ]
-        result = numeric_roots(cs.from_plain_coeffs(coeffs))
+        # the residual bound is requested through tol: certified radii below
+        # 2^-514 end the factor at the 432-digit level, not at 48 digits
+        result = numeric_roots(cs.from_plain_coeffs(coeffs), tol=2.0**-512)
         assert result.converged
         assert result.max_residual < 2.0**-512
         with mp.workprec(256):
@@ -124,8 +126,8 @@ class TestNumericRoots:
             assert abs(mp.fprod(roots) / c + 1) < 1e-30
 
     def test_nonconvergence_message_prints_a_short_residual(self):
-        # (x+2)^20 + 3(x-1)^20 cannot settle in one multiprecision round
-        d = 20
+        # (x+2)^64 + 3(x-1)^64: no level certifies after one round
+        d = 64
         eq = cs.from_plain_coeffs(
             [math.comb(d, i) * (2**i + 3 * (-1) ** i) for i in range(d + 1)]
         )
@@ -142,9 +144,9 @@ class TestNumericRoots:
 
     def test_the_residual_is_measured_when_first_read(self, monkeypatch):
         # numeric_roots does not measure it; the first read measures it once,
-        # against the input at the working precision of its degree
+        # against the input at the final precision
         from centersolve import oracle
-        from centersolve.scalars import DEFAULT_PREC, to_mpc
+        from centersolve.scalars import to_mpc
 
         reads = []
         original = oracle._scaled_residual
@@ -160,7 +162,8 @@ class TestNumericRoots:
         )
         result = numeric_roots(eq)
         assert reads == []
-        wprec = oracle._working_prec(d, 1e-12, DEFAULT_PREC)
+        wprec = result.prec
+        assert wprec == math.ceil(max(result.digits) * math.log2(10))
         with mp.workprec(wprec):
             b = [to_mpc(c, wprec) for c in eq.plain]
             worst = mpf(0)
@@ -512,19 +515,25 @@ def test_compare_root_sets_matches_the_reference(seed):
 
 
 # ---------------------------------------------------------------------------
-# decimal ladder: the same roots and verdicts as mpc rounds at the working precision
+# certified decimal ladder: the same roots and verdicts as mpc rounds at the
+# parent's working precision
 # ---------------------------------------------------------------------------
 
 
-def _parent_aberth(coeffs, tol, prec, max_iter):
-    """``oracle._aberth`` without the decimal ladder (test-only copy): the
-    float phase, then every round at the working precision.
+def _working_prec(degree, tol, prec):
+    """The parent's fixed working precision: 24 d + 64 bits or more."""
+    bits_for_tol = int(-math.log2(tol)) + 48 if tol > 0 else 128
+    return max(prec, 24 * degree + 64, bits_for_tol)
 
-    It gets the budget ``numeric_roots`` documents, ``max_iter`` rounds
-    below the working precision plus ``max_iter`` at it, so 2 * max_iter
-    rounds here: a degree-24 integer polynomial with two coefficients near
-    10^34 takes 662 rounds in both."""
-    from centersolve.oracle import _float_aberth, _horner, _start_circle, _working_prec
+
+def _parent_aberth(coeffs, tol, prec, max_iter):
+    """The oracle before the decimal ladder and its certificate (test-only
+    copy): the float phase, then every round at the working precision,
+    until a relative step is below 256 eps.
+
+    It gets 2 * max_iter rounds: a degree-24 integer polynomial with two
+    coefficients near 10^34 took 662 rounds."""
+    from centersolve.oracle import _float_aberth, _horner, _start_circle
     from centersolve.scalars import to_mpc
 
     d = len(coeffs) - 1
@@ -535,7 +544,7 @@ def _parent_aberth(coeffs, tol, prec, max_iter):
             return [-b[1] / b[0]], 0, True
         db = [(d - i) * b[i] for i in range(d)]
         abs_b = [abs(c) for c in b]
-        circle = _start_circle(abs_b)
+        circle = _start_circle(coeffs)
         seeds = _float_aberth(
             [complex(c / b[0]) for c in b], [complex(zk) for zk in circle]
         )
@@ -639,31 +648,37 @@ def _planted_integer_polys(draw):
     return coeffs if len(coeffs) <= 25 else _product(factors[:2])
 
 
-def _assert_same_as_parent(coeffs):
-    """Each square-free factor: the same verdict, the same roots, and no
-    multiple of the parent's rounds.
+def _certified(g, tol=1e-12, max_iter=500):
+    """(mpc values, radii, rounds, digits) of ``oracle._aberth`` on g."""
+    from centersolve.oracle import _aberth, _to_mpf
 
-    The ladder can take a few rounds more than the parent, where a level
-    cannot resolve a cluster and the finish does it (36 against 35 for four
-    roots 1e-12 apart at degree 6), but an mpf -> Decimal conversion that
-    drops the sign leaves seeds that take 36 rounds against 3 on
-    (x+2)^10 + 3(x-1)^10.
+    zr, zi, radii, rounds, digits = _aberth(g, tol, max_iter)
+    with mp.workprec(math.ceil(digits * math.log2(10))):
+        values = [mpc(_to_mpf(x), _to_mpf(y)) for x, y in zip(zr, zi)]
+    return values, radii, rounds, digits
+
+
+def _assert_same_as_parent(coeffs):
+    """Each square-free factor: the same verdict, and each root within its
+    certified radius plus ``_match_radius`` of a root of the parent.
+
+    Rounds are not compared: a factor now ends at the first level whose
+    iterates certify, not at the parent's working precision.
     """
-    from centersolve.oracle import _aberth, _ladder_levels, _squarefree, _working_prec
+    from centersolve.oracle import _squarefree
 
     for g, _ in _squarefree(coeffs):
-        if len(g) < 3:
-            continue
-        old, old_rounds, old_ok = _parent_aberth(g, 1e-12, 64, 500)
-        new, new_rounds, new_ok = _aberth(g, 1e-12, 64, 500)
-        assert new_ok == old_ok
+        old, _, old_ok = _parent_aberth(g, 1e-12, 64, 500)
+        new, radii, _, _ = _certified(g)
+        assert (radii is not None) == old_ok
         wprec = _working_prec(len(g) - 1, 1e-12, 64)
-        assert new_rounds <= 2 * (old_rounds + len(_ladder_levels(wprec)))
         with mp.workprec(wprec):
             for x in old:
-                assert min(abs(x - y) for y in new) <= _match_radius(g, x, wprec), g
-            for y in new:
-                assert min(abs(x - y) for x in old) <= _match_radius(g, y, wprec), g
+                assert min(
+                    abs(x - y) - r for y, r in zip(new, radii)
+                ) <= _match_radius(g, x, wprec), g
+            for y, r in zip(new, radii):
+                assert min(abs(x - y) for x in old) <= r + _match_radius(g, y, wprec), g
 
 
 @settings(max_examples=30, deadline=None)
@@ -683,19 +698,22 @@ def test_aberth_matches_the_parent_without_the_ladder(coeffs):
     ],
 )
 def test_ladder_seeded_by_the_circle_matches_the_parent(coeffs, monkeypatch):
-    # a coefficient beyond 1e308: the float phase returns None and the ladder
-    # starts from the circle
+    # a monic coefficient beyond 1e308: its quotient overflows (the parent's
+    # float phase returns None), and the ladder starts from the circle
     import centersolve.oracle as oracle
 
-    float_phase = oracle._float_aberth
-    returned = []
+    float_phase, to_decimal = oracle._float_aberth, oracle._to_decimal
+    returned, seeded = [], []
     monkeypatch.setattr(
         oracle,
         "_float_aberth",
         lambda *args: returned.append(float_phase(*args)) or returned[-1],
     )
+    monkeypatch.setattr(
+        oracle, "_to_decimal", lambda x: seeded.append(x) or to_decimal(x)
+    )
     _assert_same_as_parent(coeffs)
-    assert returned and all(seeds is None for seeds in returned)
+    assert seeded and all(seeds is None for seeds in returned)
 
 
 @pytest.mark.parametrize("sign", (1, -1))
@@ -725,93 +743,128 @@ def test_mpf_decimal_round_trip(sign, exp):
     assert _to_mpf(Decimal(0)) == 0 and _to_mpf(Decimal("-0")) == 0
 
 
-def test_ladder_levels_stop_below_the_working_precision():
-    from centersolve.oracle import _ladder_levels, _working_prec
-
-    assert _ladder_levels(159) == []  # 48 digits are 159.45 bits
-    assert _ladder_levels(160) == [48]
-    assert _ladder_levels(_working_prec(10, 1e-12, 64)) == [48]
-    assert _ladder_levels(_working_prec(64, 1e-12, 64)) == [48, 144, 432]
-    assert _ladder_levels(_working_prec(100, 1e-12, 64)) == [48, 144, 432]
-
-
 def test_the_multiprecision_rounds_decide(monkeypatch):
-    # every factor of degree >= 2 ends in the ladder's last level, at the
-    # working precision, and its verdict is the oracle's
-    from decimal import Decimal
-
+    # every factor ends at its first level whose iterates certify, and the
+    # certificate's verdict is the oracle's: a certificate that refuses
+    # everything makes the oracle raise
     import centersolve.oracle as oracle
 
-    finish = oracle._decimal_finish
+    certify = oracle._inclusion_radii
     verdicts = []
 
-    def spy(b, abs_b, zr, zi, eps, max_iter):
-        rounds, converged = finish(b, abs_b, zr, zi, eps, max_iter)
-        verdicts.append((len(b) - 1, eps, converged))
-        return rounds, converged
+    def spy(lead, b, abs_b, zr, zi, eps, tol):
+        radii = certify(lead, b, abs_b, zr, zi, eps, tol)
+        verdicts.append((len(b) - 1, 1 - eps.adjusted(), radii is not None))
+        return radii
 
-    def eps(degree):
-        wprec = oracle._working_prec(degree, 1e-12, 64)
-        return Decimal(10) ** (1 - oracle._finish_digits(wprec))
-
-    monkeypatch.setattr(oracle, "_decimal_finish", spy)
+    monkeypatch.setattr(oracle, "_inclusion_radii", spy)
     # (x - 3)^2 (x^2 + 1)^3 (x^7 - 2) (2x - 1): square-free factors of
-    # degrees 1 (no rounds), 2 (only the last level) and 8 (one level below it)
+    # degrees 2, 8 and 1, each proved at the 48-digit level
     coeffs = _product([(1, -3)] * 2 + [(1, 0, 1)] * 3 + [(1, 0, 0, 0, 0, 0, 0, -2), (2, -1)])
     eq = cs.from_plain_coeffs(coeffs)
-    assert numeric_roots(eq).converged
-    assert sorted(verdicts) == [(2, eps(2), True), (8, eps(8), True)]
+    result = numeric_roots(eq)
+    assert sorted(verdicts) == [(1, 48, True), (2, 48, True), (8, 48, True)]
+    assert result.digits == [48, 48, 48]
+    assert all(0 < r.radius <= 2.5e-13 for r in result.roots)
 
-    def refuse(b, abs_b, zr, zi, eps, max_iter):
-        return finish(b, abs_b, zr, zi, eps, max_iter)[0], False
-
-    monkeypatch.setattr(oracle, "_decimal_finish", refuse)
-    assert oracle._aberth([1, 0, 0, 0, 0, 0, 0, -2], 1e-12, 64, 500)[2] is False
+    monkeypatch.setattr(oracle, "_inclusion_radii", lambda *args: None)
+    assert oracle._aberth([1, 0, 0, 0, 0, 0, 0, -2], 1e-12, 4)[2] is None
     with pytest.raises(NonConvergenceError):
-        numeric_roots(eq)
-
-
-def test_the_last_level_reaches_the_working_precision():
-    # eps = 10^(1 - digits) <= 2^-wprec, with the fewest digits that give it,
-    # and every lower level below it
-    from centersolve.oracle import _finish_digits, _ladder_levels
-
-    for wprec in range(64, 5001):
-        digits = _finish_digits(wprec)
-        assert 10 ** (digits - 1) >= 2**wprec > 10 ** (digits - 2), wprec
-        assert all(level < digits for level in _ladder_levels(wprec))
+        numeric_roots(eq, max_iter=4)
 
 
 def test_wilkinson_20_roots_to_1e_140():
-    # prod (x - k), k = 1..20: the worst root has condition ~1e13; the
-    # ladder's last level (165 digits for 544 bits) leaves every root within
-    # 4.4e-331 of its integer (2.1e-150 after an mpc finish at 544 bits),
-    # roots left at the 144-digit level are 1.9e-130 off
+    # prod (x - k), k = 1..20: the worst root has condition ~1e13; tol =
+    # 1e-140 asks for radii of at most 2.5e-141, which the 48- and
+    # 144-digit levels cannot prove, so the factor ends at 432 digits
     coeffs = _product([(1, -k) for k in range(1, 21)])
-    result = numeric_roots(cs.from_plain_coeffs(coeffs))
+    result = numeric_roots(cs.from_plain_coeffs(coeffs), tol=1e-140)
     assert result.converged
+    assert result.digits == [432]
     with mp.workprec(600):
         for r in result.roots:
             assert abs(r.value - round(float(r.value.real))) < mpf(10) ** -140
     assert sorted(round(float(r.value.real)) for r in result.roots) == list(range(1, 21))
 
 
-@pytest.mark.parametrize("d, ladder_rounds, finish_rounds", [(20, 4, 2), (40, 4, 2), (64, 13, 2)])
-def test_round_counts_of_the_two_power_sums(d, ladder_rounds, finish_rounds, monkeypatch):
-    # (x+2)^d + 3(x-1)^d: the lower levels leave the last one a step to the
-    # rounding floor and a round to confirm it
-    import centersolve.oracle as oracle
-
-    finish = oracle._decimal_finish
-    finished = []
-
-    def spy(*args):
-        out = finish(*args)
-        finished.append(out[0])
-        return out
-
-    monkeypatch.setattr(oracle, "_decimal_finish", spy)
+@pytest.mark.parametrize("d, rounds", [(20, 2), (40, 2), (64, 8)])
+def test_round_counts_of_the_two_power_sums(d, rounds):
+    # (x+2)^d + 3(x-1)^d: the 48-digit level proves every root
     coeffs = [math.comb(d, i) * (2**i + 3 * (-1) ** i) for i in range(d + 1)]
     result = numeric_roots(cs.from_plain_coeffs(coeffs))
-    assert finished == [finish_rounds]
-    assert result.iterations == ladder_rounds + finish_rounds
+    assert result.digits == [48]
+    assert result.iterations == rounds
+
+
+def test_a_level_that_cannot_prove_hands_its_iterates_on(monkeypatch):
+    # (x+2)^100 + 3(x-1)^100 with the first level cut to the tolerance's
+    # 27 digits (88 bits), where a residual stop once accepted roots 0.018
+    # off: those iterates must not certify, the factor ends higher up, and
+    # the roots still match the radical ones
+    import centersolve.oracle as oracle
+
+    certify = oracle._inclusion_radii
+    levels = []
+
+    def spy(lead, b, abs_b, zr, zi, eps, tol):
+        radii = certify(lead, b, abs_b, zr, zi, eps, tol)
+        levels.append((1 - eps.adjusted(), radii is not None))
+        return radii
+
+    monkeypatch.setattr(oracle, "_LADDER_START", 27)
+    monkeypatch.setattr(oracle, "_inclusion_radii", spy)
+    d = 100
+    eq = cs.from_plain_coeffs(
+        [math.comb(d, i) * (2**i + 3 * (-1) ** i) for i in range(d + 1)]
+    )
+    result = numeric_roots(eq)
+    assert levels[0] == (27, False)
+    assert levels[-1][1] and levels[-1][0] > 27
+    assert result.digits == [levels[-1][0]]
+    assert result.iterations < 100  # no level spent the budget
+    assert compare_root_sets(cs.solve_by_radicals(eq), result, tol=1e-9).passed
+
+
+def test_newton_polygon_seeds_roots_across_forty_decades():
+    # (10^20 x - 1)(x - 10^20)(x + 3)(10^10 x + 1): one seed on each circle
+    # of the Newton polygon, where a circle on Fujiwara's bound took 61 rounds
+    from centersolve.oracle import _start_circle
+
+    coeffs = _product([(10**20, -1), (1, -(10**20)), (1, 3), (10**10, 1)])
+    moduli = sorted(float(abs(z)) for z in _start_circle(coeffs))
+    for modulus, root in zip(moduli, (1e-20, 1e-10, 3, 1e20)):
+        assert root / 2 < modulus < 2 * root
+    result = numeric_roots(cs.from_plain_coeffs(coeffs))
+    assert result.iterations <= 5
+    assert sorted(float(r.value.real) for r in result.roots) == [-3, -1e-10, 1e-20, 1e20]
+    # x (x^4 + x + 1): the zero root still gets a seed
+    assert len(_start_circle([1, 0, 0, 1, 1, 0])) == 5
+
+
+@settings(max_examples=40, deadline=None)
+@given(coeffs=_planted_integer_polys())
+def test_every_root_lies_in_its_certified_disk(coeffs):
+    # radii of at most tol/4, disjoint disks within each square-free factor
+    # (one multiplicity), and each rational root inside exactly one disk
+    result = numeric_roots(cs.from_plain_coeffs(coeffs))
+    roots = result.roots
+    assert all(0 < r.radius <= 2.5e-13 for r in roots)
+    with mp.workprec(result.prec + 64):
+        for i, a in enumerate(roots):
+            for b in roots[i + 1 :]:
+                if a.multiplicity == b.multiplicity:
+                    assert abs(a.value - b.value) > a.radius + b.radius
+        for root, _ in rational_roots(coeffs):
+            x = mpf(root.numerator) / root.denominator
+            assert sum(abs(r.value - x) <= r.radius for r in roots) == 1, root
+
+
+def test_a_pair_passes_only_with_its_radius():
+    # distance 0.6 passes tol = 1 alone, not with an inclusion radius of 0.5
+    from centersolve.oracle import OracleRoot
+
+    near = cs.OracleRootSet([OracleRoot(mpc(1), 1, 0.5)], 0, True, None, [48], 160)
+    assert compare_root_sets([mpc(1.6)], near, tol=1).max_distance == pytest.approx(0.6)
+    assert not compare_root_sets([mpc(1.6)], near, tol=1).passed
+    assert compare_root_sets(near, [mpc(1.4)], tol=1).passed
+    assert compare_root_sets([mpc(1.6)], [mpc(1)], tol=1).passed

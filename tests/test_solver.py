@@ -1013,6 +1013,20 @@ def test_printed_roots_are_the_evaluated_radical_expressions():
             assert abs(got - r.value) <= 1e-9 * abs(r.value), (rs.equation.plain, r.expr)
 
 
+def test_a_tree_is_rendered_when_first_printed():
+    # the resolvent roots that are not chosen are built but never printed
+    from centersolve.solver import _Node
+
+    class Unprintable:
+        def __str__(self):
+            raise AssertionError("rendered")
+
+    node = _Node("neg", _Node("sqrt", Unprintable()))
+    with pytest.raises(AssertionError, match="rendered"):
+        str(node)
+    assert str(_Node("add", _Node("sqrt", F(2)), F(-1, 3))) == "add(sqrt(2),-1/3)"
+
+
 def test_the_quartic_is_analysed_once_across_escalation_rounds(monkeypatch):
     import centersolve.solver as solver
 
