@@ -227,8 +227,9 @@ def diagonalize_form(
 
 
 def _numeric_spectrum(cp, wprec: int) -> list:
-    """All eigenvalues of the generic element, numerically; each must be
-    simple, which the exact multiplicities of ``numeric_roots`` decide.
+    """All eigenvalues of the generic element, numerically, each certified
+    within 2^-wprec; each must be simple, which the exact multiplicities of
+    ``numeric_roots`` decide.
 
     ``profile`` draws again only while a rational eigenvalue repeats, so a
     repeated irrational one is refused here: the trace over Q(sqrt 2) of
@@ -236,7 +237,7 @@ def _numeric_spectrum(cp, wprec: int) -> list:
     so every generic element has the square of an irreducible quadratic as
     its char poly, (t^2 - 4t - 46)^2 for the first draw.
     """
-    roots = numeric_roots(from_plain_coeffs(cp), tol=1e-20, prec=wprec).roots
+    roots = numeric_roots(from_plain_coeffs(cp), tol=2.0**-wprec, prec=wprec).roots
     if any(r.multiplicity > 1 for r in roots):
         raise NotDiagonalizableError(
             "generic center element has a repeated spectrum"

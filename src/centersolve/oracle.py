@@ -24,7 +24,9 @@ coefficients, never the radical formulas it is used to check.
    pairwise disjoint, so each holds exactly one root.  The first level that
    certifies ends the factor; one that does not hands its iterates to the
    next (Bini and Fiorentino, Numer. Algorithms 23, 2000: pay for digits
-   only where the proof needs them).  Decimal contexts are per-thread, so
+   only where the proof needs them), up to a last level worked out from
+   root-separation bounds, where a factor that does not certify has not
+   converged.  Decimal contexts are per-thread, so
    mpmath's precision is left alone.
 
 Rational roots (``rational_roots``) share the square-free split and have no
@@ -233,8 +235,8 @@ def numeric_roots(
     each proved to lie within its ``radius`` <= tol/4 of its value.
 
     Each square-free factor climbs the decimal ladder until its iterates
-    certify, in at most ``max_iter`` rounds; ``iterations`` sums the
-    rounds.  The values carry at least ``prec`` bits, more when a last
+    certify, in at most ``max_iter`` rounds and up to the digits where
+    converged iterates must certify; ``iterations`` sums the rounds.  The values carry at least ``prec`` bits, more when a last
     level has more digits; ``max_residual`` is measured against the input
     at that precision when it is first read.
     """
@@ -257,7 +259,7 @@ def numeric_roots(
     converged = all(run[2] is not None for run, _ in runs)
     if not converged:
         raise NonConvergenceError(
-            f"no convergence after {max_iter} iterations"
+            f"no convergence after {iterations} iterations"
             f" (residual {_scaled_residual(eq.plain, roots, bits):.3g})"
         )
     # real parts are compared to 9 digits of the largest modulus, so the two
@@ -328,10 +330,12 @@ def _decimal_ladder(coeffs, zr, zi, tol, max_iter):
     step's cubic convergence), or after _STALL rounds in a row without the
     summed excess of |p(z)| over the floor falling by a decade; then
     ``_inclusion_radii`` judges the iterates.  A level that does not
-    certify hands them to one with three times the digits; the levels share
-    ``max_iter`` rounds.
+    certify hands them to one with three times the digits, up to
+    ``_digit_limit``; that last level has no stall rule, and its verdict is
+    final.  The levels share ``max_iter`` rounds.
     """
     rounds, digits = 0, _LADDER_START
+    limit = _digit_limit(coeffs, tol)
     with localcontext(Context(digits, Emax=MAX_EMAX, Emin=MIN_EMIN)) as ctx:
         while True:
             ctx.prec = digits
@@ -339,7 +343,7 @@ def _decimal_ladder(coeffs, zr, zi, tol, max_iter):
             abs_b = [abs(c) for c in b]
             eps = Decimal(1).scaleb(1 - digits)
             best, stalled = math.inf, 0
-            while rounds < max_iter and stalled < _STALL:
+            while rounds < max_iter and (stalled < _STALL or digits >= limit):
                 rounds += 1
                 max_step, excess = _decimal_round(b, abs_b, zr, zi, eps)
                 if max_step**3 < eps:
@@ -349,9 +353,31 @@ def _decimal_ladder(coeffs, zr, zi, tol, max_iter):
                 else:
                     stalled += 1
             radii = _inclusion_radii(coeffs[0], b, abs_b, zr, zi, eps, tol)
-            if radii is not None or rounds >= max_iter:
+            if radii is not None or rounds >= max_iter or digits >= limit:
                 return zr, zi, radii, rounds, digits
-            digits *= 3
+            digits = min(3 * digits, limit)
+
+
+def _digit_limit(coeffs, tol) -> int:
+    """The last level's digits: enough for converged iterates of the integer
+    polynomial g (degree n, L = log2 ||g||_2 >= log2 of its Mahler measure
+    M) to certify, so a level this fine that does not certify has not
+    converged.
+
+    Disc(g) is a nonzero integer, so at each root a, |g'(a)| >=
+    (n-1)^(-(n-1)/2) M^(2-n) (Hadamard on the Vandermonde of the other
+    roots), and the roots are sep >= sqrt(3) n^(-(n+2)/2) M^(1-n) apart
+    (Mahler, Michigan Math. J. 11, 1964).  Iterates within sep/4 of the
+    roots at the rounding floor 8 n eps H(|z|), H(|z|) <= ||g||_1 M^n, have
+    radii at most 2^(n+3) n^2 eps H / |g'(a)|; the limit makes that at
+    most min(tol, sep) / 4, one digit to spare for the rounding to binary.
+    """
+    n = len(coeffs) - 1
+    norm = math.log2(sum(c * c for c in coeffs)) / 2
+    sep = (n + 2) / 2 * math.log2(n) + (n - 1) * norm
+    bits = max(-math.log2(tol), sep) + (2 * n - 1) * norm
+    bits += n + 6 + (n + 4) / 2 * math.log2(n + 1)
+    return max(_LADDER_START, math.ceil(bits / _LOG2_10) + 1)
 
 
 def _decimal_round(b, abs_b, zr, zi, eps):
@@ -547,23 +573,13 @@ class MatchReport:
     pairs: list  # of (value_a, value_b, distance)
 
 
-def _expanded_values(obj):
-    roots = getattr(obj, "roots", None)
-    if roots is not None:
-        out = []
-        for r in roots:
-            value = getattr(r, "value", r)
-            mult = getattr(r, "multiplicity", 1)
-            out.extend([mpc(value)] * mult)
-        return out
-    return [mpc(v) for v in obj]
-
-
-def _expanded_radii(obj) -> list:
-    """The inclusion radius of each value (0 where none is known)."""
+def _expanded_values(obj) -> list:
+    """(value, inclusion radius) per root with multiplicity: an
+    ``OracleRoot``'s radius, 0 for any other value."""
     out = []
     for r in getattr(obj, "roots", obj):
-        out.extend([getattr(r, "radius", 0.0)] * getattr(r, "multiplicity", 1))
+        value = (mpc(getattr(r, "value", r)), getattr(r, "radius", 0.0))
+        out.extend([value] * getattr(r, "multiplicity", 1))
     return out
 
 
@@ -588,7 +604,7 @@ def compare_root_sets(a, b, tol: float = 1e-9) -> MatchReport:
             pairs=[],
         )
     n = len(va)
-    dist = [[abs(x - y) for y in vb] for x in va]
+    dist = [[abs(x - y) for y, _ in vb] for x, _ in va]
     used = [False] * n
     match = [0] * n
     for i in range(n):
@@ -607,12 +623,13 @@ def compare_root_sets(a, b, tol: float = 1e-9) -> MatchReport:
                 if max(dist[i][mj], dist[j][mi]) < max(dist[i][mi], dist[j][mj]):
                     match[i], match[j] = mj, mi
                     improved = True
-    pairs = [(va[i], vb[match[i]], float(dist[i][match[i]])) for i in range(n)]
+    pairs = [(va[i][0], vb[match[i]][0], float(dist[i][match[i]])) for i in range(n)]
     max_distance = max((p[2] for p in pairs), default=0.0)
     worst_index = max(range(n), key=lambda i: pairs[i][2]) if n else None
-    ra, rb = _expanded_radii(a), _expanded_radii(b)
     return MatchReport(
-        passed=all(p[2] + ra[i] + rb[match[i]] <= tol for i, p in enumerate(pairs)),
+        passed=all(
+            p[2] + va[i][1] + vb[match[i]][1] <= tol for i, p in enumerate(pairs)
+        ),
         structural_ok=True,
         max_distance=max_distance,
         worst_index=worst_index,

@@ -562,18 +562,17 @@ class TestRegressions:
     def test_decompose_close_conjugate_eigenvalues(self):
         # (x1 + a*x2)^3 + (x1 - a*x2)^3 with a^2 = 2e-24: the eigenvalues of
         # the generic element are 8.5e-12 apart, which a distance test took
-        # for a repeated eigenvalue
-        code, out, err = run(
-            ["decompose", "2*x1^3 + 12/1000000000000000000000000*x1*x2^2"]
-        )
-        assert code == EXIT_OK, err
-        assert "decomposition: 2 summands of degree 3 (numeric)" in out
-        assert "verification: passed" in out
+        # for a repeated eigenvalue; at a^2 = 2e-40 they are 2.8e-20 apart,
+        # certified within 2^-96, and split as well
+        for zeros in (24, 40):
+            code, out, err = run(["decompose", f"2*x1^3 + 12/1{'0' * zeros}*x1*x2^2"])
+            assert code == EXIT_OK, err
+            assert "decomposition: 2 summands of degree 3 (numeric)" in out
+            assert "verification: passed" in out
 
     def test_decompose_closer_conjugate_pair_fails_the_expand_back_check(self):
         # a^2 = 2e-60: the numeric split at 96 bits does not expand back to
         # f, and the one check of the power sum reports it as not applicable
-        # (at 2e-40 the certified eigenvalues, 160 bits, now let it split)
         code, out, err = run(["decompose", f"2*x1^3 + 12/1{'0' * 60}*x1*x2^2"])
         assert code == EXIT_NO_METHOD
         assert out == ""

@@ -334,6 +334,23 @@ class TestDiagonalizeNumeric:
         assert len(result.as_power_sum.summands) == n
         assert cs.check_decomposition(f, result.as_power_sum, tol=1e-9)
 
+    def test_a_fine_precision_reaches_the_spectrum(self):
+        # at 512 bits the eigenvalues are certified to 2^-512, not to the
+        # 48-digit level a fixed tol would stop at, so P^-1 P = I and the
+        # power sum expands back to f far below 1e-47
+        f = planted_conjugate_pairs(random.Random(4003), 4, 3)
+        result = diagonalize_form(f, prec=512)
+        assert not result.exact
+        rows = [form.coeffs for _, form in result.as_power_sum.summands]
+        with mp.workprec(512):
+            worst = max(
+                abs(sum(a * b for a, b in zip(row, col)) - (i == j))
+                for i, row in enumerate(rows)
+                for j, col in enumerate(zip(*result.p))
+            )
+            assert worst < mp.mpf(2) ** -256
+            assert cs.check_decomposition(f, result.as_power_sum, tol=1e-140)
+
     def test_repeated_rational_next_to_irrational_pair(self):
         # the primes draw gives (x - 7)^2 (x^2 - 4x + 25/4); profile must
         # retry it instead of handing a repeated eigenvalue to the numeric split
