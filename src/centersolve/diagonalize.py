@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from math import lcm, prod
 from operator import mul
@@ -228,7 +229,8 @@ def diagonalize_form(
 
 def _numeric_spectrum(cp, wprec: int) -> list:
     """All eigenvalues of the generic element, numerically, each certified
-    within 2^-wprec; each must be simple, which the exact multiplicities of
+    within 2^-wprec (a Decimal tolerance, since past 1074 bits a float
+    underflows to 0); each must be simple, which the exact multiplicities of
     ``numeric_roots`` decide.
 
     ``profile`` draws again only while a rational eigenvalue repeats, so a
@@ -237,7 +239,8 @@ def _numeric_spectrum(cp, wprec: int) -> list:
     so every generic element has the square of an irreducible quadratic as
     its char poly, (t^2 - 4t - 46)^2 for the first draw.
     """
-    roots = numeric_roots(from_plain_coeffs(cp), tol=2.0**-wprec, prec=wprec).roots
+    tol = Decimal(2) ** -wprec
+    roots = numeric_roots(from_plain_coeffs(cp), tol=tol, prec=wprec).roots
     if any(r.multiplicity > 1 for r in roots):
         raise NotDiagonalizableError(
             "generic center element has a repeated spectrum"

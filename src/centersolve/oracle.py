@@ -26,8 +26,8 @@ coefficients, never the radical formulas it is used to check.
    next (Bini and Fiorentino, Numer. Algorithms 23, 2000: pay for digits
    only where the proof needs them), up to a last level worked out from
    root-separation bounds, where a factor that does not certify has not
-   converged.  Decimal contexts are per-thread, so
-   mpmath's precision is left alone.
+   converged.  Decimal contexts are per-thread, so mpmath's precision is
+   left alone.
 
 Rational roots (``rational_roots``) share the square-free split and have no
 numeric phase: the rational roots of each factor are the integer roots of a
@@ -236,9 +236,11 @@ def numeric_roots(
 
     Each square-free factor climbs the decimal ladder until its iterates
     certify, in at most ``max_iter`` rounds and up to the digits where
-    converged iterates must certify; ``iterations`` sums the rounds.  The values carry at least ``prec`` bits, more when a last
-    level has more digits; ``max_residual`` is measured against the input
-    at that precision when it is first read.
+    converged iterates must certify; ``iterations`` sums the rounds.  The
+    values carry at least ``prec`` bits, more when a last level has more
+    digits; ``max_residual`` is measured against the input at that
+    precision when it is first read.  ``tol`` is a float or a Decimal, for
+    a tolerance below the float range.
     """
     d = eq.degree
     if d < 1:
@@ -375,7 +377,7 @@ def _digit_limit(coeffs, tol) -> int:
     n = len(coeffs) - 1
     norm = math.log2(sum(c * c for c in coeffs)) / 2
     sep = (n + 2) / 2 * math.log2(n) + (n - 1) * norm
-    bits = max(-math.log2(tol), sep) + (2 * n - 1) * norm
+    bits = max(float(-Decimal(tol).log10()) * _LOG2_10, sep) + (2 * n - 1) * norm
     bits += n + 6 + (n + 4) / 2 * math.log2(n + 1)
     return max(_LADDER_START, math.ceil(bits / _LOG2_10) + 1)
 

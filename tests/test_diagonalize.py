@@ -334,21 +334,22 @@ class TestDiagonalizeNumeric:
         assert len(result.as_power_sum.summands) == n
         assert cs.check_decomposition(f, result.as_power_sum, tol=1e-9)
 
-    def test_a_fine_precision_reaches_the_spectrum(self):
-        # at 512 bits the eigenvalues are certified to 2^-512, not to the
-        # 48-digit level a fixed tol would stop at, so P^-1 P = I and the
-        # power sum expands back to f far below 1e-47
+    @pytest.mark.parametrize("prec", [512, 1200])
+    def test_a_fine_precision_reaches_the_spectrum(self, prec):
+        # the eigenvalues are certified to 2^-prec, not to the 48-digit
+        # level a fixed tol would stop at, so P^-1 P = I and the power sum
+        # expands back to f far below 1e-47; 2^-1200 is below the floats
         f = planted_conjugate_pairs(random.Random(4003), 4, 3)
-        result = diagonalize_form(f, prec=512)
+        result = diagonalize_form(f, prec=prec)
         assert not result.exact
         rows = [form.coeffs for _, form in result.as_power_sum.summands]
-        with mp.workprec(512):
+        with mp.workprec(prec):
             worst = max(
                 abs(sum(a * b for a, b in zip(row, col)) - (i == j))
                 for i, row in enumerate(rows)
                 for j, col in enumerate(zip(*result.p))
             )
-            assert worst < mp.mpf(2) ** -256
+            assert worst < mp.mpf(2) ** (-prec // 2)
             assert cs.check_decomposition(f, result.as_power_sum, tol=1e-140)
 
     def test_repeated_rational_next_to_irrational_pair(self):
