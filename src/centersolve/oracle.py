@@ -15,16 +15,20 @@ coefficients, never the radical formulas it is used to check.
    rounding floor, the phase until every root is there or the steps stall.
    When a monic coefficient or an iterate is not a finite double (inputs
    beyond ~1e308) or two results coincide, the seeds themselves go on.
+   Roots on a small circle far from 0 are found in the frame of their
+   centroid (the exact Taylor shift that depresses the polynomial), since
+   Horner in doubles on the plain coefficients cancels their accuracy away.
 2. Decimal ladder.  The same update in stdlib ``decimal`` (libmpdec), on
-   pairs of Decimals, at 48, 144, 432, ... digits.  A level's rounds end
-   once every root is at the level's rounding floor, the largest relative
-   step is below eps^(1/3), or the steps stall; then its iterates are
-   offered to an inclusion certificate (Braess and Hadeler, Numer. Math.
-   21, 1973): a disk about each iterate, of radius at most tol/4, the disks
-   pairwise disjoint, so each holds exactly one root.  The first level that
-   certifies ends the factor; one that does not hands its iterates to the
-   next (Bini and Fiorentino, Numer. Algorithms 23, 2000: pay for digits
-   only where the proof needs them), up to a last level worked out from
+   pairs of Decimals, on the factor itself, at 48, 144, 432, ... digits.
+   Iterates whose largest relative step s has s^3 < tol are offered to an
+   inclusion certificate (Braess and Hadeler, Numer. Math. 21, 1973): a
+   disk about each iterate, of radius at most tol/4, the disks pairwise
+   disjoint, so each holds exactly one root.  The first round that
+   certifies ends the factor.  A level's rounds end once every root is at
+   the level's rounding floor, s is below eps^(1/3), or the steps stall;
+   a level that does not certify hands its iterates to the next (Bini and
+   Fiorentino, Numer. Algorithms 23, 2000: pay for digits only where the
+   proof needs them), up to a last level worked out from
    root-separation bounds, where a factor that does not certify has not
    converged.  Decimal contexts are per-thread, so mpmath's precision is
    left alone.
@@ -278,25 +282,52 @@ def _aberth(coeffs, tol, max_iter):
     without a certificate), the Aberth rounds and the digits of the last
     decimal level.
 
-    The float phase runs on the monic coefficients, each the quotient of
-    two integers rounded once; its results seed the decimal ladder, or the
-    circle does when a quotient overflows or the phase returns None.
+    The float phase runs in the frame of ``_frame``, on the monic
+    coefficients, each the quotient of two integers rounded once; its
+    results, or the frame's circle when a quotient overflows or the phase
+    returns None, plus the frame's shift seed the decimal ladder, which
+    runs on the polynomial itself.
     """
-    circle = _start_circle(coeffs)
+    shift, frame = _frame(coeffs)
+    circle = _start_circle(frame)
     try:
-        monic = [c / coeffs[0] for c in coeffs]
+        monic = [c / frame[0] for c in frame]
     except OverflowError:
         seeds = None
     else:
         seeds = _float_aberth(monic, [complex(zk) for zk in circle])
     with localcontext(Context(_LADDER_START, Emax=MAX_EMAX, Emin=MIN_EMIN)):
+        offset = Decimal(shift.numerator) / shift.denominator
         if seeds is None:
-            zr = [_to_decimal(zk.real) for zk in circle]
+            zr = [_to_decimal(zk.real) + offset for zk in circle]
             zi = [_to_decimal(zk.imag) for zk in circle]
         else:
-            zr = [+Decimal(zk.real) for zk in seeds]
+            zr = [Decimal(zk.real) + offset for zk in seeds]
             zi = [+Decimal(zk.imag) for zk in seeds]
         return _decimal_ladder(coeffs, zr, zi, tol, max_iter)
+
+
+def _frame(g):
+    """(c, k): the frame of the float phase for the integer polynomial g.
+
+    Horner in doubles on g cancels away the accuracy of roots that lie on a
+    small circle far from 0 (a sum of two powers of nearby linear forms),
+    so such roots are found about their centroid c = -g_1 / (n g_0), as
+    those of the exact Taylor shift k(y) = q^n g(y + c), c = p/q in lowest
+    terms, an integer polynomial.  That frame is taken when the roots'
+    geometric-mean distance from c, |k_n / k_0|^(1/n), is below |c|/2, in
+    integers: 2^n |k_n| < |g_0| |p|^n.  Otherwise (0, g).
+    """
+    n = len(g) - 1
+    c = Fraction(-g[1], n * g[0])
+    p, q = c.numerator, c.denominator
+    k = [g[0]]
+    for i, gi in enumerate(g[1:], 1):
+        k = [q * a + p * b for a, b in zip(k + [0], [0] + k)]  # k * (q y + p)
+        k[-1] += gi * q**i
+    if 2**n * abs(k[-1]) < abs(g[0] * p**n):
+        return c, k
+    return Fraction(0), g
 
 
 # ---------------------------------------------------------------------------
@@ -327,14 +358,16 @@ def _decimal_ladder(coeffs, zr, zi, tol, max_iter):
     """(zr, zi, radii, rounds, digits): Aberth-Ehrlich on the decimal ladder
     from z = zr + i zi until the iterates certify.
 
-    A level's rounds stop once every root is quiet or the largest relative
-    step s has s^3 < eps (the level's rounding would cut off the next
-    step's cubic convergence), or after _STALL rounds in a row without the
-    summed excess of |p(z)| over the floor falling by a decade; then
-    ``_inclusion_radii`` judges the iterates.  A level that does not
-    certify hands them to one with three times the digits, up to
-    ``_digit_limit``; that last level has no stall rule, and its verdict is
-    final.  The levels share ``max_iter`` rounds.
+    After every round whose largest relative step s has s^3 < tol (iterates
+    that may already be within tol), ``_inclusion_radii`` judges the
+    iterates, and the first verdict that certifies ends the factor.  A
+    level's rounds stop once every root is quiet or s^3 < eps (the level's
+    rounding would cut off the next step's cubic convergence), or after
+    _STALL rounds in a row without the summed excess of |p(z)| over the
+    floor falling by a decade; iterates not judged yet are judged then.
+    A level that does not certify hands them to one with three times the
+    digits, up to ``_digit_limit``; that last level has no stall rule, and
+    its verdict is final.  The levels share ``max_iter`` rounds.
     """
     rounds, digits = 0, _LADDER_START
     limit = _digit_limit(coeffs, tol)
@@ -344,17 +377,24 @@ def _decimal_ladder(coeffs, zr, zi, tol, max_iter):
             b = [+Decimal(c) for c in coeffs]
             abs_b = [abs(c) for c in b]
             eps = Decimal(1).scaleb(1 - digits)
-            best, stalled = math.inf, 0
+            best, stalled, tried = math.inf, 0, False
             while rounds < max_iter and (stalled < _STALL or digits >= limit):
                 rounds += 1
                 max_step, excess = _decimal_round(b, abs_b, zr, zi, eps)
-                if max_step**3 < eps:
+                cube = max_step**3
+                tried = cube < tol
+                if tried:
+                    radii = _inclusion_radii(coeffs[0], b, abs_b, zr, zi, eps, tol)
+                    if radii is not None:
+                        return zr, zi, radii, rounds, digits
+                if cube < eps:
                     break
                 if excess < best - 1:
                     best, stalled = excess, 0
                 else:
                     stalled += 1
-            radii = _inclusion_radii(coeffs[0], b, abs_b, zr, zi, eps, tol)
+            if not tried:
+                radii = _inclusion_radii(coeffs[0], b, abs_b, zr, zi, eps, tol)
             if radii is not None or rounds >= max_iter or digits >= limit:
                 return zr, zi, radii, rounds, digits
             digits = min(3 * digits, limit)
@@ -576,12 +616,15 @@ class MatchReport:
 
 
 def _expanded_values(obj) -> list:
-    """(value, inclusion radius) per root with multiplicity: an
-    ``OracleRoot``'s radius, 0 for any other value."""
+    """(value, inclusion radius) per root with multiplicity: an mpc value
+    as it is (not rounded to mpmath's precision), and an ``OracleRoot``'s
+    radius, 0 for any other value."""
     out = []
     for r in getattr(obj, "roots", obj):
-        value = (mpc(getattr(r, "value", r)), getattr(r, "radius", 0.0))
-        out.extend([value] * getattr(r, "multiplicity", 1))
+        value = getattr(r, "value", r)
+        if not isinstance(value, mpc):
+            value = mpc(value)
+        out.extend([(value, getattr(r, "radius", 0.0))] * getattr(r, "multiplicity", 1))
     return out
 
 
@@ -591,9 +634,15 @@ def compare_root_sets(a, b, tol: float = 1e-9) -> MatchReport:
     A cardinality mismatch is a structural failure, reported rather than
     raised.  The greedy nearest-neighbor matching is followed by a swap
     refinement pass so near-ties cannot manufacture a spurious failure.
-    The pair distances are computed once, at the caller's precision.  A
+    Both run on doubles, after both sets are scaled by one power of two
+    that brings the largest modulus near 1, so roots beyond 1e308 neither
+    overflow nor read inf.  Only the n matched pairs are then measured, at
+    the bits of the longest mantissa among the values, so two values that
+    agree far below 2^-53 of their moduli still show their distance.  A
     pair passes when its distance plus the inclusion radii of its values
-    (an ``OracleRoot``'s; 0 for any other value) is at most ``tol``.
+    (an ``OracleRoot``'s; 0 for any other value) is at most ``tol``.  A
+    root below 2^-1074 of the largest reads 0 in doubles, so a match that
+    fails is made again on the measured distances before it is reported.
     """
     va = _expanded_values(a)
     vb = _expanded_values(b)
@@ -605,8 +654,25 @@ def compare_root_sets(a, b, tol: float = 1e-9) -> MatchReport:
             worst_index=None,
             pairs=[],
         )
+    top = max((mp.mag(x) for x, _ in va + vb if x), default=0)
+    fa, fb = (
+        [complex(mp.ldexp(x.real, -top), mp.ldexp(x.imag, -top)) for x, _ in v]
+        for v in (va, vb)
+    )
+    bits = max([53] + [v._mpf_[3] for x, _ in va + vb for v in (x.real, x.imag)])
+    with mp.workprec(bits):
+        report = _match_report(va, vb, [[abs(x - y) for y in fb] for x in fa], tol)
+        if not report.passed:
+            dist = [[abs(x - y) for y, _ in vb] for x, _ in va]
+            report = _match_report(va, vb, dist, tol)
+    return report
+
+
+def _match_report(va, vb, dist, tol) -> MatchReport:
+    """The greedy match of va to vb on the distances ``dist`` (any ordered
+    numbers), refined by swaps; each matched pair measured at mpmath's
+    precision."""
     n = len(va)
-    dist = [[abs(x - y) for y, _ in vb] for x, _ in va]
     used = [False] * n
     match = [0] * n
     for i in range(n):
@@ -625,7 +691,7 @@ def compare_root_sets(a, b, tol: float = 1e-9) -> MatchReport:
                 if max(dist[i][mj], dist[j][mi]) < max(dist[i][mi], dist[j][mj]):
                     match[i], match[j] = mj, mi
                     improved = True
-    pairs = [(va[i][0], vb[match[i]][0], float(dist[i][match[i]])) for i in range(n)]
+    pairs = [(x, vb[j][0], float(abs(x - vb[j][0]))) for (x, _), j in zip(va, match)]
     max_distance = max((p[2] for p in pairs), default=0.0)
     worst_index = max(range(n), key=lambda i: pairs[i][2]) if n else None
     return MatchReport(

@@ -181,6 +181,14 @@ class TestSolve:
         doc = json.loads(out)
         assert doc["verification"]["oracle_max_distance"] is None
 
+    def test_oracle_distance_is_not_rounded_to_53_bits(self):
+        # the radical and oracle roots of this sum agree far below 2^-53 of
+        # their moduli; their distance is measured, not rounded to 0
+        code, out, err = run(["solve", "(x+2)^40 + 3*(x-1)^40", "--format", "json"])
+        assert code == EXIT_OK, err
+        verification = json.loads(out)["verification"]
+        assert 0 < verification["oracle_max_distance"] < 1e-9
+
     def test_stdin(self, monkeypatch):
         code, out, _ = run(
             ["solve", "-", "--format", "json"],

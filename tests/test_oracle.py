@@ -4,7 +4,7 @@ import re
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpc, mpf
 
 import centersolve as cs
@@ -691,9 +691,12 @@ def _assert_same_as_parent(coeffs):
 
 @settings(max_examples=30, deadline=None)
 @given(coeffs=st.one_of(_random_integer_polys(), _planted_integer_polys()))
+@example(coeffs=[1, 700001, 700001, 700001, 700000])
 def test_aberth_matches_the_parent_without_the_ladder(coeffs):
     # degrees 2-24, heights to 1e35, conjugate pairs, negative roots, roots
-    # from 1e-20 to 1e20 and clusters within 1e-12
+    # from 1e-20 to 1e20 and clusters within 1e-12; (x + 700000)(x^3 + x^2
+    # + x + 1) is not seeded about its centroid (-175000.25), in whose
+    # frame it took 5 rounds against the parent's 2
     _assert_same_as_parent(coeffs)
 
 
@@ -800,12 +803,23 @@ def test_wilkinson_20_roots_to_1e_140():
     assert sorted(round(float(r.value.real)) for r in result.roots) == list(range(1, 21))
 
 
-@pytest.mark.parametrize("d, rounds", [(20, 2), (40, 2), (64, 8)])
-def test_round_counts_of_the_two_power_sums(d, rounds):
-    # (x+2)^d + 3(x-1)^d: the 48-digit level proves every root
-    coeffs = [math.comb(d, i) * (2**i + 3 * (-1) ** i) for i in range(d + 1)]
+@pytest.mark.parametrize(
+    "a, b, d, rounds, digits",
+    [
+        pytest.param(-2, 1, 20, 1, 48, id="(x+2)^20+3(x-1)^20"),
+        pytest.param(-2, 1, 40, 1, 48, id="(x+2)^40+3(x-1)^40"),
+        pytest.param(-2, 1, 64, 7, 48, id="(x+2)^64+3(x-1)^64"),
+        pytest.param(20, 22, 16, 1, 48, id="(x-20)^16+3(x-22)^16"),
+        pytest.param(1000, 1001, 16, 2, 144, id="(x-1000)^16+3(x-1001)^16"),
+    ],
+)
+def test_round_counts_of_the_two_power_sums(a, b, d, rounds, digits):
+    # (x - a)^d + 3(x - b)^d: each factor ends at the first round whose
+    # iterates certify; the last two have their roots on a small circle far
+    # from 0, and their float phase runs about its centre
+    coeffs = [math.comb(d, i) * ((-a) ** i + 3 * (-b) ** i) for i in range(d + 1)]
     result = numeric_roots(cs.from_plain_coeffs(coeffs))
-    assert result.digits == [48]
+    assert result.digits == [digits]
     assert result.iterations == rounds
 
 
@@ -881,3 +895,15 @@ def test_a_pair_passes_only_with_its_radius():
     assert not compare_root_sets([mpc(1.6)], near, tol=1).passed
     assert compare_root_sets(near, [mpc(1.4)], tol=1).passed
     assert compare_root_sets([mpc(1.6)], [mpc(1)], tol=1).passed
+
+
+def test_roots_beyond_the_double_range_are_matched():
+    # 10^400 overflows a double; beside it, 1 and 2 fall below 2^-1074 of
+    # the largest modulus and read 0 in the scaled doubles, so the failed
+    # match is made again on the measured distances
+    big = mpf(10) ** 400
+    a, b = [mpc(big), mpc(1), mpc(2)], [mpc(2) + 1e-12, mpc(1), mpc(big)]
+    report = compare_root_sets(a, b)
+    assert report.passed
+    assert [(p[0], p[1]) for p in report.pairs] == [(big, big), (1, 1), (2, 2 + 1e-12)]
+    assert report.max_distance == pytest.approx(1e-12)

@@ -3,6 +3,9 @@
     python3 tools/compare_cli.py OLD_ROOT NEW_ROOT [--seed 7 ...] [--block 0 ...]
         [--ignore KEY ...]
 
+``--seed`` and ``--block`` take one or more values and may be repeated;
+the values accumulate (``--seed 7 --seed 901`` is ``--seed 7 901``).
+
 Every input of each given block and seed of each benchmark workload
 (perfbench/corpus.py of this checkout) runs through
 `centersolve.cli.run_command` of each root, in a fresh interpreter per root
@@ -98,11 +101,15 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("roots", nargs="*", metavar="ROOT")
     ap.add_argument("--dump", metavar="ROOT", help=argparse.SUPPRESS)
-    ap.add_argument("--seed", type=int, nargs="+", default=[7])
-    ap.add_argument("--block", type=int, nargs="+", default=[0])
+    ap.add_argument("--seed", type=int, nargs="+", action="extend",
+                    help="corpus seeds (repeatable; default 7)")
+    ap.add_argument("--block", type=int, nargs="+", action="extend",
+                    help="corpus blocks (repeatable; default 0)")
     ap.add_argument("--ignore", action="append", default=[], metavar="KEY",
                     help="skip this document key at any depth (repeatable)")
     args = ap.parse_args(argv)
+    args.seed = args.seed or [7]
+    args.block = args.block or [0]
     if args.dump:
         json.dump(dump(Path(args.dump), args.seed[0], args.block[0]), sys.stdout)
         return 0
