@@ -318,13 +318,16 @@ def _frame(g):
     geometric-mean distance from c, |k_n / k_0|^(1/n), is below |c|/2, in
     integers: 2^n |k_n| < |g_0| |p|^n.  Otherwise (0, g).
     """
+    if not g[1]:
+        return Fraction(0), g
     n = len(g) - 1
     c = Fraction(-g[1], n * g[0])
     p, q = c.numerator, c.denominator
-    k = [g[0]]
-    for i, gi in enumerate(g[1:], 1):
+    k, qi = [g[0]], 1
+    for gi in g[1:]:
         k = [q * a + p * b for a, b in zip(k + [0], [0] + k)]  # k * (q y + p)
-        k[-1] += gi * q**i
+        qi *= q
+        k[-1] += gi * qi
     if 2**n * abs(k[-1]) < abs(g[0] * p**n):
         return c, k
     return Fraction(0), g
@@ -640,9 +643,13 @@ def compare_root_sets(a, b, tol: float = 1e-9) -> MatchReport:
     the bits of the longest mantissa among the values, so two values that
     agree far below 2^-53 of their moduli still show their distance.  A
     pair passes when its distance plus the inclusion radii of its values
-    (an ``OracleRoot``'s; 0 for any other value) is at most ``tol``.  A
-    root below 2^-1074 of the largest reads 0 in doubles, so a match that
-    fails is made again on the measured distances before it is reported.
+    (an ``OracleRoot``'s; 0 for any other value) is at most ``tol`` plus
+    2^-52 (|x| + |y|), twice what rounding both values to doubles can
+    hide: a root of modulus 1e13 printed at 64 bits is about 1e-6 from the
+    true root, never within an absolute 1e-9, and passes as its double
+    does; inside the unit circle the allowance is under 5e-16.  A root
+    below 2^-1074 of the largest reads 0 in doubles, so a match that fails
+    is made again on the measured distances before it is reported.
     """
     va = _expanded_values(a)
     vb = _expanded_values(b)
@@ -691,13 +698,16 @@ def _match_report(va, vb, dist, tol) -> MatchReport:
                 if max(dist[i][mj], dist[j][mi]) < max(dist[i][mi], dist[j][mj]):
                     match[i], match[j] = mj, mi
                     improved = True
-    pairs = [(x, vb[j][0], float(abs(x - vb[j][0]))) for (x, _), j in zip(va, match)]
+    pairs, passed = [], True
+    for (x, rx), j in zip(va, match):
+        y, ry = vb[j]
+        d = abs(x - y)
+        pairs.append((x, y, float(d)))
+        passed = passed and d + rx + ry <= tol + mp.ldexp(abs(x) + abs(y), -52)
     max_distance = max((p[2] for p in pairs), default=0.0)
     worst_index = max(range(n), key=lambda i: pairs[i][2]) if n else None
     return MatchReport(
-        passed=all(
-            p[2] + va[i][1] + vb[match[i]][1] <= tol for i, p in enumerate(pairs)
-        ),
+        passed=passed,
         structural_ok=True,
         max_distance=max_distance,
         worst_index=worst_index,

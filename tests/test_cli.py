@@ -189,6 +189,15 @@ class TestSolve:
         verification = json.loads(out)["verification"]
         assert 0 < verification["oracle_max_distance"] < 1e-9
 
+    @pytest.mark.parametrize("eq", ["x^3 - 10^40", "x^3 - 2*10^60", "x^2 - 10^30"])
+    def test_roots_beyond_1e10_verify_at_the_default_precision(self, eq):
+        # the 64-bit radical roots (moduli 2e13, 1.3e20, 1e15) are about an
+        # ulp off the oracle's, far beyond an absolute 1e-9 but within what
+        # their doubles can show
+        code, out, err = run(["solve", eq, "--format", "json"])
+        assert code == EXIT_OK, err
+        assert json.loads(out)["verification"]["passed"]
+
     def test_stdin(self, monkeypatch):
         code, out, _ = run(
             ["solve", "-", "--format", "json"],

@@ -907,3 +907,15 @@ def test_roots_beyond_the_double_range_are_matched():
     assert report.passed
     assert [(p[0], p[1]) for p in report.pairs] == [(big, big), (1, 1), (2, 2 + 1e-12)]
     assert report.max_distance == pytest.approx(1e-12)
+
+
+def test_a_pair_passes_within_the_rounding_of_its_doubles():
+    # at modulus 2e13 a distance of 1e-3 is below 2^-52 (|x| + |y|) ~ 9e-3,
+    # what rounding both values to doubles can hide; 0.2 is not
+    with mp.workprec(64):
+        x = mpc(mpf(2) * 10**13 + mpf(1) / 3)
+        near, far = x + mpf("1e-3"), x * (1 + mpf("1e-14"))
+    report = compare_root_sets([x], [near], tol=1e-9)
+    assert report.passed and report.max_distance == pytest.approx(1e-3, rel=1e-2)
+    assert not compare_root_sets([x], [far], tol=1e-9).passed
+    assert not compare_root_sets([mpc(1)], [mpc(1 + 2e-9)], tol=1e-9).passed
