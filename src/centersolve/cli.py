@@ -4,7 +4,9 @@ Subcommands: solve, center, decompose, classify, oracle.  Input is either a
 polynomial expression (--input expr, the default) or whitespace-separated
 plain coefficients (--input coeffs); '-' reads from stdin.  JSON documents
 carry exact values as p/q strings (never floats) next to decimal
-approximations.
+approximations, and are strict JSON: a number beyond the double range
+(magnitude about 1.8e308 or more) is a string, its value to 17 significant
+digits ("1.0e+400", see ``_number``).
 
 Exit codes: 0 success, 1 usage error, 2 parse error, 3 method not
 applicable (any library error; an unexpected exception is reported as an
@@ -18,8 +20,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from fractions import Fraction
+
+from mpmath import mp
 
 from .center import binary_invariants, compute_center
 from .diagonalize import diagonalize_form
@@ -33,7 +38,6 @@ from .oracle import check_decomposition, compare_root_sets, numeric_roots
 from .parser import ParsedInput, PolyParseError, parse_polynomial
 from .scalars import DEFAULT_PREC, is_exact, scalar_str
 from .solver import (
-    RootSet,
     classify,
     complete_powers,
     max_scaled_residual,
@@ -138,22 +142,30 @@ def _empty_document(source: str) -> dict:
     }
 
 
+def _number(x):
+    """A real number (float or mpf) as a JSON value: a float, or beyond the
+    double range a string of its value to 17 significant digits, such as
+    "1.0e+400" ("inf" for an infinite distance)."""
+    f = float(x)
+    return f if math.isfinite(f) else mp.nstr(x, 17)
+
+
 def _coeff_json(x):
     if is_exact(x):
         return scalar_str(x)
-    z = complex(x)
-    return [z.real, z.imag]
+    return [_number(x.real), _number(x.imag)]
 
 
-def _roots_json(root_set: RootSet):
+def _roots_json(roots):
+    """Radical roots with their ``expr``; oracle roots have none (null)."""
     return [
         {
-            "expr": r.expr,
-            "re": float(r.value.real),
-            "im": float(r.value.imag),
+            "expr": getattr(r, "expr", None),
+            "re": _number(r.value.real),
+            "im": _number(r.value.imag),
             "multiplicity": r.multiplicity,
         }
-        for r in root_set.roots
+        for r in roots
     ]
 
 
@@ -243,12 +255,12 @@ def _cmd_solve(args, text, out, err) -> tuple[dict, int]:
     cls = root_set.classification
     if cls is not None:
         _fill_class(doc, cls)
-    doc["roots"] = _roots_json(root_set)
+    doc["roots"] = _roots_json(root_set.roots)
     if doc["class"] == "SumOfTwoPowers":
         doc["decomposition"] = _decomposition_json(cls.completion, ("x", "y"))
     residual = max_scaled_residual(root_set, prec + 64)
     verification = {
-        "max_residual": residual,
+        "max_residual": _number(residual),
         "oracle_max_distance": None,
         "oracle_max_radius": None,
         "passed": residual <= _VERIFY_TOL,
@@ -263,7 +275,7 @@ def _cmd_solve(args, text, out, err) -> tuple[dict, int]:
         print(f"verification failed: the oracle did not converge: {exc}", file=err)
         return doc, EXIT_VERIFY
     report = compare_root_sets(root_set, oracle_set, tol=_VERIFY_TOL)
-    verification["oracle_max_distance"] = report.max_distance
+    verification["oracle_max_distance"] = _number(report.max_distance)
     verification["oracle_max_radius"] = max(r.radius for r in oracle_set.roots)
     verification["passed"] = verification["passed"] and report.passed
     if not report.passed:
@@ -287,17 +299,9 @@ def _cmd_oracle(args, text, out, err) -> tuple[dict, int]:
     doc = _empty_document(text)
     doc["degree"] = eq.degree
     oracle_set = numeric_roots(eq, tol=1e-12, prec=args.precision)
-    doc["roots"] = [
-        {
-            "expr": None,
-            "re": float(r.value.real),
-            "im": float(r.value.imag),
-            "multiplicity": r.multiplicity,
-        }
-        for r in oracle_set.roots
-    ]
+    doc["roots"] = _roots_json(oracle_set.roots)
     doc["verification"] = {
-        "max_residual": oracle_set.max_residual,
+        "max_residual": _number(oracle_set.max_residual),
         "oracle_max_distance": None,
         "oracle_max_radius": max(r.radius for r in oracle_set.roots),
         "passed": oracle_set.converged,
@@ -412,9 +416,10 @@ def _print_text(doc: dict, out):
     if doc["roots"] is not None:
         print("roots:", file=out)
         for r in doc["roots"]:
-            approx = f"{r['re']:.12g}"
-            if abs(r["im"]) > 0:
-                approx += f" {'+' if r['im'] >= 0 else '-'} {abs(r['im']):.12g}i"
+            approx = _text_number(r["re"], ".12g")
+            if r["im"] != 0:
+                im = _signed(r["im"], ".12g")
+                approx += f" {im[0]} {im[1:]}i"
             mult = f" (multiplicity {r['multiplicity']})" if r["multiplicity"] > 1 else ""
             expr = f"  {r['expr']}" if r["expr"] else ""
             print(f"  {approx}{mult}{expr}", file=out)
@@ -426,32 +431,40 @@ def _print_text(doc: dict, out):
             file=out,
         )
         for s in dec["summands"]:
-            form = ", ".join(
-                x if isinstance(x, str) else f"{x[0]:.9g}{x[1]:+.9g}i"
-                for x in s["linear_form"]
-            )
-            coeff = (
-                s["coefficient"]
-                if isinstance(s["coefficient"], str)
-                else f"{s['coefficient'][0]:.9g}{s['coefficient'][1]:+.9g}i"
-            )
+            form = ", ".join(_text_coeff(x) for x in s["linear_form"])
+            coeff = _text_coeff(s["coefficient"])
             print(f"  {coeff} * ({form})^{dec['degree']}", file=out)
     if doc["verification"] is not None:
         v = doc["verification"]
         print(
             f"verification: {'passed' if v['passed'] else 'FAILED'}"
             + (
-                f" (max residual {v['max_residual']:.3g})"
+                f" (max residual {_text_number(v['max_residual'], '.3g')})"
                 if v["max_residual"] is not None
                 else ""
             )
             + (
-                f" (oracle max distance {v['oracle_max_distance']:.3g})"
+                f" (oracle max distance {_text_number(v['oracle_max_distance'], '.3g')})"
                 if v["oracle_max_distance"] is not None
                 else ""
             ),
             file=out,
         )
+
+
+def _text_number(x, spec):
+    """A JSON number in text: a float formatted by ``spec``, a string as is."""
+    return x if isinstance(x, str) else format(x, spec)
+
+
+def _signed(x, spec):
+    text = _text_number(x, spec)
+    return text if text[0] in "+-" else "+" + text
+
+
+def _text_coeff(x):
+    """An exact scalar as is, a [re, im] pair as re+imi."""
+    return x if isinstance(x, str) else f"{_text_number(x[0], '.9g')}{_signed(x[1], '.9g')}i"
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +486,7 @@ def _run_single(args, text, out, err) -> int:
         print(f"internal error: {detail}", file=err)
         return EXIT_NO_METHOD
     if args.format == "json":
-        print(json.dumps(doc, indent=2, sort_keys=True), file=out)
+        print(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False), file=out)
     else:
         _print_text(doc, out)
     return code

@@ -31,7 +31,9 @@ coefficients, never the radical formulas it is used to check.
    proof needs them), up to a last level worked out from
    root-separation bounds, where a factor that does not certify has not
    converged.  Decimal contexts are per-thread, so mpmath's precision is
-   left alone.
+   left alone.  Factors whose disks are not proved disjoint from each
+   other's climb again with a tolerance below their gap.  Only the values
+   returned are built as mpmath numbers.
 
 Rational roots (``rational_roots``) share the square-free split and have no
 numeric phase: the rational roots of each factor are the integer roots of a
@@ -58,11 +60,11 @@ from decimal import (
 )
 from fractions import Fraction
 from functools import cached_property
-from itertools import zip_longest
+from itertools import combinations, zip_longest
 from typing import NamedTuple
 
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import from_rational, round_nearest
+from mpmath.libmp import from_man_exp, from_rational, round_nearest
 
 from .errors import NonConvergenceError
 from .forms import (
@@ -136,7 +138,8 @@ def _scaled_residual(plain, roots, prec) -> float:
 
 def _start_circle(coeffs) -> list:
     """Seeds on the circles of the Newton polygon (Bini, Numer. Algorithms
-    13, 1996), as 53-bit mpc values, whose exponents have no bound.
+    13, 1996), as pairs (u, e) for the seed u * 2^e: u a complex float, e
+    an int, so their exponents have no bound.
 
     Each edge (k1, k2) of the upper convex hull of the points
     (k, log2 |a_k|), a_k the integer coefficient of x^k, gets m = k2 - k1
@@ -159,15 +162,13 @@ def _start_circle(coeffs) -> list:
     if zero_seeds:
         circles.insert(0, (zero_seeds, min((y for _, y in circles), default=0.0) - 1))
     seeds = []
-    with mp.workprec(53):
-        for m, log_radius in circles:
-            e = math.floor(log_radius)
-            radius = mp.ldexp(mpf(2.0 ** (log_radius - e)), e)
-            for j in range(m):
-                bump = 1 + len(seeds) / (997 * n)
-                seeds.append(
-                    radius * mpc(cmath.rect(bump, 2 * math.pi * j / m + _ANGLE_OFFSET))
-                )
+    for m, log_radius in circles:
+        e = math.floor(log_radius)
+        radius = 2.0 ** (log_radius - e)
+        for j in range(m):
+            bump = 1 + len(seeds) / (997 * n)
+            u = radius * cmath.rect(bump, 2 * math.pi * j / m + _ANGLE_OFFSET)
+            seeds.append((u, e))
     return seeds
 
 
@@ -236,15 +237,23 @@ def numeric_roots(
     max_iter: int = 500,
 ) -> OracleRootSet:
     """All complex roots of a rational equation by Aberth-Ehrlich iteration,
-    each proved to lie within its ``radius`` <= tol/4 of its value.
+    each proved to lie within its ``radius`` <= tol/4 of its value, the
+    disks of all roots pairwise disjoint.
 
     Each square-free factor climbs the decimal ladder until its iterates
     certify, in at most ``max_iter`` rounds and up to the digits where
-    converged iterates must certify; ``iterations`` sums the rounds.  The
-    values carry at least ``prec`` bits, more when a last level has more
-    digits; ``max_residual`` is measured against the input at that
-    precision when it is first read.  ``tol`` is a float or a Decimal, for
-    a tolerance below the float range.
+    converged iterates must certify; ``iterations`` sums the rounds.  A
+    factor whose disks are not proved disjoint from another factor's runs
+    again (``_separate``).  The values carry at least ``prec`` bits, more
+    when a last level has more digits; ``max_residual`` is measured against
+    the input at that precision when it is first read.  ``tol`` is a float
+    or a Decimal, for a tolerance below the float range.
+
+    The roots are ordered by their real parts to 9 digits of the largest
+    modulus, then by the imaginary part where its sign is proved (the disk
+    misses the real axis; 0 where it may be real), then by the real part,
+    so rounding noise in a part that may be zero never decides the order,
+    and the order is the same at every precision.
     """
     d = eq.degree
     if d < 1:
@@ -252,28 +261,99 @@ def numeric_roots(
     if not tol > 0:
         raise ValueError("tol must be positive")
     factors = _squarefree(clear_denominators(eq.plain)[0])
-    runs = [(_aberth(g, tol, max_iter), m) for g, m in factors]
-    digits = [run[4] for run, _ in runs]
+    runs = [_aberth(g, tol, max_iter) for g, _ in factors]
+    iterations = _separate(factors, runs, tol, max_iter)
+    digits = [run[4] for run in runs]
     bits = max(prec, *(math.ceil(level * _LOG2_10) for level in digits))
+    found = [
+        (x, y, radius, m)
+        for (zr, zi, radii, _, _), (_, m) in zip(runs, factors)
+        for x, y, radius in zip(zr, zi, radii or [math.inf] * len(zr))
+    ]
+    found.sort(key=_root_order(found))
     with mp.workprec(bits):
         roots = [
-            OracleRoot(mpc(_to_mpf(x), _to_mpf(y)), m, radius)
-            for (zr, zi, radii, _, _), m in runs
-            for x, y, radius in zip(zr, zi, radii or [math.inf] * len(zr))
+            OracleRoot(mp.make_mpc((_to_mpf(x)._mpf_, _to_mpf(y)._mpf_)), m, radius)
+            for x, y, radius, m in found
         ]
-    iterations = sum(run[3] for run, _ in runs)
-    converged = all(run[2] is not None for run, _ in runs)
+    iterations += sum(run[3] for run in runs)
+    converged = all(run[2] is not None for run in runs)
     if not converged:
         raise NonConvergenceError(
             f"no convergence after {iterations} iterations"
             f" (residual {_scaled_residual(eq.plain, roots, bits):.3g})"
         )
-    # real parts are compared to 9 digits of the largest modulus, so the two
-    # members of a conjugate pair, whose real parts differ only by rounding
-    # noise, come out in the same order at every precision
-    top = max(mpf(1), max(abs(r.value) for r in roots))
-    roots.sort(key=lambda r: (round(float(r.value.real / top), 9), r.value.imag))
     return OracleRootSet(roots, iterations, converged, eq, digits, bits)
+
+
+def _root_order(found):
+    """The sort key of ``numeric_roots`` on (x, y, radius, m), z = x + i y
+    a pair of Decimals, computed in 16 digits."""
+    ctx = Context(16, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    top = max([Decimal(1)] + [ctx.sqrt(ctx.fma(x, x, ctx.multiply(y, y))) for x, y, _, _ in found])
+
+    def key(root):
+        x, y, radius, _ = root
+        return round(float(ctx.divide(x, top)), 9), y if abs(y) > radius else 0, x
+
+    return key
+
+
+def _separate(factors, runs, tol, max_iter) -> int:
+    """Run again every factor with a disk not proved disjoint from a disk of
+    another factor, until no such disk is left; the rounds of the runs
+    replaced.
+
+    Disks of radius <= t/4 about distinct roots d apart overlap only when
+    d <= t (each holds its root), and two such disks that overlap are at
+    most t/2 apart.  So the factor with the larger tolerance of an
+    overlapping pair, and the other one when that lowers its own, runs
+    again with a tolerance below the measured gap, at most a quarter of the
+    larger one; the loop ends once the tolerances are below the distances
+    between the roots of different factors, which are distinct.  Nothing
+    is checked once a factor has not certified: the oracle has not
+    converged.
+    """
+    tols = [tol] * len(runs)
+    spent = 0
+    while all(run[2] is not None for run in runs):
+        lower = {}
+        for i, j in combinations(range(len(runs)), 2):
+            t = _overlap_tol(runs[i], runs[j])
+            for k in (i, j) if t is not None else ():
+                if t < tols[k]:
+                    lower[k] = min(t, lower.get(k, t))
+        if not lower:
+            break
+        for k, t in lower.items():
+            tols[k] = t
+            spent += runs[k][3]
+            runs[k] = _aberth(factors[k][0], t, max_iter)
+    return spent
+
+
+def _overlap_tol(a, b):
+    """A tolerance that separates the certified disks of two factors' runs
+    a and b, or None when every disk of a is proved disjoint from every disk
+    of b: for the closest overlapping pair, half the distance of its
+    centres, or a quarter of the sum of its radii where the centres agree to
+    every digit.  Differences are rounded toward zero, the radii's sum up.
+    """
+    up = Context(16, rounding=ROUND_UP, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    down = Context(16, rounding=ROUND_DOWN, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    found = None
+    for xr, xi, r in zip(*a[:3]):
+        for yr, yi, s in zip(*b[:3]):
+            reach = up.add(Decimal(r), Decimal(s))
+            dr, di = down.subtract(xr, yr), down.subtract(xi, yi)
+            if abs(dr) > reach or abs(di) > reach:
+                continue
+            gap = down.fma(dr, dr, down.multiply(di, di))
+            if gap > up.multiply(reach, reach):
+                continue
+            t = down.divide(gap.sqrt(down), 2) if gap else down.divide(reach, 4)
+            found = t if found is None else min(found, t)
+    return found
 
 
 def _aberth(coeffs, tol, max_iter):
@@ -284,23 +364,24 @@ def _aberth(coeffs, tol, max_iter):
 
     The float phase runs in the frame of ``_frame``, on the monic
     coefficients, each the quotient of two integers rounded once; its
-    results, or the frame's circle when a quotient overflows or the phase
-    returns None, plus the frame's shift seed the decimal ladder, which
-    runs on the polynomial itself.
+    results, or the frame's circle when a quotient or a seed overflows or
+    the phase returns None, plus the frame's shift seed the decimal ladder,
+    which runs on the polynomial itself.
     """
     shift, frame = _frame(coeffs)
     circle = _start_circle(frame)
     try:
         monic = [c / frame[0] for c in frame]
+        z = [complex(math.ldexp(u.real, e), math.ldexp(u.imag, e)) for u, e in circle]
     except OverflowError:
         seeds = None
     else:
-        seeds = _float_aberth(monic, [complex(zk) for zk in circle])
+        seeds = _float_aberth(monic, z)
     with localcontext(Context(_LADDER_START, Emax=MAX_EMAX, Emin=MIN_EMIN)):
         offset = Decimal(shift.numerator) / shift.denominator
         if seeds is None:
-            zr = [_to_decimal(zk.real) + offset for zk in circle]
-            zi = [_to_decimal(zk.imag) for zk in circle]
+            zr = [_to_decimal(u.real, e) + offset for u, e in circle]
+            zi = [_to_decimal(u.imag, e) for u, e in circle]
         else:
             zr = [Decimal(zk.real) + offset for zk in seeds]
             zi = [+Decimal(zk.imag) for zk in seeds]
@@ -338,18 +419,19 @@ def _frame(g):
 # ---------------------------------------------------------------------------
 
 
-def _to_decimal(x) -> Decimal:
-    """An mpf, rounded once to the current decimal context.
+def _to_decimal(x: float, e: int) -> Decimal:
+    """x * 2^e, rounded once to the current decimal context.
 
-    man * 2^exp is (man * 5^-exp) * 10^exp for exp < 0, and scaleb
-    rounds the exact product once.
+    x is n / 2^k, so x * 2^e is (n * 5^(k-e)) * 10^(e-k) for e < k, and
+    scaleb rounds the exact product once.
     """
-    sign, man, exp, _ = x._mpf_
-    if exp < 0:
-        man *= 5**-exp
+    n, q = x.as_integer_ratio()
+    e -= q.bit_length() - 1
+    if e < 0:
+        n *= 5**-e
     else:
-        man, exp = man << exp, 0
-    return Decimal(-man if sign else man).scaleb(exp)
+        n, e = n << e, 0
+    return Decimal(n).scaleb(e)
 
 
 def _to_mpf(x: Decimal):
@@ -613,7 +695,7 @@ def _squarefree(f):
 class MatchReport:
     passed: bool
     structural_ok: bool  # False on cardinality mismatch
-    max_distance: float
+    max_distance: float  # an mpf beyond the double range
     worst_index: int | None
     pairs: list  # of (value_a, value_b, distance)
 
@@ -639,17 +721,20 @@ def compare_root_sets(a, b, tol: float = 1e-9) -> MatchReport:
     refinement pass so near-ties cannot manufacture a spurious failure.
     Both run on doubles, after both sets are scaled by one power of two
     that brings the largest modulus near 1, so roots beyond 1e308 neither
-    overflow nor read inf.  Only the n matched pairs are then measured, at
-    the bits of the longest mantissa among the values, so two values that
-    agree far below 2^-53 of their moduli still show their distance.  A
-    pair passes when its distance plus the inclusion radii of its values
+    overflow nor read inf.  Only the n matched pairs are then measured,
+    exactly, in integers (``_measure``), so two values that agree far below
+    2^-53 of their moduli still show their distance; a distance is a float,
+    or an mpf rounded once to 53 bits when it is beyond the double range.
+    A pair passes when its distance plus the inclusion radii of its values
     (an ``OracleRoot``'s; 0 for any other value) is at most ``tol`` plus
     2^-52 (|x| + |y|), twice what rounding both values to doubles can
     hide: a root of modulus 1e13 printed at 64 bits is about 1e-6 from the
     true root, never within an absolute 1e-9, and passes as its double
     does; inside the unit circle the allowance is under 5e-16.  A root
     below 2^-1074 of the largest reads 0 in doubles, so a match that fails
-    is made again on the measured distances before it is reported.
+    is made again on the exact squared distances before it is reported.
+    The values are read once, as the binary mantissas and exponents of
+    their parts; no mpmath arithmetic is done.
     """
     va = _expanded_values(a)
     vb = _expanded_values(b)
@@ -661,24 +746,48 @@ def compare_root_sets(a, b, tol: float = 1e-9) -> MatchReport:
             worst_index=None,
             pairs=[],
         )
-    top = max((mp.mag(x) for x, _ in va + vb if x), default=0)
-    fa, fb = (
-        [complex(mp.ldexp(x.real, -top), mp.ldexp(x.imag, -top)) for x, _ in v]
-        for v in (va, vb)
-    )
-    bits = max([53] + [v._mpf_[3] for x, _ in va + vb for v in (x.real, x.imag)])
-    with mp.workprec(bits):
-        report = _match_report(va, vb, [[abs(x - y) for y in fb] for x in fa], tol)
-        if not report.passed:
-            dist = [[abs(x - y) for y, _ in vb] for x, _ in va]
-            report = _match_report(va, vb, dist, tol)
+    pa, pb = ([x._mpc_ for x, _ in v] for v in (va, vb))
+    parts = [part for v in pa + pb for part in v]
+    if any(not man and exp for _, man, exp, _ in parts):
+        raise ValueError("root values must be finite")
+    top = max((_mag(z) for z in pa + pb if z[0][1] or z[1][1]), default=0)
+    fa, fb = ([complex(_double(x, top), _double(y, top)) for x, y in v] for v in (pa, pb))
+    report = _match_report(va, vb, pa, pb, [[abs(x - y) for y in fb] for x in fa], tol)
+    if not report.passed:
+        low = min((exp for _, man, exp, _ in parts if man), default=0)
+        ia, ib = ([_aligned(z, low) for z in v] for v in (pa, pb))
+        dist = [[(xr - yr) ** 2 + (xi - yi) ** 2 for yr, yi in ib] for xr, xi in ia]
+        report = _match_report(va, vb, pa, pb, dist, tol)
     return report
 
 
-def _match_report(va, vb, dist, tol) -> MatchReport:
+def _mag(z) -> int:
+    """mpmath's mag of a nonzero mpc ``_mpc_`` z: |z| <= 2^mag."""
+    (_, rm, re, rb), (_, im, ie, ib) = z
+    if rm and im:
+        return 1 + max(re + rb, ie + ib)
+    return re + rb if rm else ie + ib
+
+
+def _double(part, top) -> float:
+    """The mpf part (sign, man, exp, bc) times 2^-top as a double, rounded
+    as mpmath's float() of the scaled value: mpmath's mantissas are odd, so
+    60 bits of one and a sticky 1 round to 53 bits as the whole does."""
+    sign, man, exp, bc = part
+    if bc > 60:
+        man, exp = man >> (bc - 60) | 1, exp + bc - 60
+    return math.ldexp(-man if sign else man, exp - top)
+
+
+def _aligned(z, low):
+    """The parts of an mpc ``_mpc_`` z as integers in units of 2^low."""
+    return tuple((-man if sign else man) << (exp - low) if man else 0 for sign, man, exp, _ in z)
+
+
+def _match_report(va, vb, pa, pb, dist, tol) -> MatchReport:
     """The greedy match of va to vb on the distances ``dist`` (any ordered
-    numbers), refined by swaps; each matched pair measured at mpmath's
-    precision."""
+    numbers), refined by swaps; each matched pair measured exactly from the
+    parts pa, pb of the values (``_measure``)."""
     n = len(va)
     used = [False] * n
     match = [0] * n
@@ -698,12 +807,13 @@ def _match_report(va, vb, dist, tol) -> MatchReport:
                 if max(dist[i][mj], dist[j][mi]) < max(dist[i][mi], dist[j][mj]):
                     match[i], match[j] = mj, mi
                     improved = True
+    m, k = _dyadic(tol)
     pairs, passed = [], True
-    for (x, rx), j in zip(va, match):
+    for (x, rx), z, j in zip(va, pa, match):
         y, ry = vb[j]
-        d = abs(x - y)
-        pairs.append((x, y, float(d)))
-        passed = passed and d + rx + ry <= tol + mp.ldexp(abs(x) + abs(y), -52)
+        distance, ok = _measure(z, pb[j], [_dyadic(rx), _dyadic(ry), (-m, k)])
+        pairs.append((x, y, distance))
+        passed = passed and ok
     max_distance = max((p[2] for p in pairs), default=0.0)
     worst_index = max(range(n), key=lambda i: pairs[i][2]) if n else None
     return MatchReport(
@@ -713,6 +823,68 @@ def _match_report(va, vb, dist, tol) -> MatchReport:
         worst_index=worst_index,
         pairs=pairs,
     )
+
+
+def _measure(x, y, fixed):
+    """(distance, passed) of the values with parts x and y (``_mpc_``);
+    ``fixed`` is the radii of the pair minus the tolerance, as terms m 2^k.
+
+    At the pair's lowest exponent e the parts are integers, so the squared
+    distance s, |x|^2 and |y|^2 are exact integers in units of 4^e.  The
+    distance is sqrt(s) 2^e rounded once (from an integer root of 57 bits
+    and a sticky bit).  The pair passes when
+    sqrt(s) 2^e + radii - tol <= 2^(e-52) (|x| + |y|); radii and tol are
+    floats, so dyadic, and only the three roots are not integers.  Each is
+    bracketed by integer square roots, with more bits (``_GUARD_STEPS``)
+    until the brackets decide.  A pair they leave undecided (one on the
+    boundary itself, with an irrational root) fails: rounding can only fail
+    a pair, never pass one.
+    """
+    low = min((exp for _, man, exp, _ in x + y if man), default=0)
+    xr, xi = _aligned(x, low)
+    yr, yi = _aligned(y, low)
+    s = (xr - yr) ** 2 + (xi - yi) ** 2
+    start = 57 - s.bit_length() // 2
+    distance = None
+    for g in (start + extra for extra in _GUARD_STEPS):
+        (d, d_exact), (nx, x_exact), (ny, y_exact) = (
+            _isqrt(v, g) for v in (s, xr * xr + xi * xi, yr * yr + yi * yi)
+        )
+        e = low - g
+        if distance is None:
+            try:
+                distance = math.ldexp(2 * d + (not d_exact), e - 1)
+            except OverflowError:
+                distance = mp.make_mpf(from_man_exp(2 * d + (not d_exact), e - 1, 53, round_nearest))
+        if _dyadic_sum(fixed + [(d + (not d_exact), e), (-nx - ny, e - 52)]) <= 0:
+            return distance, True
+        ceil = nx + ny + (not x_exact) + (not y_exact)
+        if _dyadic_sum(fixed + [(d, e), (-ceil, e - 52)]) > 0:
+            return distance, False
+    return distance, False
+
+
+#: Bits added to the square roots' brackets, one step per undecided verdict.
+_GUARD_STEPS = (0, 64, 512, 4096, 1 << 15)
+
+
+def _isqrt(n, g):
+    """(floor(sqrt(n 4^g)), whether sqrt(n 4^g) is that integer), g of
+    either sign: floor(sqrt(floor(n / 4^k))) = floor(sqrt(n) / 2^k)."""
+    r = math.isqrt(n << 2 * g if g >= 0 else n >> -2 * g)
+    return r, (r * r << 2 * max(-g, 0)) == n << 2 * max(g, 0)
+
+
+def _dyadic(x: float):
+    """x as (m, k), x = m 2^k."""
+    n, q = x.as_integer_ratio()
+    return n, 1 - q.bit_length()
+
+
+def _dyadic_sum(terms) -> int:
+    """The sum of the terms m 2^k, in units of the lowest 2^k (its sign)."""
+    low = min(k for _, k in terms)
+    return sum(m << (k - low) for m, k in terms)
 
 
 def check_decomposition(

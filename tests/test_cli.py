@@ -1,5 +1,6 @@
 import io
 import json
+from decimal import Decimal
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -586,6 +587,39 @@ class TestRegressions:
             assert code == EXIT_OK, err
             assert "decomposition: 2 summands of degree 3 (numeric)" in out
             assert "verification: passed" in out
+
+    def test_summand_order_is_the_same_at_every_precision(self):
+        # the two eigenvalues are real and 1.4e-12 apart, so their real
+        # parts tie at 9 digits; rounding noise in their imaginary parts
+        # once ordered them, differently at 64 and at 1200 bits
+        orders = []
+        for prec in ("64", "1200"):
+            text = "2*x1^3 + 12/1000000000000000000000000*x1*x2^2"
+            code, out, err = run(["decompose", text, "--precision", prec, "--format", "json"])
+            assert code == EXIT_OK, err
+            summands = json.loads(out)["decomposition"]["summands"]
+            orders.append([s["linear_form"][1][0] > 0 for s in summands])
+        assert orders[0] == orders[1] and sorted(orders[0]) == [False, True]
+
+    @pytest.mark.parametrize("command", ["solve", "oracle"])
+    def test_json_is_strict_beyond_the_double_range(self, command):
+        # the root 10^400, and the 2.8e380 between its 64-bit radical value
+        # and the oracle's, are beyond the doubles: each is printed as a
+        # string of its value, never as Infinity, which is not JSON
+        def refuse(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        code, out, err = run([command, "(x - 10^400)*(x-1)*(x-2)", "--format", "json"])
+        assert code == EXIT_OK, err
+        doc = json.loads(out, parse_constant=refuse)
+        big = [r for r in doc["roots"] if isinstance(r["re"], str)]
+        assert len(big) == 1 and abs(Decimal(big[0]["re"]) - Decimal("1e400")) < Decimal("1e385")
+        verification = doc["verification"]
+        assert verification["passed"]
+        if command == "solve":
+            assert Decimal("1e379") < Decimal(verification["oracle_max_distance"]) < Decimal("1e383")
+            _, text, _ = run([command, "(x - 10^400)*(x-1)*(x-2)"])
+            assert "oracle max distance 2.8188068394758653e+380" in text
 
     def test_decompose_closer_conjugate_pair_fails_the_expand_back_check(self):
         # a^2 = 2e-60: the numeric split at 96 bits does not expand back to

@@ -495,7 +495,8 @@ def _reference_compare(a, b, tol=1e-9):
                 if alt < cur:
                     match[i], match[j] = match[j], match[i]
                     improved = True
-    pairs = [(va[i], vb[match[i]], float(abs(va[i] - vb[match[i]]))) for i in range(n)]
+    with mp.workprec(3000):  # each reported distance is the exact one, rounded once
+        pairs = [(va[i], vb[match[i]], float(abs(va[i] - vb[match[i]]))) for i in range(n)]
     max_distance = max((p[2] for p in pairs), default=0.0)
     worst_index = max(range(n), key=lambda i: pairs[i][2]) if n else None
     return MatchReport(max_distance <= tol, True, max_distance, worst_index, pairs)
@@ -545,7 +546,9 @@ def _parent_aberth(coeffs, tol, prec, max_iter):
             return [-b[1] / b[0]], 0, True
         db = [(d - i) * b[i] for i in range(d)]
         abs_b = [abs(c) for c in b]
-        circle = _start_circle(coeffs)
+        circle = [
+            mpc(math.ldexp(u.real, e), math.ldexp(u.imag, e)) for u, e in _start_circle(coeffs)
+        ]
         seeds = _float_aberth(
             [complex(c / b[0]) for c in b], [complex(zk) for zk in circle]
         )
@@ -721,7 +724,7 @@ def test_ladder_seeded_by_the_circle_matches_the_parent(coeffs, monkeypatch):
         lambda *args: returned.append(float_phase(*args)) or returned[-1],
     )
     monkeypatch.setattr(
-        oracle, "_to_decimal", lambda x: seeded.append(x) or to_decimal(x)
+        oracle, "_to_decimal", lambda *args: seeded.append(args) or to_decimal(*args)
     )
     _assert_same_as_parent(coeffs)
     assert seeded and all(seeds is None for seeds in returned)
@@ -734,23 +737,24 @@ def test_mpf_decimal_round_trip(sign, exp):
 
     from centersolve.oracle import _to_decimal, _to_mpf
 
+    x = sign * math.pi
+    n, q = x.as_integer_ratio()
+    n, q = n * 2 ** max(exp, 0), q * 2 ** max(-exp, 0)  # x 2^exp = n / q
     with mp.workprec(200):
-        x = sign * mp.ldexp(mp.pi, exp)
         with localcontext() as ctx:
             ctx.prec, ctx.Emax, ctx.Emin = 8000, 10**6, -(10**6)
-            exact = _to_decimal(x)  # 200 bits * 5^10^4 has < 7,100 digits
-            n, q = sign * x.man * 2 ** max(x.exp, 0), 2 ** max(-x.exp, 0)
+            exact = _to_decimal(x, exp)  # 53 bits * 5^10^4 has < 7,100 digits
             assert exact == Decimal(n) / q
-            assert _to_mpf(exact) == x
+            assert _to_mpf(exact) == mp.ldexp(mpf(x), exp)
             ctx.prec = 30  # one rounding, to nearest
-            assert _to_decimal(x) == Decimal(n) / q
-            assert (_to_decimal(x) < 0) == (sign < 0)
+            assert _to_decimal(x, exp) == Decimal(n) / q
+            assert (_to_decimal(x, exp) < 0) == (sign < 0)
         # Decimal -> mpf rounds once, as mpmath's own string conversion does
         text = f"{'-' if sign < 0 else ''}7.123456789012345678901234567891E{exp}"
         assert _to_mpf(Decimal(text)) == mpf(text)
     with localcontext() as ctx:
         ctx.prec = 30
-        assert _to_decimal(mpf(0)) == 0
+        assert _to_decimal(0.0, 0) == 0
     assert _to_mpf(Decimal(0)) == 0 and _to_mpf(Decimal("-0")) == 0
 
 
@@ -858,7 +862,7 @@ def test_newton_polygon_seeds_roots_across_forty_decades():
     from centersolve.oracle import _start_circle
 
     coeffs = _product([(10**20, -1), (1, -(10**20)), (1, 3), (10**10, 1)])
-    moduli = sorted(float(abs(z)) for z in _start_circle(coeffs))
+    moduli = sorted(abs(u) * 2.0**e for u, e in _start_circle(coeffs))
     for modulus, root in zip(moduli, (1e-20, 1e-10, 3, 1e20)):
         assert root / 2 < modulus < 2 * root
     result = numeric_roots(cs.from_plain_coeffs(coeffs))
@@ -871,16 +875,15 @@ def test_newton_polygon_seeds_roots_across_forty_decades():
 @settings(max_examples=40, deadline=None)
 @given(coeffs=_planted_integer_polys())
 def test_every_root_lies_in_its_certified_disk(coeffs):
-    # radii of at most tol/4, disjoint disks within each square-free factor
-    # (one multiplicity), and each rational root inside exactly one disk
+    # radii of at most tol/4, pairwise disjoint disks (across square-free
+    # factors too), and each rational root inside exactly one disk
     result = numeric_roots(cs.from_plain_coeffs(coeffs))
     roots = result.roots
     assert all(0 < r.radius <= 2.5e-13 for r in roots)
     with mp.workprec(result.prec + 64):
         for i, a in enumerate(roots):
             for b in roots[i + 1 :]:
-                if a.multiplicity == b.multiplicity:
-                    assert abs(a.value - b.value) > a.radius + b.radius
+                assert abs(a.value - b.value) > a.radius + b.radius
         for root, _ in rational_roots(coeffs):
             x = mpf(root.numerator) / root.denominator
             assert sum(abs(r.value - x) <= r.radius for r in roots) == 1, root
@@ -919,3 +922,258 @@ def test_a_pair_passes_within_the_rounding_of_its_doubles():
     assert report.passed and report.max_distance == pytest.approx(1e-3, rel=1e-2)
     assert not compare_root_sets([x], [far], tol=1e-9).passed
     assert not compare_root_sets([mpc(1)], [mpc(1 + 2e-9)], tol=1e-9).passed
+
+
+def test_disks_of_different_factors_are_disjoint():
+    # (x^2 - 2)^2 (x - q), q = sqrt 2 to 55 digits: both factors certify at
+    # 48 digits with radii near 4.6e-46 and 2.3e-46 about centres 2.1e-51
+    # apart; both run again below that gap until the disks are disjoint
+    from decimal import Decimal, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = 80
+        q = F(Decimal(2).sqrt().quantize(Decimal(10) ** -54))
+    coeffs = _product([(1, 0, -2), (1, 0, -2), (1, -q)])
+    result = numeric_roots(cs.from_plain_coeffs(coeffs))
+    assert sorted(r.multiplicity for r in result.roots) == [1, 2, 2]
+    assert all(0 < r.radius <= 2.5e-13 for r in result.roots)
+    with mp.workprec(result.prec + 64):
+        for i, a in enumerate(result.roots):
+            for b in result.roots[i + 1 :]:
+                assert abs(a.value - b.value) > a.radius + b.radius
+        near = min(result.roots, key=lambda r: abs(r.value - q.numerator / mpf(q.denominator)))
+        assert near.multiplicity == 1
+        assert abs(near.value - q.numerator / mpf(q.denominator)) <= near.radius
+
+
+@pytest.mark.parametrize("tol", [1e-12, "2^-1200"])
+def test_root_order_ties_are_broken_by_proved_parts(tol):
+    # (x^2 - 10^-30)(x^2 + 10^-30): every real part rounds to 0 at 9 digits
+    # of the largest modulus (1); the imaginary part decides where the disk
+    # proves its sign, the real part where it does not (the two real
+    # roots, whose imaginary parts are rounding noise)
+    from decimal import Decimal
+
+    tol = Decimal(2) ** -1200 if tol == "2^-1200" else tol
+    coeffs = _product([(10**30, 0, -1), (10**30, 0, 1)])
+    roots = numeric_roots(cs.from_plain_coeffs(coeffs), tol=tol).roots
+    assert [round(float(r.value.imag) * 1e15) for r in roots] == [-1, 0, 0, 1]
+    assert [round(float(r.value.real) * 1e15) for r in roots] == [0, -1, 1, 0]
+
+
+# ---------------------------------------------------------------------------
+# compare_root_sets: each matched pair measured exactly, in integers
+# ---------------------------------------------------------------------------
+
+
+def _exact(m, e):
+    """The mpf m 2^e, not rounded."""
+    from mpmath.libmp import from_man_exp
+
+    return mp.make_mpf(from_man_exp(m, e))
+
+
+_reals = st.builds(
+    _exact,
+    st.integers(0, 2500).flatmap(lambda b: st.integers(-(2**b), 2**b)),
+    st.integers(-1100, 1400),
+)
+_values = st.builds(lambda x, y: mp.make_mpc((x._mpf_, y._mpf_)), _reals, _reals)
+
+
+@st.composite
+def _nearby(draw, x):
+    """A value equal to x, far from it, or x plus a value of any size."""
+    kind = draw(st.sampled_from(("same", "other", "shifted")))
+    if kind == "same":
+        return x
+    if kind == "other":
+        return draw(_values)
+    with mp.workprec(12000):  # exact: the parts span fewer than 6,100 bits
+        return x + draw(_values)
+
+
+def _fraction(x):
+    sign, man, exp, _ = x._mpf_
+    return F(-man if sign else man) * F(2) ** exp
+
+
+def _exact_verdict(x, y, radii, tol):
+    """sqrt(s) + radii <= tol + 2^-52 (sqrt(nx) + sqrt(ny)) in rationals,
+    each square root bracketed by rationals until the brackets decide; None
+    on the boundary itself with an irrational root."""
+    xr, xi, yr, yi = (_fraction(v) for v in (x.real, x.imag, y.real, y.imag))
+    squares = ((xr - yr) ** 2 + (xi - yi) ** 2, xr * xr + xi * xi, yr * yr + yi * yi)
+    rest = sum(F(r) for r in radii) - F(tol)
+    k = 64
+    while k < 1 << 15:
+        brackets = []
+        for q in squares:
+            lo = math.isqrt(q.numerator * 4**k // q.denominator)
+            brackets.append((F(lo, 2**k), F(lo + 1, 2**k)))
+        (s_lo, s_hi), (x_lo, x_hi), (y_lo, y_hi) = brackets
+        if s_hi + rest <= (x_lo + y_lo) / 2**52:
+            return True
+        if s_lo + rest > (x_hi + y_hi) / 2**52:
+            return False
+        k *= 4
+    return None
+
+
+def _ulps(got, ref):
+    """|got - ref| in units of the last place of the double nearest ref
+    (of 2^(e-52) for |ref| = m 2^e beyond the double range)."""
+    with mp.workprec(12000):
+        err = abs(mpf(got) - ref)
+        if not ref:
+            return 0 if not err else math.inf
+        unit = math.ulp(float(ref)) if mp.mag(ref) < 1024 else mp.ldexp(1, mp.mag(ref) - 53)
+        return err / unit
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    x=_values,
+    radii=st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 1e3)), min_size=2, max_size=2),
+    scale=st.one_of(st.just("edge"), st.floats(1e-300, 1e300)),
+)
+@example(data=None, x=mpc(1), radii=[0.0, 0.0], scale="edge")
+def test_each_pair_is_measured_exactly(data, x, radii, scale):
+    # exponents -1100..1400, mantissas to 2,500 bits: the distance is the
+    # exact one within an ulp, and the verdict is that of exact rationals;
+    # "edge" puts tol at the double nearest the boundary, where the verdict
+    # is closest and the brackets of the square roots must be refined
+    from centersolve.oracle import OracleRoot
+
+    y = data.draw(_nearby(x)) if data is not None else mpc(1 + 2.0**-20)
+    with mp.workprec(12000):
+        ref = abs(x - y)
+        edge = ref + sum(radii) - mp.ldexp(abs(x) + abs(y), -52)
+    tol = scale if scale != "edge" else min(max(float(edge), 1e-300), 1.7e308)
+    report = compare_root_sets([OracleRoot(x, 1, radii[0])], [OracleRoot(y, 1, radii[1])], tol)
+    assert _ulps(report.max_distance, ref) <= 1
+    # a float unless beyond the double range
+    assert isinstance(report.max_distance, float) or mp.mag(report.max_distance) > 1023
+    verdict = _exact_verdict(x, y, radii, tol)
+    if verdict is not None:
+        assert report.passed == verdict
+
+
+def test_a_pair_on_the_boundary_passes_exactly():
+    # 1 and 1 + 2^-20: distance 2^-20 = tol + 2^-52 (|x| + |y|) exactly
+    # with tol = 2^-20 - 2^-51 - 2^-72; one float below, the pair fails
+    tol = 2.0**-20 - 2.0**-51 - 2.0**-72
+    x, y = [mpc(1)], [mpc(1 + 2.0**-20)]
+    assert compare_root_sets(x, y, tol).passed
+    assert not compare_root_sets(x, y, math.nextafter(tol, 0)).passed
+
+
+@pytest.mark.parametrize("x, y", [(-6 - 3j, -3), (4 + 1j, -8 - 3j), (2 + 3j, 3 + 4j)])
+def test_verdicts_next_to_the_boundary_refine_the_brackets(x, y):
+    # small integer parts: the first brackets of the three square roots are
+    # about 2^-57 of the distance wide, wider than the gap between the
+    # boundary and the doubles next to it
+    x, y = mpc(x), mpc(y)
+    with mp.workprec(12000):
+        tol = float(abs(x - y) - mp.ldexp(abs(x) + abs(y), -52))
+    for t in (math.nextafter(tol, 0), tol, math.nextafter(tol, 4)):
+        verdict = _exact_verdict(x, y, [0.0, 0.0], t)
+        assert verdict is not None and compare_root_sets([x], [y], t).passed == verdict
+
+
+def _parent_compare(a, b, tol=1e-9):
+    """compare_root_sets before the exact measurement (test-only copy):
+    doubles from mp.mag and mp.ldexp, each matched pair measured by mpmath
+    at the longest mantissa's bits."""
+    from centersolve.oracle import MatchReport, _expanded_values
+
+    va, vb = _expanded_values(a), _expanded_values(b)
+    if len(va) != len(vb):
+        return MatchReport(False, False, float("inf"), None, [])
+    top = max((mp.mag(x) for x, _ in va + vb if x), default=0)
+    fa, fb = (
+        [complex(mp.ldexp(x.real, -top), mp.ldexp(x.imag, -top)) for x, _ in v]
+        for v in (va, vb)
+    )
+    bits = max([53] + [v._mpf_[3] for x, _ in va + vb for v in (x.real, x.imag)])
+
+    def report(dist):
+        n = len(va)
+        used, match = [False] * n, [0] * n
+        for i in range(n):
+            best = None
+            for j in range(n):
+                if not used[j] and (best is None or dist[i][j] < dist[i][best]):
+                    best = j
+            match[i] = best
+            used[best] = True
+        improved = True
+        while improved:
+            improved = False
+            for i in range(n):
+                for j in range(i + 1, n):
+                    mi, mj = match[i], match[j]
+                    if max(dist[i][mj], dist[j][mi]) < max(dist[i][mi], dist[j][mj]):
+                        match[i], match[j] = mj, mi
+                        improved = True
+        pairs, passed = [], True
+        for (x, rx), j in zip(va, match):
+            y, ry = vb[j]
+            d = abs(x - y)
+            pairs.append((x, y, float(d)))
+            passed = passed and d + rx + ry <= tol + mp.ldexp(abs(x) + abs(y), -52)
+        worst = max(range(n), key=lambda i: pairs[i][2]) if n else None
+        return MatchReport(passed, True, max((p[2] for p in pairs), default=0.0), worst, pairs)
+
+    with mp.workprec(bits):
+        out = report([[abs(x - y) for y in fb] for x in fa])
+        if not out.passed:
+            out = report([[abs(x - y) for y, _ in vb] for x, _ in va])
+    return out
+
+
+@st.composite
+def _root_sets(draw):
+    """(a, b): b is a shuffled, perturbed copy of a as OracleRoots with
+    multiplicities and radii; a may hold one value far above the others,
+    so that they fall below 2^-1074 of it."""
+    from centersolve.oracle import OracleRoot
+
+    base = draw(st.lists(_values, min_size=1, max_size=5))
+    if draw(st.booleans()):
+        base.append(mpc(mpf(10) ** draw(st.integers(330, 420))))
+    mults = [draw(st.integers(1, 3)) for _ in base]
+    roots = []
+    for x, m in zip(base, mults):
+        y = draw(st.one_of(st.just(x), _nearby(x)))
+        roots.append(OracleRoot(y, m, draw(st.sampled_from((0.0, 1e-20, 1e-10)))))
+    order = draw(st.permutations(range(len(roots))))
+    a = [x for x, m in zip(base, mults) for _ in range(m)]
+    return a, [roots[k] for k in order]
+
+
+@settings(max_examples=150, deadline=None)
+@given(sets=_root_sets(), tol=st.sampled_from((1e-9, 1e-3, 1.0)))
+def test_root_sets_report_as_the_parent(sets, tol):
+    # the same verdict as the mpmath measurement and, where the match found
+    # in doubles passes, the same pairs; the parent rounds each distance
+    # twice at the values' precision (at least 53 bits), so the distances
+    # agree within 2 ulps (the parent read inf beyond 1.8e308).  A failed match is made again on distances that
+    # are exact here and rounded there, so near-ties may pair differently:
+    # there each value of b is used as often as it occurs.
+    a, b = sets
+    new, old = compare_root_sets(a, b, tol), _parent_compare(a, b, tol)
+    assert (new.passed, new.structural_ok) == (old.passed, old.structural_ok)
+    with mp.workprec(12000):
+        for x, y, got in new.pairs:
+            assert _ulps(got, abs(x - y)) <= 1
+        if old.passed:
+            assert [(x, y) for x, y, _ in new.pairs] == [(x, y) for x, y, _ in old.pairs]
+            for (x, y, got), (_, _, was) in zip(new.pairs, old.pairs):
+                # beyond the double range the parent read inf
+                assert _ulps(was, abs(x - y)) <= 2 or math.isinf(was) and mp.mag(got) > 1023
+    assert sorted(map(str, (y for _, y, _ in new.pairs))) == sorted(
+        map(str, (y for _, y, _ in old.pairs))
+    )
+    assert new.pairs[new.worst_index][2] == new.max_distance
