@@ -57,6 +57,17 @@ class _UsageError(Exception):
     pass
 
 
+def _bits(text: str) -> int:
+    """A --precision value: a positive number of bits."""
+    try:
+        bits = int(text)
+    except ValueError:
+        bits = 0
+    if bits < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return bits
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
@@ -93,7 +104,7 @@ def build_parser() -> _ArgumentParser:
         if name in ("solve", "decompose", "oracle"):
             cmd.add_argument(
                 "--precision",
-                type=int,
+                type=_bits,
                 default=DEFAULT_PREC,
                 metavar="N",
                 help="numeric precision in bits (default: 64)",

@@ -50,6 +50,11 @@ from .scalars import DEFAULT_PREC, clear_denominators, to_mpc
 
 _RETRY_SEED = 0x5EED
 
+#: Relative tolerance of a numeric split: a summand whose coefficient is at
+#: most this part of the largest is dropped, and the power sum must expand
+#: back to the form within it (``check_decomposition``).
+_CHECK_TOL = 1e-9
+
 
 def _first_primes(k: int):
     primes = []
@@ -171,11 +176,7 @@ def _eigen_pair(g, eigenvalues, i, is_zero, exact):
     return w, Fraction(prod(li - lj for lj in others)) if exact else 1, row
 
 
-def diagonalize_form(
-    f: NAryForm,
-    prec: int = DEFAULT_PREC,
-    tol: float = 1e-9,
-) -> DiagonalDecomposition:
+def diagonalize_form(f: NAryForm, prec: int = DEFAULT_PREC) -> DiagonalDecomposition:
     """Write f as a sum of d-th powers of n independent linear forms.
 
     The center must be commutative of dimension n, with a generic element
@@ -219,10 +220,10 @@ def diagonalize_form(
                 g,
                 eigenvalues,
                 lambda x: abs(x) < eps,
-                cut=tol,
+                cut=_CHECK_TOL,
                 exact=False,
             )
-    if not check_decomposition(f, result.as_power_sum, tol=tol):
+    if not check_decomposition(f, result.as_power_sum, tol=_CHECK_TOL):
         raise NotDiagonalizableError("the power sum does not expand back to the form")
     return result
 

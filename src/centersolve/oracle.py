@@ -42,6 +42,9 @@ prime and lifted p-adically by Newton steps until the modulus exceeds
 twice Fujiwara's root bound (Loos, SIAM J. Comput. 12, 1983; von zur Gathen
 and Gerhard, Modern Computer Algebra, ch. 15).  Each is kept only if it is
 an exact root, so no float, precision or tolerance decides the answer.
+
+Two root multisets are compared (``compare_root_sets``) on the exact
+squared distances of their values, all aligned at one binary exponent.
 """
 
 from __future__ import annotations
@@ -84,6 +87,9 @@ _STALL = 8
 #: Digits of the first decimal level; each level has three times as many.
 _LADDER_START = 48
 
+#: Aberth rounds a factor may take over all its decimal levels.
+_MAX_ROUNDS = 500
+
 _LOG2_10 = math.log2(10)
 
 
@@ -104,8 +110,8 @@ class OracleRootSet:
 
     @cached_property
     def max_residual(self) -> float:
-        """Scaled residual max |f(z)| / (max|b| * max(1,|z|)^d) against the
-        input at ``prec``, computed on first read."""
+        """Scaled residual max |f(z)| / sum |b_i| |z|^(d-i) against the
+        input at ``prec``, computed on first read (``_scaled_residual``)."""
         return _scaled_residual(self.equation.plain, self.roots, self.prec)
 
     def values_with_multiplicity(self):
@@ -124,16 +130,17 @@ def _horner(coeffs, z):
 
 
 def _scaled_residual(plain, roots, prec) -> float:
-    d = len(plain) - 1
+    """max |f(z)| / H(|z|) over the roots z, H the Horner bound
+    sum |b_i| |z|^(d-i); 0 where H is 0, since f(z) is then exactly 0."""
     with mp.workprec(prec):
         b = [to_mpc(c, prec) for c in plain]
-        scale = max(abs(c) for c in b)
-        return float(
-            max(
-                abs(_horner(b, r.value)) / (scale * max(mpf(1), abs(r.value)) ** d)
-                for r in roots
-            )
-        )
+        abs_b = [abs(c) for c in b]
+        worst = mpf(0)
+        for r in roots:
+            bound = _horner(abs_b, abs(r.value))
+            if bound:
+                worst = max(worst, abs(_horner(b, r.value)) / bound)
+        return float(worst)
 
 
 def _start_circle(coeffs) -> list:
@@ -234,14 +241,13 @@ def numeric_roots(
     eq: UnivariateEquation,
     tol: float = 1e-12,
     prec: int = DEFAULT_PREC,
-    max_iter: int = 500,
 ) -> OracleRootSet:
     """All complex roots of a rational equation by Aberth-Ehrlich iteration,
     each proved to lie within its ``radius`` <= tol/4 of its value, the
     disks of all roots pairwise disjoint.
 
     Each square-free factor climbs the decimal ladder until its iterates
-    certify, in at most ``max_iter`` rounds and up to the digits where
+    certify, in at most ``_MAX_ROUNDS`` rounds and up to the digits where
     converged iterates must certify; ``iterations`` sums the rounds.  A
     factor whose disks are not proved disjoint from another factor's runs
     again (``_separate``).  The values carry at least ``prec`` bits, more
@@ -261,8 +267,8 @@ def numeric_roots(
     if not tol > 0:
         raise ValueError("tol must be positive")
     factors = _squarefree(clear_denominators(eq.plain)[0])
-    runs = [_aberth(g, tol, max_iter) for g, _ in factors]
-    iterations = _separate(factors, runs, tol, max_iter)
+    runs = [_aberth(g, tol) for g, _ in factors]
+    iterations = _separate(factors, runs, tol)
     digits = [run[4] for run in runs]
     bits = max(prec, *(math.ceil(level * _LOG2_10) for level in digits))
     found = [
@@ -299,7 +305,7 @@ def _root_order(found):
     return key
 
 
-def _separate(factors, runs, tol, max_iter) -> int:
+def _separate(factors, runs, tol) -> int:
     """Run again every factor with a disk not proved disjoint from a disk of
     another factor, until no such disk is left; the rounds of the runs
     replaced.
@@ -328,7 +334,7 @@ def _separate(factors, runs, tol, max_iter) -> int:
         for k, t in lower.items():
             tols[k] = t
             spent += runs[k][3]
-            runs[k] = _aberth(factors[k][0], t, max_iter)
+            runs[k] = _aberth(factors[k][0], t)
     return spent
 
 
@@ -356,7 +362,7 @@ def _overlap_tol(a, b):
     return found
 
 
-def _aberth(coeffs, tol, max_iter):
+def _aberth(coeffs, tol):
     """(zr, zi, radii, rounds, digits) of one integer polynomial: its
     iterates as pairs of Decimals, their inclusion radii as floats (None
     without a certificate), the Aberth rounds and the digits of the last
@@ -385,7 +391,7 @@ def _aberth(coeffs, tol, max_iter):
         else:
             zr = [Decimal(zk.real) + offset for zk in seeds]
             zi = [+Decimal(zk.imag) for zk in seeds]
-        return _decimal_ladder(coeffs, zr, zi, tol, max_iter)
+        return _decimal_ladder(coeffs, zr, zi, tol)
 
 
 def _frame(g):
@@ -439,7 +445,7 @@ def _to_mpf(x: Decimal):
     return mp.make_mpf(from_rational(*x.as_integer_ratio(), mp.prec, round_nearest))
 
 
-def _decimal_ladder(coeffs, zr, zi, tol, max_iter):
+def _decimal_ladder(coeffs, zr, zi, tol):
     """(zr, zi, radii, rounds, digits): Aberth-Ehrlich on the decimal ladder
     from z = zr + i zi until the iterates certify.
 
@@ -452,7 +458,7 @@ def _decimal_ladder(coeffs, zr, zi, tol, max_iter):
     floor falling by a decade; iterates not judged yet are judged then.
     A level that does not certify hands them to one with three times the
     digits, up to ``_digit_limit``; that last level has no stall rule, and
-    its verdict is final.  The levels share ``max_iter`` rounds.
+    its verdict is final.  The levels share ``_MAX_ROUNDS`` rounds.
     """
     rounds, digits = 0, _LADDER_START
     limit = _digit_limit(coeffs, tol)
@@ -463,7 +469,7 @@ def _decimal_ladder(coeffs, zr, zi, tol, max_iter):
             abs_b = [abs(c) for c in b]
             eps = Decimal(1).scaleb(1 - digits)
             best, stalled, tried = math.inf, 0, False
-            while rounds < max_iter and (stalled < _STALL or digits >= limit):
+            while rounds < _MAX_ROUNDS and (stalled < _STALL or digits >= limit):
                 rounds += 1
                 max_step, excess = _decimal_round(b, abs_b, zr, zi, eps)
                 cube = max_step**3
@@ -480,7 +486,7 @@ def _decimal_ladder(coeffs, zr, zi, tol, max_iter):
                     stalled += 1
             if not tried:
                 radii = _inclusion_radii(coeffs[0], b, abs_b, zr, zi, eps, tol)
-            if radii is not None or rounds >= max_iter or digits >= limit:
+            if radii is not None or rounds >= _MAX_ROUNDS or digits >= limit:
                 return zr, zi, radii, rounds, digits
             digits = min(3 * digits, limit)
 
@@ -717,24 +723,22 @@ def compare_root_sets(a, b, tol: float = 1e-9) -> MatchReport:
     """Match two root multisets greedily and report the worst pair distance.
 
     A cardinality mismatch is a structural failure, reported rather than
-    raised.  The greedy nearest-neighbor matching is followed by a swap
-    refinement pass so near-ties cannot manufacture a spurious failure.
-    Both run on doubles, after both sets are scaled by one power of two
-    that brings the largest modulus near 1, so roots beyond 1e308 neither
-    overflow nor read inf.  Only the n matched pairs are then measured,
-    exactly, in integers (``_measure``), so two values that agree far below
-    2^-53 of their moduli still show their distance; a distance is a float,
-    or an mpf rounded once to 53 bits when it is beyond the double range.
-    A pair passes when its distance plus the inclusion radii of its values
-    (an ``OracleRoot``'s; 0 for any other value) is at most ``tol`` plus
-    2^-52 (|x| + |y|), twice what rounding both values to doubles can
-    hide: a root of modulus 1e13 printed at 64 bits is about 1e-6 from the
-    true root, never within an absolute 1e-9, and passes as its double
-    does; inside the unit circle the allowance is under 5e-16.  A root
-    below 2^-1074 of the largest reads 0 in doubles, so a match that fails
-    is made again on the exact squared distances before it is reported.
-    The values are read once, as the binary mantissas and exponents of
-    their parts; no mpmath arithmetic is done.
+    raised.  The values are read once, as the binary mantissas and
+    exponents of their parts, and aligned at the lowest exponent of both
+    sets, so every squared distance is an exact integer: no value overflows
+    or reads 0 beside a much larger one, and no mpmath arithmetic is done.
+    The greedy nearest-neighbor matching on those squared distances is
+    followed by a swap refinement pass so near-ties cannot manufacture a
+    spurious failure.  Each matched pair's distance is its exact one,
+    rounded once to a float (to an mpf of 53 bits beyond the double range),
+    so two values that agree far below 2^-53 of their moduli still show
+    their distance.  A pair passes when its distance plus the inclusion
+    radii of its values (an ``OracleRoot``'s; 0 for any other value) is at
+    most ``tol`` plus 2^-52 (|x| + |y|), twice what rounding both values to
+    doubles can hide: a root of modulus 1e13 printed at 64 bits is about
+    1e-6 from the true root, never within an absolute 1e-9, and passes as
+    its double does; inside the unit circle the allowance is under 5e-16.
+    That inequality is decided exactly (``_measure``).
     """
     va = _expanded_values(a)
     vb = _expanded_values(b)
@@ -746,48 +750,12 @@ def compare_root_sets(a, b, tol: float = 1e-9) -> MatchReport:
             worst_index=None,
             pairs=[],
         )
-    pa, pb = ([x._mpc_ for x, _ in v] for v in (va, vb))
-    parts = [part for v in pa + pb for part in v]
+    parts = [part for x, _ in va + vb for part in x._mpc_]
     if any(not man and exp for _, man, exp, _ in parts):
         raise ValueError("root values must be finite")
-    top = max((_mag(z) for z in pa + pb if z[0][1] or z[1][1]), default=0)
-    fa, fb = ([complex(_double(x, top), _double(y, top)) for x, y in v] for v in (pa, pb))
-    report = _match_report(va, vb, pa, pb, [[abs(x - y) for y in fb] for x in fa], tol)
-    if not report.passed:
-        low = min((exp for _, man, exp, _ in parts if man), default=0)
-        ia, ib = ([_aligned(z, low) for z in v] for v in (pa, pb))
-        dist = [[(xr - yr) ** 2 + (xi - yi) ** 2 for yr, yi in ib] for xr, xi in ia]
-        report = _match_report(va, vb, pa, pb, dist, tol)
-    return report
-
-
-def _mag(z) -> int:
-    """mpmath's mag of a nonzero mpc ``_mpc_`` z: |z| <= 2^mag."""
-    (_, rm, re, rb), (_, im, ie, ib) = z
-    if rm and im:
-        return 1 + max(re + rb, ie + ib)
-    return re + rb if rm else ie + ib
-
-
-def _double(part, top) -> float:
-    """The mpf part (sign, man, exp, bc) times 2^-top as a double, rounded
-    as mpmath's float() of the scaled value: mpmath's mantissas are odd, so
-    60 bits of one and a sticky 1 round to 53 bits as the whole does."""
-    sign, man, exp, bc = part
-    if bc > 60:
-        man, exp = man >> (bc - 60) | 1, exp + bc - 60
-    return math.ldexp(-man if sign else man, exp - top)
-
-
-def _aligned(z, low):
-    """The parts of an mpc ``_mpc_`` z as integers in units of 2^low."""
-    return tuple((-man if sign else man) << (exp - low) if man else 0 for sign, man, exp, _ in z)
-
-
-def _match_report(va, vb, pa, pb, dist, tol) -> MatchReport:
-    """The greedy match of va to vb on the distances ``dist`` (any ordered
-    numbers), refined by swaps; each matched pair measured exactly from the
-    parts pa, pb of the values (``_measure``)."""
+    low = min((exp for _, man, exp, _ in parts if man), default=0)
+    ia, ib = ([_aligned(x._mpc_, low) for x, _ in v] for v in (va, vb))
+    dist = [[(xr - yr) ** 2 + (xi - yi) ** 2 for yr, yi in ib] for xr, xi in ia]
     n = len(va)
     used = [False] * n
     match = [0] * n
@@ -809,9 +777,11 @@ def _match_report(va, vb, pa, pb, dist, tol) -> MatchReport:
                     improved = True
     m, k = _dyadic(tol)
     pairs, passed = [], True
-    for (x, rx), z, j in zip(va, pa, match):
-        y, ry = vb[j]
-        distance, ok = _measure(z, pb[j], [_dyadic(rx), _dyadic(ry), (-m, k)])
+    for i, j in enumerate(match):
+        (x, rx), (y, ry) = va[i], vb[j]
+        (xr, xi), (yr, yi) = ia[i], ib[j]
+        fixed = [_dyadic(rx), _dyadic(ry), (-m, k)]
+        distance, ok = _measure(dist[i][j], xr * xr + xi * xi, yr * yr + yi * yi, low, fixed)
         pairs.append((x, y, distance))
         passed = passed and ok
     max_distance = max((p[2] for p in pairs), default=0.0)
@@ -825,40 +795,39 @@ def _match_report(va, vb, pa, pb, dist, tol) -> MatchReport:
     )
 
 
-def _measure(x, y, fixed):
-    """(distance, passed) of the values with parts x and y (``_mpc_``);
-    ``fixed`` is the radii of the pair minus the tolerance, as terms m 2^k.
+def _aligned(z, low):
+    """The parts of an mpc ``_mpc_`` z as integers in units of 2^low."""
+    return tuple((-man if sign else man) << (exp - low) if man else 0 for sign, man, exp, _ in z)
 
-    At the pair's lowest exponent e the parts are integers, so the squared
-    distance s, |x|^2 and |y|^2 are exact integers in units of 4^e.  The
-    distance is sqrt(s) 2^e rounded once (from an integer root of 57 bits
-    and a sticky bit).  The pair passes when
-    sqrt(s) 2^e + radii - tol <= 2^(e-52) (|x| + |y|); radii and tol are
+
+def _measure(s, nx, ny, low, fixed):
+    """(distance, passed) of a pair of values x, y whose parts are integers
+    in units of 2^low: s = |x - y|^2, nx = |x|^2 and ny = |y|^2 exactly, in
+    units of 4^low; ``fixed`` is the radii of the pair minus the tolerance,
+    as terms m 2^k.
+
+    The distance is sqrt(s) 2^low rounded once (from an integer root of 57
+    bits and a sticky bit).  The pair passes when
+    sqrt(s) 2^low + radii - tol <= 2^(low-52) (|x| + |y|); radii and tol are
     floats, so dyadic, and only the three roots are not integers.  Each is
     bracketed by integer square roots, with more bits (``_GUARD_STEPS``)
     until the brackets decide.  A pair they leave undecided (one on the
     boundary itself, with an irrational root) fails: rounding can only fail
     a pair, never pass one.
     """
-    low = min((exp for _, man, exp, _ in x + y if man), default=0)
-    xr, xi = _aligned(x, low)
-    yr, yi = _aligned(y, low)
-    s = (xr - yr) ** 2 + (xi - yi) ** 2
     start = 57 - s.bit_length() // 2
     distance = None
     for g in (start + extra for extra in _GUARD_STEPS):
-        (d, d_exact), (nx, x_exact), (ny, y_exact) = (
-            _isqrt(v, g) for v in (s, xr * xr + xi * xi, yr * yr + yi * yi)
-        )
+        (d, d_exact), (rx, x_exact), (ry, y_exact) = (_isqrt(v, g) for v in (s, nx, ny))
         e = low - g
         if distance is None:
             try:
                 distance = math.ldexp(2 * d + (not d_exact), e - 1)
             except OverflowError:
                 distance = mp.make_mpf(from_man_exp(2 * d + (not d_exact), e - 1, 53, round_nearest))
-        if _dyadic_sum(fixed + [(d + (not d_exact), e), (-nx - ny, e - 52)]) <= 0:
+        if _dyadic_sum(fixed + [(d + (not d_exact), e), (-rx - ry, e - 52)]) <= 0:
             return distance, True
-        ceil = nx + ny + (not x_exact) + (not y_exact)
+        ceil = rx + ry + (not x_exact) + (not y_exact)
         if _dyadic_sum(fixed + [(d, e), (-ceil, e - 52)]) > 0:
             return distance, False
     return distance, False

@@ -21,7 +21,8 @@ completing the cube when no root is rational), split into two quadratics.
 
 Every route builds each root once as a radical expression tree over Q; the
 tree's text is the printed ``expr`` and its value at a precision is the
-root, so precision escalation only evaluates the trees.
+root, so precision escalation only evaluates the trees, until each |f(x)|
+is at most 1e-10 times its Horner bound sum |b_i| |x|^(d-i).
 """
 
 from __future__ import annotations
@@ -287,15 +288,19 @@ _MAX_ESCALATIONS = 6
 
 
 def max_scaled_residual(root_set: "RootSet", prec: int) -> float:
-    """max over roots of |f(x)| / (max|b_i| * max(1, |x|)^d)."""
+    """max over roots of |f(x)| / H(|x|), H(r) = sum |b_i| r^(d-i) the
+    Horner bound; 0 where H is 0, since f(x) is then exactly 0 (x = 0 and
+    b_d = 0)."""
     eq = root_set.equation
     with mp.workprec(prec):
-        scale = max(abs(to_mpc(b, prec)) for b in eq.plain)
+        abs_b = [abs(to_mpc(b, prec)) for b in eq.plain]
         worst = 0.0
         for r in root_set.roots:
-            res = abs(eq.evaluate(r.value, prec))
-            bound = scale * max(mp.mpf(1), abs(r.value)) ** eq.degree
-            worst = max(worst, float(res / bound))
+            bound, size = 0, abs(r.value)
+            for c in abs_b:
+                bound = bound * size + c
+            if bound:
+                worst = max(worst, float(abs(eq.evaluate(r.value, prec)) / bound))
     return worst
 
 

@@ -199,6 +199,28 @@ class TestSolve:
         assert code == EXIT_OK, err
         assert json.loads(out)["verification"]["passed"]
 
+    def test_roots_that_tie_in_doubles_are_matched_exactly(self):
+        # the radical roots near 10^20 and 10^20 + 1 are the same double;
+        # matched in doubles they crossed, and the pair 1.0 apart passed
+        # within 2^-52 (|x| + |y|); matched exactly, each is next to its own
+        text = "(x - 10^20)*(x - 10^20 - 1)*(x-3)"
+        code, out, err = run(["solve", "--precision", "192", text, "--format", "json"])
+        assert code == EXIT_OK, err
+        verification = json.loads(out)["verification"]
+        assert verification["passed"] and verification["oracle_max_distance"] < 1e-9
+
+    def test_the_residual_contract_holds_next_to_large_roots(self):
+        # over max|b_i| max(1, |x|)^d ~ 1e76, the residual of the 64-bit
+        # root 1.03e12 in place of 3 read 3.2e-25; over the Horner bound
+        # sum |b_i| |x|^(d-i) ~ 1e52 it fails the contract, and the roots
+        # are evaluated again at 128 bits
+        text = "(x - 10^20)*(x - 10^20 - 1)*(x-3)"
+        code, out, err = run(["solve", "--no-verify", text, "--format", "json"])
+        assert code == EXIT_OK, err
+        doc = json.loads(out)
+        assert min(abs(complex(r["re"], r["im"]) - 3) for r in doc["roots"]) < 1e-9
+        assert doc["verification"]["max_residual"] <= 1e-9
+
     def test_stdin(self, monkeypatch):
         code, out, _ = run(
             ["solve", "-", "--format", "json"],
@@ -425,6 +447,24 @@ class TestExitCodes:
         code, _, err = run(argv)
         assert code == EXIT_USAGE
         assert "unrecognized arguments" in err
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "x^3 - 2", "--precision", "-64"],
+            ["solve", "x^3 - 2", "--precision", "0"],
+            ["decompose", "x^3 + y^3", "--precision", "-1"],
+            ["oracle", "x^3 - 2", "--precision", "0"],
+        ],
+        ids=lambda argv: argv[0] + argv[-1],
+    )
+    def test_precision_below_one_bit_is_a_usage_error(self, argv):
+        # solve once measured its residual at 0 bits for --precision -64,
+        # read 0.5, printed passed: false and exited 0
+        code, out, err = run(argv)
+        assert code == EXIT_USAGE and out == ""
+        assert "--precision: expected a positive integer" in err
 
 
 class TestBatch:

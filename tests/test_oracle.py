@@ -125,14 +125,17 @@ class TestNumericRoots:
             assert abs(mp.fsum(roots)) < 1e-30 * abs(roots[0])
             assert abs(mp.fprod(roots) / c + 1) < 1e-30
 
-    def test_nonconvergence_message_prints_a_short_residual(self):
+    def test_nonconvergence_message_prints_a_short_residual(self, monkeypatch):
         # (x+2)^64 + 3(x-1)^64: no level certifies after one round
+        from centersolve import oracle
+
+        monkeypatch.setattr(oracle, "_MAX_ROUNDS", 1)
         d = 64
         eq = cs.from_plain_coeffs(
             [math.comb(d, i) * (2**i + 3 * (-1) ** i) for i in range(d + 1)]
         )
         with pytest.raises(NonConvergenceError) as info:
-            numeric_roots(eq, max_iter=1)
+            numeric_roots(eq)
         message = str(info.value)
         match = re.fullmatch(
             r"no convergence after 1 iterations \(residual (\S+)\)", message
@@ -144,7 +147,8 @@ class TestNumericRoots:
 
     def test_the_residual_is_measured_when_first_read(self, monkeypatch):
         # numeric_roots does not measure it; the first read measures it once,
-        # against the input at the final precision
+        # against the input at the final precision, over the Horner bound
+        # sum |b_i| |z|^(d-i)
         from centersolve import oracle
         from centersolve.scalars import to_mpc
 
@@ -171,7 +175,9 @@ class TestNumericRoots:
                 acc = mpc(0)
                 for c in b:
                     acc = acc * r.value + c
-                bound = max(abs(c) for c in b) * max(mpf(1), abs(r.value)) ** d
+                bound = mpf(0)
+                for c in b:
+                    bound = bound * abs(r.value) + abs(c)
                 worst = max(worst, abs(acc) / bound)
         assert result.max_residual == float(worst)
         assert result.max_residual == float(worst)
@@ -652,11 +658,11 @@ def _planted_integer_polys(draw):
     return coeffs if len(coeffs) <= 25 else _product(factors[:2])
 
 
-def _certified(g, tol=1e-12, max_iter=500):
+def _certified(g, tol=1e-12):
     """(mpc values, radii, rounds, digits) of ``oracle._aberth`` on g."""
     from centersolve.oracle import _aberth, _to_mpf
 
-    zr, zi, radii, rounds, digits = _aberth(g, tol, max_iter)
+    zr, zi, radii, rounds, digits = _aberth(g, tol)
     with mp.workprec(math.ceil(digits * math.log2(10))):
         values = [mpc(_to_mpf(x), _to_mpf(y)) for x, y in zip(zr, zi)]
     return values, radii, rounds, digits
@@ -783,10 +789,10 @@ def test_the_multiprecision_rounds_decide(monkeypatch):
     assert all(0 < r.radius <= 2.5e-13 for r in result.roots)
 
     # refused, a factor climbs to its last level and no further, well
-    # inside the default max_iter: (x+2)^20 + 3(x-1)^20 stops at 568 digits
+    # inside _MAX_ROUNDS: (x+2)^20 + 3(x-1)^20 stops at 568 digits
     monkeypatch.setattr(oracle, "_inclusion_radii", lambda *args: None)
     g = [math.comb(20, i) * (2**i + 3 * (-1) ** i) for i in range(21)]
-    _, _, radii, rounds, digits = oracle._aberth(g, 1e-12, 500)
+    _, _, radii, rounds, digits = oracle._aberth(g, 1e-12)
     assert radii is None and rounds < 50
     assert digits == oracle._digit_limit(g, 1e-12) == 568
     with pytest.raises(NonConvergenceError):
@@ -901,9 +907,9 @@ def test_a_pair_passes_only_with_its_radius():
 
 
 def test_roots_beyond_the_double_range_are_matched():
-    # 10^400 overflows a double; beside it, 1 and 2 fall below 2^-1074 of
-    # the largest modulus and read 0 in the scaled doubles, so the failed
-    # match is made again on the measured distances
+    # 10^400 overflows a double, and 1 and 2 are below 2^-1074 of it; the
+    # match is made on the exact squared distances, which neither overflow
+    # nor read 0
     big = mpf(10) ** 400
     a, b = [mpc(big), mpc(1), mpc(2)], [mpc(2) + 1e-12, mpc(1), mpc(big)]
     report = compare_root_sets(a, b)
@@ -1082,10 +1088,44 @@ def test_verdicts_next_to_the_boundary_refine_the_brackets(x, y):
         assert verdict is not None and compare_root_sets([x], [y], t).passed == verdict
 
 
+def _greedy_report(va, vb, dist, tol):
+    """The greedy match of va to vb on ``dist``, refined by swaps, each
+    matched pair measured by mpmath at its precision (test-only copy)."""
+    from centersolve.oracle import MatchReport
+
+    n = len(va)
+    used, match = [False] * n, [0] * n
+    for i in range(n):
+        best = None
+        for j in range(n):
+            if not used[j] and (best is None or dist[i][j] < dist[i][best]):
+                best = j
+        match[i] = best
+        used[best] = True
+    improved = True
+    while improved:
+        improved = False
+        for i in range(n):
+            for j in range(i + 1, n):
+                mi, mj = match[i], match[j]
+                if max(dist[i][mj], dist[j][mi]) < max(dist[i][mi], dist[j][mj]):
+                    match[i], match[j] = mj, mi
+                    improved = True
+    pairs, passed = [], True
+    for (x, rx), j in zip(va, match):
+        y, ry = vb[j]
+        d = abs(x - y)
+        pairs.append((x, y, float(d)))
+        passed = passed and d + rx + ry <= tol + mp.ldexp(abs(x) + abs(y), -52)
+    worst = max(range(n), key=lambda i: pairs[i][2]) if n else None
+    return MatchReport(passed, True, max((p[2] for p in pairs), default=0.0), worst, pairs)
+
+
 def _parent_compare(a, b, tol=1e-9):
     """compare_root_sets before the exact measurement (test-only copy):
     doubles from mp.mag and mp.ldexp, each matched pair measured by mpmath
-    at the longest mantissa's bits."""
+    at the longest mantissa's bits; a failed match made again on the
+    distances at those bits."""
     from centersolve.oracle import MatchReport, _expanded_values
 
     va, vb = _expanded_values(a), _expanded_values(b)
@@ -1097,40 +1137,23 @@ def _parent_compare(a, b, tol=1e-9):
         for v in (va, vb)
     )
     bits = max([53] + [v._mpf_[3] for x, _ in va + vb for v in (x.real, x.imag)])
-
-    def report(dist):
-        n = len(va)
-        used, match = [False] * n, [0] * n
-        for i in range(n):
-            best = None
-            for j in range(n):
-                if not used[j] and (best is None or dist[i][j] < dist[i][best]):
-                    best = j
-            match[i] = best
-            used[best] = True
-        improved = True
-        while improved:
-            improved = False
-            for i in range(n):
-                for j in range(i + 1, n):
-                    mi, mj = match[i], match[j]
-                    if max(dist[i][mj], dist[j][mi]) < max(dist[i][mi], dist[j][mj]):
-                        match[i], match[j] = mj, mi
-                        improved = True
-        pairs, passed = [], True
-        for (x, rx), j in zip(va, match):
-            y, ry = vb[j]
-            d = abs(x - y)
-            pairs.append((x, y, float(d)))
-            passed = passed and d + rx + ry <= tol + mp.ldexp(abs(x) + abs(y), -52)
-        worst = max(range(n), key=lambda i: pairs[i][2]) if n else None
-        return MatchReport(passed, True, max((p[2] for p in pairs), default=0.0), worst, pairs)
-
     with mp.workprec(bits):
-        out = report([[abs(x - y) for y in fb] for x in fa])
+        out = _greedy_report(va, vb, [[abs(x - y) for y in fb] for x in fa], tol)
         if not out.passed:
-            out = report([[abs(x - y) for y, _ in vb] for x, _ in va])
+            out = _greedy_report(va, vb, [[abs(x - y) for y, _ in vb] for x, _ in va], tol)
     return out
+
+
+def _exact_match(a, b, tol=1e-9):
+    """The same greedy match and swaps on the squared distances in
+    rationals (test-only reference)."""
+    from centersolve.oracle import _expanded_values
+
+    va, vb = _expanded_values(a), _expanded_values(b)
+    fa, fb = ([(_fraction(x.real), _fraction(x.imag)) for x, _ in v] for v in (va, vb))
+    dist = [[(xr - yr) ** 2 + (xi - yi) ** 2 for yr, yi in fb] for xr, xi in fa]
+    with mp.workprec(12000):
+        return _greedy_report(va, vb, dist, tol)
 
 
 @st.composite
@@ -1156,24 +1179,33 @@ def _root_sets(draw):
 @settings(max_examples=150, deadline=None)
 @given(sets=_root_sets(), tol=st.sampled_from((1e-9, 1e-3, 1.0)))
 def test_root_sets_report_as_the_parent(sets, tol):
-    # the same verdict as the mpmath measurement and, where the match found
-    # in doubles passes, the same pairs; the parent rounds each distance
-    # twice at the values' precision (at least 53 bits), so the distances
-    # agree within 2 ulps (the parent read inf beyond 1.8e308).  A failed match is made again on distances that
-    # are exact here and rounded there, so near-ties may pair differently:
-    # there each value of b is used as often as it occurs.
+    # the same verdict as the parent's mpmath measurement, and the pairs of
+    # the match on the exact squared distances, in rationals: the parent's
+    # match in doubles crossed values that tie there, and its rounded
+    # distances may pair near-ties differently, so only the multiset of
+    # the values of b it matched is the same
     a, b = sets
     new, old = compare_root_sets(a, b, tol), _parent_compare(a, b, tol)
     assert (new.passed, new.structural_ok) == (old.passed, old.structural_ok)
     with mp.workprec(12000):
         for x, y, got in new.pairs:
             assert _ulps(got, abs(x - y)) <= 1
-        if old.passed:
-            assert [(x, y) for x, y, _ in new.pairs] == [(x, y) for x, y, _ in old.pairs]
-            for (x, y, got), (_, _, was) in zip(new.pairs, old.pairs):
-                # beyond the double range the parent read inf
-                assert _ulps(was, abs(x - y)) <= 2 or math.isinf(was) and mp.mag(got) > 1023
+    ref = _exact_match(a, b, tol)
+    assert [(x, y) for x, y, _ in new.pairs] == [(x, y) for x, y, _ in ref.pairs]
     assert sorted(map(str, (y for _, y, _ in new.pairs))) == sorted(
         map(str, (y for _, y, _ in old.pairs))
     )
     assert new.pairs[new.worst_index][2] == new.max_distance
+
+
+def test_values_that_tie_in_doubles_are_not_crossed():
+    # 1.7479275349677319e326 and the same value minus 548i: scaled by one
+    # power of two into doubles, -548i fell below 2^-1074 of the modulus,
+    # the two read the same, and the match crossed them (distance 548,
+    # passed within 2^-52 (|x| + |y|)); on exact distances each is matched
+    # to itself
+    x = mpf("1.7479275349677319e326")
+    a = [mpc(x), mpc(x, -548)]
+    report = compare_root_sets(a, a[::-1])
+    assert report.passed and report.max_distance == 0
+    assert [(p[0], p[1]) for p in report.pairs] == [(a[0], a[0]), (a[1], a[1])]
